@@ -7,6 +7,7 @@ random integer coordinate changes used for certificates and invariance tests.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -15,6 +16,7 @@ import numpy as np
 __all__ = [
     "bareiss_det",
     "exact_det",
+    "integer_rows",
     "exact_rank",
     "det_is_nonzero",
     "random_unimodular_matrix",
@@ -50,27 +52,26 @@ def bareiss_det(rows: Sequence[Sequence[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def exact_det(rows: Sequence[Sequence]) -> Fraction:
-    """Exact determinant of a Fraction/int matrix (denominators cleared per row)."""
-    n = len(rows)
-    if n == 0:
-        return Fraction(1)
-    scale = Fraction(1)
-    int_rows = []
+def integer_rows(rows: Sequence[Sequence]) -> tuple[list[list[int]], int]:
+    """Each row times the lcm of its denominators, plus the product of those lcms.
+
+    det(rows) = det(integer rows) / product; row scaling cannot create or
+    destroy a zero determinant.
+    """
+    out = []
+    product = 1
     for r in rows:
         fr = [Fraction(v) for v in r]
-        lcm = 1
-        for v in fr:
-            lcm = lcm * v.denominator // _gcd(lcm, v.denominator)
-        scale /= lcm
-        int_rows.append([int(v * lcm) for v in fr])
-    return scale * bareiss_det(int_rows)
+        lcm = math.lcm(*(v.denominator for v in fr))
+        product *= lcm
+        out.append([int(v * lcm) for v in fr])
+    return out, product
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
+def exact_det(rows: Sequence[Sequence]) -> Fraction:
+    """Exact determinant of a Fraction/int matrix (denominators cleared per row)."""
+    ints, product = integer_rows(rows)
+    return Fraction(bareiss_det(ints), product)
 
 
 def exact_rank(rows: Sequence[Sequence]) -> int:

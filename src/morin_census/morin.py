@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import exact_rank
+from .linalg import exact_det, exact_rank
 from .maps import HomogeneousMap
 from .polynomials import RATIONAL, Polynomial, PolyMatrix
 
@@ -101,17 +101,6 @@ class MorinTower:
     def level(self, k: int, i: int) -> Polynomial:
         """J_{k,i} for 1 <= k <= k_max and row index 0 <= i < n."""
         return self.levels[k - 1][i]
-
-    def values_at(self, p) -> tuple:
-        """(J(p), [[J_{k,i}(p)]]) evaluated from the symbolic polynomials."""
-        base = self.base.evaluate(p)
-        vals = [[poly.evaluate(p) for poly in row] for row in self.levels]
-        return base, vals
-
-    def classify_at(self, p, tol: float = DEFAULT_TOL) -> "SingularityClass":
-        """Classification by direct evaluation of the cached tower."""
-        base, vals = self.values_at(p)
-        return _verdict(self.components, p, base, vals, self.k_max, tol)
 
 
 def morin_tower(F, k_max: int = DEFAULT_KMAX) -> MorinTower:
@@ -213,43 +202,17 @@ def _is_exact(components: Sequence[Polynomial], p) -> bool:
             and all(isinstance(v, (int, Fraction)) for v in p))
 
 
-def _verdict(components, p, base_value, level_values, k_max, tol) -> SingularityClass:
-    """Shared decision logic given evaluated |J| and tower values."""
-    exact = _is_exact(components, p)
-    base_bound, level_bounds = _degree_bounds(components, k_max)
-
-    def vanishes(value, degree: int) -> bool:
-        if exact:
-            return value == 0
-        return abs(complex(value)) <= _threshold(tol, p, degree)
-
-    diag = {
-        "abs_jdet": float(abs(complex(base_value))),
-        "tol": None if exact else tol,
-        "levels": {},
-    }
-    if not vanishes(base_value, base_bound):
-        diag["corank"] = 0
-        return SingularityClass("regular", diagnostics=diag)
-    corank = corank_at(components, p, tol)
-    diag["corank"] = corank
-    if corank >= 2:
-        return SingularityClass("corank_ge_2", diagnostics=diag)
-    for idx, row in enumerate(level_values, start=1):
-        maxabs = max(abs(complex(v)) for v in row)
-        diag["levels"][str(idx)] = float(maxabs)
-        if any(not vanishes(v, level_bounds[idx - 1][i]) for i, v in enumerate(row)):
-            return SingularityClass("morin", k=idx, diagnostics=diag)
-    return SingularityClass("indeterminate", diagnostics=diag)
-
-
-def corank_at(F, p, tol: float = DEFAULT_TOL) -> int:
-    """n - rank(dF(p)): exact row reduction for rational data, SVD otherwise."""
-    components = _components_of(F)
+def _differential(components: Sequence[Polynomial], p) -> list[list]:
+    """dF(p) as evaluated rows."""
     n = len(components)
-    rows = [[components[i].partial(j).evaluate(p) for j in range(n)]
+    return [[components[i].partial(j).evaluate(p) for j in range(n)]
             for i in range(n)]
-    if _is_exact(components, p):
+
+
+def _corank(rows, exact: bool, tol: float) -> int:
+    """n - rank of an evaluated differential: exact row reduction or SVD."""
+    n = len(rows)
+    if exact:
         return n - exact_rank(rows)
     a = np.array([[complex(v) for v in row] for row in rows], dtype=complex)
     sv = np.linalg.svd(a, compute_uv=False)
@@ -259,19 +222,16 @@ def corank_at(F, p, tol: float = DEFAULT_TOL) -> int:
     return n - int(np.sum(sv > tol * top))
 
 
-def classify(F, p, k_max: int = DEFAULT_KMAX, tol: float = DEFAULT_TOL) -> SingularityClass:
-    """Singularity type of F at p.
+def _verdict(components, p, base_value, differential, level_row, k_max,
+             tol) -> SingularityClass:
+    """The classification decision, given J(p), dF(p) and a level source.
 
-    Regular if J(p) != 0; corank >= 2 reported as such (the tower is blind
-    there); otherwise Morin(k) for the smallest k <= k_max with some
-    J_{k,i}(p) above the scale-aware tolerance, Indeterminate if none is.
-    Levels are probed in escalating jet stages so the common shallow verdicts
-    never pay for deep ones; exact inputs use exact zero tests throughout.
+    ``level_row(r)`` returns the values [J_{r,i}(p)]; it is asked for
+    r = 1, 2, ... only until some level survives, so a lazy source pays for
+    the shallow verdicts alone.
     """
-    components = _components_of(F)
-    n = len(components)
-    if len(p) != n:
-        raise ValueError(f"point length {len(p)} != n {n}")
+    if k_max < 1:
+        raise ValueError("k_max must be >= 1")
     exact = _is_exact(components, p)
     base_bound, level_bounds = _degree_bounds(components, k_max)
 
@@ -280,15 +240,6 @@ def classify(F, p, k_max: int = DEFAULT_KMAX, tol: float = DEFAULT_TOL) -> Singu
             return value == 0
         return abs(complex(value)) <= _threshold(tol, p, degree)
 
-    # J(p) and corank need only the differential at p
-    rows = [[components[i].partial(j).evaluate(p) for j in range(n)]
-            for i in range(n)]
-    if exact:
-        from .linalg import exact_det
-        base_value = exact_det(rows)
-    else:
-        base_value = complex(np.linalg.det(np.array(
-            [[complex(v) for v in row] for row in rows], dtype=complex)))
     diag = {
         "abs_jdet": float(abs(complex(base_value))),
         "tol": None if exact else tol,
@@ -297,26 +248,56 @@ def classify(F, p, k_max: int = DEFAULT_KMAX, tol: float = DEFAULT_TOL) -> Singu
     if not vanishes(base_value, base_bound):
         diag["corank"] = 0
         return SingularityClass("regular", diagnostics=diag)
-    corank = corank_at(components, p, tol)
+    corank = _corank(differential, exact, tol)
     diag["corank"] = corank
     if corank >= 2:
         return SingularityClass("corank_ge_2", diagnostics=diag)
-    for stage in range(1, k_max + 1):
-        _, values = _tower_values_at(components, p, stage)
-        row = values[stage - 1]
-        maxabs = max(abs(complex(v)) for v in row)
-        diag["levels"][str(stage)] = float(maxabs)
-        if any(not vanishes(v, level_bounds[stage - 1][i]) for i, v in enumerate(row)):
-            return SingularityClass("morin", k=stage, diagnostics=diag)
+    for r in range(1, k_max + 1):
+        row = level_row(r)
+        diag["levels"][str(r)] = float(max(abs(complex(v)) for v in row))
+        if any(not vanishes(v, level_bounds[r - 1][i]) for i, v in enumerate(row)):
+            return SingularityClass("morin", k=r, diagnostics=diag)
     return SingularityClass("indeterminate", diagnostics=diag)
+
+
+def corank_at(F, p, tol: float = DEFAULT_TOL) -> int:
+    """n - rank(dF(p)): exact row reduction for rational data, SVD otherwise."""
+    components = _components_of(F)
+    return _corank(_differential(components, p), _is_exact(components, p), tol)
+
+
+def classify(F, p, k_max: int = DEFAULT_KMAX, tol: float = DEFAULT_TOL) -> SingularityClass:
+    """Singularity type of F at p.
+
+    Regular if J(p) != 0; corank >= 2 reported as such (the tower is blind
+    there); otherwise Morin(k) for the smallest k <= k_max with some
+    J_{k,i}(p) above the scale-aware tolerance, Indeterminate if none is.
+    Level r comes from an order-(r+1) jet built only when the decision gets
+    that far, so the common shallow verdicts never pay for deep ones; exact
+    inputs use exact zero tests throughout.
+    """
+    components = _components_of(F)
+    n = len(components)
+    if len(p) != n:
+        raise ValueError(f"point length {len(p)} != n {n}")
+    rows = _differential(components, p)
+    if _is_exact(components, p):
+        base_value = exact_det(rows)
+    else:
+        base_value = complex(np.linalg.det(np.array(
+            [[complex(v) for v in row] for row in rows], dtype=complex)))
+    return _verdict(components, p, base_value, rows,
+                    lambda r: _tower_values_at(components, p, r)[1][r - 1],
+                    k_max, tol)
 
 
 def jet_tower_values(F, p, k_max: int = DEFAULT_KMAX):
     """(J(p), [[J_{r,i}(p)]]) for r <= k_max from one jet computation at p.
 
-    The bulk answer ``classify`` assembles stage by stage, exposed whole so
-    callers re-deciding under several tolerances (e.g. stability audits) pay
-    for the tower once.
+    Every level at once, from order-(k_max+1) jets.  Classifying does not
+    need this: ``classify`` builds only the levels its decision reaches,
+    which is cheaper even when a point is re-decided under several
+    tolerances, because most points stop at level 1.
     """
     components = _components_of(F)
     if len(p) != len(components):
@@ -326,12 +307,13 @@ def jet_tower_values(F, p, k_max: int = DEFAULT_KMAX):
 
 def classify_from_values(F, p, base_value, level_values,
                          tol: float = DEFAULT_TOL) -> SingularityClass:
-    """Re-run the classification decision on precomputed tower values."""
+    """The ``classify`` decision on precomputed tower values (k_max = their depth)."""
     components = _components_of(F)
-    return _verdict(components, p, base_value, level_values, len(level_values), tol)
+    return _verdict(components, p, base_value, _differential(components, p),
+                    lambda r: level_values[r - 1], len(level_values), tol)
 
 
-# ---------------------------------------------------------------- test utility
+# ---------------------------------------------------------------- coordinate changes
 def linear_conjugate(components: Sequence[Polynomial], target: Sequence[Sequence[int]],
                      source: Sequence[Sequence[int]]) -> list[Polynomial]:
     """M o F o L for integer matrices M (target) and L (source)."""

@@ -21,7 +21,6 @@ the negative-direction escalation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -29,8 +28,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import det_is_nonzero, exact_det, random_unimodular_matrix
+from .linalg import det_is_nonzero, exact_det, integer_rows, random_unimodular_matrix
 from .maps import HomogeneousMap, validate_degrees
+from .morin import linear_conjugate
 from .polynomials import COMPLEX, RATIONAL, Polynomial
 
 __all__ = [
@@ -188,29 +188,6 @@ def macaulay_matrix(F: HomogeneousMap):
     return rows, monomials, assignment
 
 
-def _integer_rows(rows: list[list[Fraction]]) -> list[list[int]]:
-    """Scale each row to integers (row scaling cannot create or destroy det = 0)."""
-    out = []
-    for row in rows:
-        scale = math.lcm(*(Fraction(v).denominator for v in row)) if row else 1
-        out.append([int(Fraction(v) * scale) for v in row])
-    return out
-
-
-def _substituted(F: HomogeneousMap, matrix: list[list[int]]) -> HomogeneousMap:
-    """F composed with the linear change x -> matrix @ x (degrees unchanged)."""
-    n = F.n
-    variables = [Polynomial.variable(j, n, F.kind) for j in range(n)]
-    forms = []
-    for i in range(n):
-        form = Polynomial.zero(n, F.kind)
-        for j in range(n):
-            if matrix[i][j]:
-                form = form + variables[j] * matrix[i][j]
-        forms.append(form)
-    return HomogeneousMap(F.degrees, tuple(f.substitute(forms) for f in F.components))
-
-
 def macaulay_resultant_certificate(F: HomogeneousMap, retries: int = 3,
                                    seed: int = 0) -> PropernessVerdict:
     """ProperCertified iff some Macaulay determinant is provably nonzero.
@@ -224,15 +201,18 @@ def macaulay_resultant_certificate(F: HomogeneousMap, retries: int = 3,
         raise ValueError("the Macaulay certificate needs the exact rational kind")
     nu = sum(d - 1 for d in F.degrees) + 1
     rng = np.random.default_rng(seed)
+    identity = [[int(i == j) for j in range(F.n)] for i in range(F.n)]
     current = F
     for attempt in range(retries + 1):
         rows, _, _ = macaulay_matrix(current)
-        if det_is_nonzero(_integer_rows(rows)):
+        if det_is_nonzero(integer_rows(rows)[0]):
             suffix = "" if attempt == 0 else f" after {attempt} coordinate change(s)"
             return PropernessVerdict(
                 PROPER, f"Macaulay determinant nonzero in degree {nu}{suffix}")
         if attempt < retries:
-            current = _substituted(F, random_unimodular_matrix(F.n, rng))
+            change = random_unimodular_matrix(F.n, rng)
+            current = HomogeneousMap(
+                F.degrees, tuple(linear_conjugate(F.components, identity, change)))
     return PropernessVerdict(
         INCONCLUSIVE,
         f"Macaulay determinant vanished in degree {nu} "

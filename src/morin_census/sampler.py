@@ -12,22 +12,19 @@ random line samples almost surely landing on the A_1 stratum.
 All numerics are deterministic for a fixed seed: polynomial restriction uses
 roots-of-unity interpolation (an inverse FFT), root finding is Durand-Kerner
 simultaneous iteration from a fixed starting configuration, and the survey
-derives per-map sub-seeds from a SeedSequence so thread scheduling cannot
-reorder anything observable.
+derives per-map sub-seeds from a SeedSequence and runs the maps in order.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .maps import HomogeneousMap, jdet, random_map, ray_multiplicity
-from .morin import DEFAULT_TOL, classify_from_values, jet_tower_values, morin_tower
+from .morin import DEFAULT_TOL, classify, morin_tower
 from .polynomials import COMPLEX, Polynomial
 from .properness import sylvester_matrix
 
@@ -274,16 +271,6 @@ class SectionSolution:
     residuals: tuple              # (|P1(point)|, |P2(point)|)
 
 
-def _v_coefficients(P: Polynomial, q0, q1, q2, u: complex,
-                    degree: int) -> np.ndarray:
-    """Coefficients in v of v -> P(q0 + u*q1 + v*q2), by interpolation."""
-    base = q0 + u * q1
-    count = degree + 1
-    nodes = np.exp(2j * np.pi * np.arange(count) / count)
-    values = np.array([P.evaluate(base + v * q2) for v in nodes], dtype=complex)
-    return np.fft.fft(values) / count
-
-
 def plane_section_solutions(P1: Polynomial, P2: Polynomial, planes: int,
                             seed: int) -> list[SectionSolution]:
     """Common zeros of {P1, P2} on random affine 2-planes, polished by Newton.
@@ -311,8 +298,8 @@ def plane_section_solutions(P1: Polynomial, P2: Polynomial, planes: int,
             q1 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             q2 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             # leading v-coefficients are the top forms at q2: constant in u
-            lead1 = _v_coefficients(P1, q0, q1, q2, 0.0, d1)[-1]
-            lead2 = _v_coefficients(P2, q0, q1, q2, 0.0, d2)[-1]
+            lead1 = _restrict_coeffs(P1, q0, q2)[-1]
+            lead2 = _restrict_coeffs(P2, q0, q2)[-1]
             if abs(lead1) > 1e-8 and abs(lead2) > 1e-8:
                 break
         else:
@@ -321,8 +308,8 @@ def plane_section_solutions(P1: Polynomial, P2: Polynomial, planes: int,
         u_nodes = np.exp(2j * np.pi * np.arange(bezout + 1) / (bezout + 1))
         dets = []
         for u in u_nodes:
-            c1 = _v_coefficients(P1, q0, q1, q2, u, d1)[::-1]
-            c2 = _v_coefficients(P2, q0, q1, q2, u, d2)[::-1]
+            c1 = _restrict_coeffs(P1, q0 + u * q1, q2)[::-1]
+            c2 = _restrict_coeffs(P2, q0 + u * q1, q2)[::-1]
             rows = sylvester_matrix(list(c1), list(c2))
             dets.append(np.linalg.det(np.array(rows, dtype=complex)))
         dets = np.array(dets, dtype=complex)
@@ -341,8 +328,8 @@ def plane_section_solutions(P1: Polynomial, P2: Polynomial, planes: int,
         coeff_scale1 = max(abs(c) for c in P1.terms.values())
         coeff_scale2 = max(abs(c) for c in P2.terms.values())
         for u in u_roots:
-            c1u = _v_coefficients(P1, q0, q1, q2, u, d1)
-            c2u = _v_coefficients(P2, q0, q1, q2, u, d2)
+            c1u = _restrict_coeffs(P1, q0 + u * q1, q2)
+            c2u = _restrict_coeffs(P2, q0 + u * q1, q2)
             env1 = np.abs(c1u)[::-1]
             try:
                 v_roots = univariate_roots(c2u)
@@ -410,15 +397,9 @@ def cusp_points(F: HomogeneousMap, planes: int, seed: int,
                                         planes, seed)
     kept = []
     for sol in solutions:
-        verdict = _classify_point(Fc, sol.point, tol)
-        if verdict.is_morin(2):
+        if classify(Fc, sol.point, tol=tol).is_morin(2):
             kept.append(sol)
     return kept
-
-
-def _classify_point(F: HomogeneousMap, p, tol: float):
-    base, values = jet_tower_values(F, p, 4)
-    return classify_from_values(F, p, base, values, tol=tol)
 
 
 # ---------------------------------------------------------------- survey
@@ -452,13 +433,6 @@ class SurveyReport:
         }
 
 
-def _worker_count() -> int:
-    env = os.environ.get("MORIN_CENSUS_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
-
-
 def _complex_pairs(p) -> list[list[float]]:
     return [[complex(v).real, complex(v).imag] for v in p]
 
@@ -466,21 +440,17 @@ def _complex_pairs(p) -> list[list[float]]:
 def _survey_one_map(degrees, map_seed: int, line_seed: int, lines: int,
                     tol: float) -> list[dict]:
     F = random_map(degrees, seed=map_seed, kind=COMPLEX)
-    J = jdet(F)
-    deg_j = J.total_degree()
+    deg_j = sum(d - 1 for d in degrees)
     records = []
     for p in critical_points_on_lines(F, lines, line_seed):
-        base, values = jet_tower_values(F, p, 4)
-        verdicts = {t: classify_from_values(F, p, base, values, tol=t)
-                    for t in (tol, tol * 10.0, tol / 10.0)}
-        main = verdicts[tol]
-        stable = len({v.label for v in verdicts.values()}) == 1
+        main, *others = [classify(F, p, tol=t) for t in (tol, tol * 10.0, tol / 10.0)]
+        stable = all(v.label == main.label for v in others)
         mult = ray_multiplicity(F, p)
         records.append({
             "point": _complex_pairs(p),
             "class": main.to_dict(),
             "ray_multiplicity": None if math.isinf(mult) else int(mult),
-            "residuals": {"jdet": abs(J.evaluate(p)),
+            "residuals": {"jdet": main.diagnostics["abs_jdet"],
                           "threshold": LINE_RESIDUAL_TOL * 2.0 ** deg_j},
             "stable": stable,
         })
@@ -497,25 +467,14 @@ def survey(degrees: Sequence[int], maps: int, lines: int, seed: int,
     the count of off-origin points outside the expected {A_1, A_2, A_3} menu;
     all sampled points sit at unit norm, so the off-origin filter (norm >
     1e-6) is vacuous-by-construction but kept explicit.  Identical arguments
-    give bit-identical reports: sub-seeds come from a SeedSequence keyed on
-    `seed` and results are merged in map order, whatever the thread timing.
+    give bit-identical reports: each map's sub-seeds come from a SeedSequence
+    keyed on `seed`, and the maps run in order.
     """
     degrees = tuple(int(d) for d in degrees)
     state = np.random.SeedSequence(seed).generate_state(2 * max(maps, 1), dtype=np.uint64)
-    tasks = [(int(state[2 * m]), int(state[2 * m + 1])) for m in range(maps)]
-    results: list[list[dict]] = [[] for _ in range(maps)]
-    workers = min(_worker_count(), max(maps, 1))
-    if workers > 1 and maps > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                pool.submit(_survey_one_map, degrees, ms, ls, lines, tol): m
-                for m, (ms, ls) in enumerate(tasks)}
-            for fut, m in futures.items():
-                results[m] = fut.result()
-    else:
-        for m, (ms, ls) in enumerate(tasks):
-            results[m] = _survey_one_map(degrees, ms, ls, lines, tol)
-    points = [rec for chunk in results for rec in chunk]
+    points = [rec for m in range(maps)
+              for rec in _survey_one_map(degrees, int(state[2 * m]), int(state[2 * m + 1]),
+                                         lines, tol)]
     histogram: dict[str, int] = {}
     unstable = 0
     outside = 0

@@ -131,6 +131,17 @@ def test_point_length_mismatch_is_usage_error(tmp_path, capsys):
     assert code == 1
 
 
+def test_classify_kmax_below_one_is_computation_error(tmp_path, capsys):
+    """--kmax 0 leaves no tower level to decide with: exit 2."""
+    path = tmp_path / "m.json"
+    run(capsys, "gen", "--degrees", "2,2,2,2", "--kind", "complex",
+        "--seed", "1", "--out", str(path))
+    code, out, err = run(capsys, "classify", "--map", str(path),
+                         "--point", "1,0,0,0", "--kmax", "0")
+    assert code == 2 and out == ""
+    assert "k_max must be >= 1" in err
+
+
 def test_unknown_subcommand_is_usage_error(capsys):
     """Unknown subcommands exit 1, not argparse's default 2."""
     assert run(capsys, "frobnicate")[0] == 1

@@ -11,6 +11,7 @@ from morin_census import (
     classify,
     classify_from_values,
     corank_at,
+    critical_points_on_lines,
     jet_tower_values,
     linear_conjugate,
     morin_tower,
@@ -156,18 +157,40 @@ def test_jet_values_match_symbolic_tower():
 
 
 def test_classify_from_values_round_trip():
-    """Re-deciding from precomputed jet values gives the same class."""
-    F = cusp_form()
-    base, levels = jet_tower_values(F, ORIGIN, k_max=4)
-    v = classify_from_values(F, ORIGIN, base, levels)
-    assert v.label == classify(F, ORIGIN).label == "A2"
+    """Precomputed jet values and staged classify reach the same decision."""
+    forms = ((fold_form(), "A1"), (cusp_form(), "A2"),
+             (swallowtail_form(), "A3"), (corank2_form(), "corank_ge_2"))
+    for F, label in forms:
+        for origin in (ORIGIN, (0, 0, 0, 0)):
+            base, levels = jet_tower_values(F, origin, k_max=4)
+            v = classify_from_values(F, origin, base, levels)
+            assert v.label == classify(F, origin).label == label
+    F = random_map((2, 2, 2, 2), seed=8, kind="complex")
+    points = critical_points_on_lines(F, lines=2, seed=0)
+    assert points
+    for p in points:
+        base, levels = jet_tower_values(F, p, k_max=4)
+        for tol in (1e-7, 1e-6, 1e-8):
+            staged = classify(F, p, tol=tol)
+            bulk = classify_from_values(F, p, base, levels, tol=tol)
+            assert staged.label == bulk.label == "A1"
+            assert staged.diagnostics["corank"] == bulk.diagnostics["corank"] == 1
+
+
+def test_k_max_below_one_is_rejected():
+    """Both entry points refuse an empty tower instead of answering indeterminate."""
+    with pytest.raises(ValueError, match="k_max must be >= 1"):
+        classify(fold_form(), ORIGIN, k_max=0)
+    with pytest.raises(ValueError, match="k_max must be >= 1"):
+        classify(fold_form(), np.array([0.0, 0.0, 0.0, 1.0]), k_max=-1)
+    with pytest.raises(ValueError, match="k_max must be >= 1"):
+        classify_from_values(fold_form(), ORIGIN, 0.0, [])
 
 
 def test_classification_scale_invariant():
     """Scaling the point along the fold cone does not change the verdict."""
     F = random_map((2, 2, 2, 2), seed=8, kind="complex")
     G = GeneralMap(F.components)
-    from morin_census import critical_points_on_lines
     p = np.asarray(critical_points_on_lines(F, lines=1, seed=0)[0])
     for scale in (1.0, 10.0, 1000.0):
         assert classify(G, scale * p).label == "A1"
