@@ -175,7 +175,12 @@ def s_classes_symbolic() -> dict[str, Polynomial]:
 def s_classes(degrees: Sequence[int]) -> dict[str, int]:
     """The seven s-classes at a concrete degree tuple (exact integers)."""
     degrees = _require_four(degrees)
-    c1, c2, c3, _ = chern_values(degrees)
+    return _s_values(degrees, chern_values(degrees))
+
+
+def _s_values(degrees: tuple[int, ...], c: Sequence[int]) -> dict[str, int]:
+    """The seven s-classes from the degrees and their Chern values c1..c4."""
+    c1, c2, c3, _ = c
     s0 = degrees[0] * degrees[1] * degrees[2] * degrees[3]
     return {
         "s0": s0,
@@ -256,7 +261,7 @@ def census(degrees: Sequence[int]) -> CensusReport:
     """
     degrees = _require_four(degrees)
     c = chern_values(degrees)
-    s = s_classes(degrees)
+    s = _s_values(degrees, c)
     raw = _raw_counts(c, s)
     counts = {}
     for name in COUNT_NAMES:

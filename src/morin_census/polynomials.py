@@ -13,6 +13,12 @@ The zero polynomial is the empty term map.  Terms are kept canonical (no zero
 coefficient is ever stored); serialization orders terms graded-lexicographically
 (total degree first, then exponents).  Instances are immutable by convention:
 no operation mutates its inputs.
+
+``Polynomial.evaluate`` is the one evaluator.  Exact points (ints and
+Fractions) on a rational polynomial give exact values; any other point, or an
+``(..., n_vars)`` array of points, goes through a numpy kernel over the
+polynomial's exponent matrix and complex coefficient vector, compiled on the
+first float evaluation and kept on the instance.
 """
 
 from __future__ import annotations
@@ -20,6 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
+
+import numpy as np
 
 Exponents = tuple[int, ...]
 
@@ -62,7 +70,7 @@ def _coerce(value: Scalar, kind: str):
 class Polynomial:
     """Immutable sparse polynomial in ``n_vars`` variables over one coefficient kind."""
 
-    __slots__ = ("n_vars", "kind", "terms")
+    __slots__ = ("n_vars", "kind", "terms", "_compiled")
 
     def __init__(self, n_vars: int, terms: Mapping[Exponents, Scalar], kind: str = RATIONAL):
         if n_vars < 1:
@@ -257,43 +265,40 @@ class Polynomial:
     def __call__(self, point: Sequence[Scalar]):
         return self.evaluate(point)
 
-    def evaluate(self, point: Sequence[Scalar]):
-        """Value at `point`.
+    def evaluate(self, point):
+        """Value at one point, or values at an ``(..., n_vars)`` array of points.
 
-        A rational polynomial evaluated at a float/complex point is converted
-        first; exact points with exact polynomials stay exact.
+        A rational polynomial at a point of ints and Fractions is evaluated
+        exactly and returns a Fraction.  Every other input goes through one
+        numpy kernel over the exponent matrix and the complex coefficient
+        vector, built on first use and kept: a single point gives a complex,
+        an array of points an array of complex values in its leading shape.
         """
-        if len(point) != self.n_vars:
-            raise ValueError(f"point length {len(point)} != n_vars {self.n_vars}")
-        exact_point = all(isinstance(v, (int, Fraction)) for v in point)
-        if self.kind == RATIONAL and not exact_point:
-            return self.as_complex().evaluate([complex(v) for v in point])
-        if self.kind == RATIONAL:
-            point = [Fraction(v) for v in point]
-            zero = Fraction(0)
-        else:
-            point = [complex(v) for v in point]
-            zero = 0j
-        # per-variable power tables
-        max_exp = [0] * self.n_vars
-        for exps in self.terms:
-            for i, e in enumerate(exps):
-                if e > max_exp[i]:
-                    max_exp[i] = e
-        powers = []
-        for i in range(self.n_vars):
-            row = [point[i] ** 0]
-            for _ in range(max_exp[i]):
-                row.append(row[-1] * point[i])
-            powers.append(row)
-        total = zero
-        for exps, c in self.terms.items():
-            v = c
-            for i, e in enumerate(exps):
-                if e:
-                    v = v * powers[i][e]
-            total += v
-        return total
+        if (self.kind == RATIONAL and not isinstance(point, np.ndarray)
+                and all(isinstance(v, (int, Fraction)) for v in point)):
+            if len(point) != self.n_vars:
+                raise ValueError(f"point length {len(point)} != n_vars {self.n_vars}")
+            powers = [[Fraction(1), Fraction(v)] for v in point]
+            total = Fraction(0)
+            for exps, c in self.terms.items():
+                for row, e in zip(powers, exps):
+                    if e:
+                        while len(row) <= e:
+                            row.append(row[-1] * row[1])
+                        c = c * row[e]
+                total += c
+            return total
+        x = np.asarray(point, dtype=complex)
+        if x.ndim == 0 or x.shape[-1] != self.n_vars:
+            raise ValueError(f"point shape {x.shape} does not end in n_vars {self.n_vars}")
+        try:
+            exps, coeffs = self._compiled
+        except AttributeError:      # the slot is filled on the first float call
+            exps = np.array(list(self.terms), dtype=np.int64).reshape(-1, self.n_vars)
+            coeffs = np.array([complex(c) for c in self.terms.values()], dtype=complex)
+            object.__setattr__(self, "_compiled", (exps, coeffs))
+        values = np.prod(x[..., None, :] ** exps, axis=-1) @ coeffs
+        return complex(values) if x.ndim == 1 else values
 
     def substitute(self, replacements: Sequence["Polynomial"]) -> "Polynomial":
         """Composition p(q_1, ..., q_n); replacements share n_vars and kind."""

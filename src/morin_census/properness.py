@@ -220,28 +220,6 @@ def macaulay_resultant_certificate(F: HomogeneousMap, retries: int = 3,
 
 
 # ---------------------------------------------------------------- falsifier
-def _batch_evaluator(F: HomogeneousMap):
-    """Vectorized x -> F(x) over a batch of complex points (rows of a matrix)."""
-    tables = []
-    for f in F.as_complex().components:
-        items = sorted(f.terms.items())
-        exps = np.array([e for e, _ in items], dtype=np.int64).reshape(len(items), F.n)
-        coeffs = np.array([c for _, c in items], dtype=complex)
-        tables.append((exps, coeffs))
-
-    def evaluate(points: np.ndarray) -> np.ndarray:
-        cols = []
-        for exps, coeffs in tables:
-            if len(coeffs) == 0:
-                cols.append(np.zeros(points.shape[0], dtype=complex))
-                continue
-            monos = np.prod(points[:, None, :] ** exps[None, :, :], axis=2)
-            cols.append(monos @ coeffs)
-        return np.stack(cols, axis=1)
-
-    return evaluate
-
-
 def _witness_threshold(F: HomogeneousMap, x: np.ndarray) -> float:
     return WITNESS_TOL * (1.0 + float(np.linalg.norm(x)) ** max(F.degrees))
 
@@ -254,9 +232,10 @@ def sphere_falsifier(F: HomogeneousMap, samples: int = 10_000,
     None is NOT a certificate -- it only reports that `samples` random unit
     vectors, with Newton polish on the most promising ones, found nothing.
     """
-    Fc = F.as_complex()
-    evaluate = _batch_evaluator(Fc)
-    partials = [[f.partial(j) for j in range(F.n)] for f in Fc.components]
+    def evaluate(points: np.ndarray) -> np.ndarray:
+        return np.stack(F.evaluate(points), axis=-1)
+
+    partials = [[f.partial(j) for j in range(F.n)] for f in F.components]
     rng = np.random.default_rng(seed)
     pts = rng.standard_normal((samples, F.n)) + 1j * rng.standard_normal((samples, F.n))
     pts /= np.linalg.norm(pts, axis=1)[:, None]
@@ -270,15 +249,14 @@ def sphere_falsifier(F: HomogeneousMap, samples: int = 10_000,
         # plain step converge only linearly; trying the doubled step as well
         # and keeping the smaller residual restores fast convergence.
         x = start.copy()
-        resid = float(np.linalg.norm(evaluate(x[None, :])[0]))
+        resid = float(np.linalg.norm(evaluate(x)))
         for _ in range(NEWTON_MAX_ITERS):
             scaled = x / np.linalg.norm(x)
-            if (np.linalg.norm(evaluate(scaled[None, :])[0])
-                    < _witness_threshold(F, scaled)):
+            if np.linalg.norm(evaluate(scaled)) < _witness_threshold(F, scaled):
                 return scaled
             pivot = int(np.argmax(np.abs(x)))
             keep = [j for j in range(F.n) if j != pivot]
-            fx = evaluate(x[None, :])[0]
+            fx = evaluate(x)
             jac = np.array([[partials[i][j].evaluate(x) for j in keep]
                             for i in range(F.n)], dtype=complex)
             step, *_ = np.linalg.lstsq(jac, -fx, rcond=None)
@@ -286,14 +264,14 @@ def sphere_falsifier(F: HomogeneousMap, samples: int = 10_000,
             for factor in (1.0, 2.0):
                 cand = x.copy()
                 cand[keep] = cand[keep] + factor * step
-                r = float(np.linalg.norm(evaluate(cand[None, :])[0]))
+                r = float(np.linalg.norm(evaluate(cand)))
                 if best is None or r < best[0]:
                     best = (r, cand)
             if best[0] >= resid:
                 break
             resid, x = best
         scaled = x / np.linalg.norm(x)
-        if np.linalg.norm(evaluate(scaled[None, :])[0]) < _witness_threshold(F, scaled):
+        if np.linalg.norm(evaluate(scaled)) < _witness_threshold(F, scaled):
             return scaled
         return None
 
@@ -324,8 +302,7 @@ def properness_verdict(F: HomogeneousMap, samples: int = 2000, seed: int = 0,
         notes.append("no exact certificate for the complex kind")
     witness = sphere_falsifier(F, samples=samples, seed=seed)
     if witness is not None:
-        values = _batch_evaluator(F)(np.array([witness]))[0]
-        residual = float(np.linalg.norm(values))
+        residual = float(np.linalg.norm(F.evaluate(witness)))
         return PropernessVerdict(
             NOT_PROPER,
             f"nonzero common root found on the unit sphere (residual {residual:.2e})",

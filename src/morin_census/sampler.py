@@ -94,7 +94,6 @@ def _initial_configuration(monic: np.ndarray) -> np.ndarray:
                 break
         hull.append(k)
     radii = np.empty(degree)
-    radii[: hull[0]] = 1e-3       # vanished low-order coefficients: roots at 0
     for i, j in zip(hull, hull[1:]):
         radii[i:j] = np.exp((logs[i] - logs[j]) / (j - i))
     angles = 2.0 * np.pi * (np.arange(degree) + 0.5) / degree + 0.4
@@ -105,16 +104,19 @@ def univariate_roots(p, tol: float = ROOT_TOL, max_sweeps: int = MAX_SWEEPS) -> 
     """All complex roots of a univariate polynomial, with multiplicity.
 
     Accepts a univariate Polynomial or an ascending coefficient sequence.
-    Roots come from Durand-Kerner simultaneous iteration (deterministic
-    Newton-polygon starting configuration, at most ``max_sweeps`` sweeps),
-    declared converged when every residual clears the evaluation envelope,
+    Leading coefficients at or below ROOT_TOL of the largest are trimmed.
+    Low-order coefficients that are exactly zero are stripped and come back
+    as roots at 0, first in the list.  The other roots come from
+    Durand-Kerner simultaneous iteration (deterministic Newton-polygon
+    starting configuration, at most ``max_sweeps`` sweeps) and are accepted
+    only when every residual clears the evaluation envelope,
     |p(z)| <= tol * sum_k |a_k| |z|^k -- the scale floating-point evaluation
-    itself lives at -- or when the iterates stall at rounding level; roots
-    are then polished by Newton steps kept only when they shrink the
-    residual.  Non-convergence raises RootConvergenceError carrying the
-    partial roots.  Multiple roots converge to a cluster whose radius grows
-    like eps^(1/m) -- accuracy, not validity, degrades there, and the
-    residual test still passes.
+    itself lives at.  Accepted roots are polished by Newton steps kept only
+    when they shrink the residual.  When the sweeps run out or stall first,
+    RootConvergenceError carries the partial roots, the roots at 0 included.
+    Multiple roots converge to a cluster whose radius grows like
+    eps^(1/m) -- accuracy, not validity, degrades there, and the residual
+    test still passes.
     """
     coeffs = _ascending_coeffs(p)
     scale = float(np.max(np.abs(coeffs))) if coeffs.size else 0.0
@@ -122,23 +124,21 @@ def univariate_roots(p, tol: float = ROOT_TOL, max_sweeps: int = MAX_SWEEPS) -> 
         raise ValueError("zero polynomial has no roots to find")
     while coeffs.size > 1 and abs(coeffs[-1]) <= ROOT_TOL * scale:
         coeffs = coeffs[:-1]
-    degree = coeffs.size - 1
-    if degree < 1:
+    if coeffs.size < 2:
         raise ValueError("degree must be >= 1 after trimming the leading coefficient")
+    at_origin = [0j] * int(np.argmax(coeffs != 0))
+    coeffs = coeffs[len(at_origin):]
+    degree = coeffs.size - 1
+    if degree == 0:
+        return at_origin
     monic = coeffs / coeffs[-1]
     desc = monic[::-1]                       # np.polyval wants descending
     absdesc = np.abs(desc)
     z = _initial_configuration(monic)
 
     def residuals_ok(zs: np.ndarray) -> bool:
-        # two complementary acceptance scales: the evaluation envelope
-        # sum |a_k||z|^k handles badly scaled coefficients, while the
-        # geometric bound (1+|z|)^deg handles roots at the origin, where
-        # the envelope ratio cannot shrink (e.g. p = x^m)
         vals = np.abs(np.polyval(desc, zs))
-        envelope = np.polyval(absdesc, np.abs(zs))
-        geometric = (1.0 + np.abs(zs)) ** degree
-        return bool(np.all(vals <= tol * np.maximum(envelope, geometric)))
+        return bool(np.all(vals <= tol * np.polyval(absdesc, np.abs(zs))))
 
     converged = False
     for _ in range(max_sweeps):
@@ -154,15 +154,12 @@ def univariate_roots(p, tol: float = ROOT_TOL, max_sweeps: int = MAX_SWEEPS) -> 
         mag = np.abs(delta)
         delta = np.where(mag > cap, delta * (cap / np.where(mag > cap, mag, 1.0)), delta)
         z = z - delta
-        if residuals_ok(z):
-            converged = True
+        converged = residuals_ok(z)
+        if converged or np.all(np.abs(delta) <= 1e-15 * (1.0 + np.abs(z))):
             break
-        if np.all(np.abs(delta) <= 1e-15 * (1.0 + np.abs(z))):
-            converged = residuals_ok(z)
-            break
-    if not converged and not residuals_ok(z):
+    if not converged:
         raise RootConvergenceError(
-            f"Durand-Kerner did not converge in {max_sweeps} sweeps", z)
+            f"Durand-Kerner did not converge in {max_sweeps} sweeps", at_origin + list(z))
     dp = np.polyder(desc)
     for _ in range(3):
         vals = np.polyval(desc, z)
@@ -172,7 +169,7 @@ def univariate_roots(p, tol: float = ROOT_TOL, max_sweeps: int = MAX_SWEEPS) -> 
         candidate = z - step
         better = np.abs(np.polyval(desc, candidate)) < np.abs(vals)
         z = np.where(better, candidate, z)
-    return [complex(v) for v in z]
+    return at_origin + [complex(v) for v in z]
 
 
 # ---------------------------------------------------------------- line slicing
@@ -195,7 +192,7 @@ def _restrict_coeffs(P: Polynomial, q1: np.ndarray, q2: np.ndarray) -> np.ndarra
         return np.zeros(1, dtype=complex)
     count = degree + 1
     nodes = np.exp(2j * np.pi * np.arange(count) / count)
-    values = np.array([P.evaluate(q1 + t * q2) for t in nodes], dtype=complex)
+    values = P.evaluate(q1 + nodes[:, None] * q2)
     # sampling at exp(+2*pi*i*j/N) makes the forward DFT the interpolator
     return np.fft.fft(values) / count
 
@@ -211,7 +208,7 @@ def restrict_to_line(P: Polynomial, q1: Sequence, q2: Sequence) -> LineSection:
     na, nb = np.linalg.norm(a), np.linalg.norm(b)
     if na == 0 or nb == 0 or np.linalg.norm(a / na - (a @ b.conj()) / (na * nb ** 2) * b) < 1e-10:
         raise ValueError("line spanning points must be linearly independent")
-    coeffs = _restrict_coeffs(P.as_complex(), a, b)
+    coeffs = _restrict_coeffs(P, a, b)
     return LineSection(tuple(a), tuple(b), tuple(complex(c) for c in coeffs))
 
 
@@ -232,7 +229,7 @@ def critical_points_on_lines(F: HomogeneousMap, lines: int, seed: int) -> list[t
     and only when they pass the residual check
     |J(p)| <= 1e-8 * (1 + ||p||)^deg J.
     """
-    J = jdet(F).as_complex()
+    J = jdet(F)
     if J.is_zero():
         raise ValueError("jdet(F) is identically zero; no critical cone to sample")
     deg = J.total_degree()
@@ -250,15 +247,12 @@ def critical_points_on_lines(F: HomogeneousMap, lines: int, seed: int) -> list[t
             roots = univariate_roots(coeffs)
         except RootConvergenceError as err:
             roots = err.roots
-        for t in roots:
-            p = np.asarray(a + t * b, dtype=complex)
-            norm = np.linalg.norm(p)
-            if norm < 1e-12:
-                continue
-            candidate = _phase_normalized(p)
-            residual = abs(J.evaluate(candidate))
-            if residual <= LINE_RESIDUAL_TOL * 2.0 ** deg:
-                points.append(candidate)
+        candidates = [_phase_normalized(p) for p in a + np.outer(roots, b)
+                      if np.linalg.norm(p) >= 1e-12]
+        if candidates:
+            residuals = np.abs(J.evaluate(np.array(candidates)))
+            points += [p for p, r in zip(candidates, residuals)
+                       if r <= LINE_RESIDUAL_TOL * 2.0 ** deg]
     return points
 
 
@@ -282,8 +276,6 @@ def plane_section_solutions(P1: Polynomial, P2: Polynomial, planes: int,
     system.  Survivors are reported at unit norm with both absolute residuals
     |P_k(point)|; anything above 1e-9 is dropped.
     """
-    P1 = P1.as_complex()
-    P2 = P2.as_complex()
     n = P1.n_vars
     d1, d2 = P1.total_degree(), P2.total_degree()
     if d1 is None or d2 is None or d1 < 1 or d2 < 1:
@@ -350,12 +342,8 @@ def plane_section_solutions(P1: Polynomial, P2: Polynomial, planes: int,
                     if abs(f[0]) <= 1e-15 * coeff_scale1 * grow ** d1 and \
                             abs(f[1]) <= 1e-15 * coeff_scale2 * grow ** d2:
                         break
-                    jac = np.array(
-                        [[sum(g.evaluate(x) * w for g, w in zip(grads1, q1)),
-                          sum(g.evaluate(x) * w for g, w in zip(grads1, q2))],
-                         [sum(g.evaluate(x) * w for g, w in zip(grads2, q1)),
-                          sum(g.evaluate(x) * w for g, w in zip(grads2, q2))]],
-                        dtype=complex)
+                    jac = np.array([[g.evaluate(x) for g in grads]
+                                    for grads in (grads1, grads2)]) @ np.array([q1, q2]).T
                     try:
                         step = np.linalg.solve(jac, -f)
                     except np.linalg.LinAlgError:

@@ -1,5 +1,6 @@
 """Exact sparse-polynomial arithmetic, calculus, text round-trips, determinants."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -131,6 +132,62 @@ def test_evaluate_complex_matches_horner():
     z = (0.5 + 0.25j, -2.0)
     direct = (1 + 1j) * z[0] ** 2 * z[1] - 3
     assert abs(f.evaluate(z) - direct) < 1e-12
+
+
+def _random_quartic(kind):
+    rng = np.random.default_rng(5)
+    terms = {}
+    for _ in range(30):
+        exps = tuple(int(e) for e in rng.multinomial(4, [0.25] * 4))
+        if kind == "complex":
+            terms[exps] = complex(rng.standard_normal(), rng.standard_normal())
+        else:
+            terms[exps] = Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 5)))
+    return P(4, terms, kind)
+
+
+@pytest.mark.parametrize("kind", ["complex", "rational"])
+def test_evaluate_batch_matches_pointwise(kind):
+    """An (m, 4) or (a, b, 4) batch gives the per-point values in its shape,
+    and those match a plain sum of monomials."""
+    f = _random_quartic(kind)
+    rng = np.random.default_rng(6)
+    for shape in ((7, 4), (3, 5, 4)):
+        pts = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        batch = f.evaluate(pts)
+        assert batch.shape == shape[:-1]
+        for idx in np.ndindex(*shape[:-1]):
+            pt = [complex(v) for v in pts[idx]]
+            one = f.evaluate(pt)
+            direct = sum(complex(c) * math.prod(v ** e for v, e in zip(pt, exps))
+                         for exps, c in f.terms.items())
+            assert isinstance(one, complex)
+            assert abs(batch[idx] - one) <= 1e-12 * abs(one)
+            assert abs(one - direct) <= 1e-12 * abs(direct)
+
+
+def test_evaluate_zero_polynomial_batch():
+    """The zero polynomial gives zeros in the shape of the batch."""
+    values = Polynomial.zero(4, "complex").evaluate(np.ones((2, 3, 4)))
+    assert values.shape == (2, 3)
+    assert not values.any()
+
+
+def test_evaluate_rejects_wrong_trailing_dimension():
+    """The last axis of the points has to be n_vars long."""
+    f = _random_quartic("complex")
+    with pytest.raises(ValueError):
+        f.evaluate(np.ones((5, 3)))
+    with pytest.raises(ValueError):
+        f.evaluate([1.0, 2.0])
+
+
+def test_evaluate_exact_point_stays_exact():
+    """A rational polynomial at a Fraction point returns the exact Fraction."""
+    f = P(2, {(2, 1): Fraction(1, 3), (0, 0): -2})
+    value = f.evaluate((Fraction(1, 2), 3))
+    assert isinstance(value, Fraction)
+    assert value == Fraction(1, 4) - 2
 
 
 # ------------------------------------------------------------- text form

@@ -56,12 +56,19 @@ def test_roots_scale_invariant():
 
 
 def test_roots_match_numpy_reference():
-    """Random degree-25 polynomial agrees with the companion-matrix roots."""
-    rng = np.random.default_rng(7)
-    c = rng.standard_normal(26) + 1j * rng.standard_normal(26)
-    mine = np.sort_complex(np.array(univariate_roots(c)))
-    ref = np.sort_complex(np.roots(c[::-1]))
-    assert np.max(np.abs(mine - ref)) < 1e-9
+    """Random degree-25 and degree-104 polynomials: every root clears the
+    evaluation envelope and agrees with the companion-matrix roots."""
+    for degree, seed in ((25, 7), (104, 0), (104, 1), (104, 2)):
+        rng = np.random.default_rng(seed)
+        c = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
+        mine = np.array(univariate_roots(c))
+        assert len(mine) == degree
+        desc = c[::-1]
+        envelope = np.polyval(np.abs(desc), np.abs(mine))
+        assert np.all(np.abs(np.polyval(desc, mine)) <= 1e-8 * envelope)
+        ref = np.roots(desc)
+        gaps = np.abs(mine[:, None] - ref[None, :])
+        assert gaps.min(axis=1).max() < 1e-9 and gaps.min(axis=0).max() < 1e-9
 
 
 def test_roots_reject_constant():
