@@ -10,9 +10,10 @@ generic map is that every off-origin singular point is A_1, A_2 or A_3, with
 random line samples almost surely landing on the A_1 stratum.
 
 All numerics are deterministic for a fixed seed: polynomial restriction uses
-roots-of-unity interpolation (an inverse FFT), root finding is Durand-Kerner
-simultaneous iteration from a fixed starting configuration, and the survey
-derives per-map sub-seeds from a SeedSequence and runs the maps in order.
+roots-of-unity interpolation (an inverse FFT), root finding takes the
+eigenvalues of the companion matrix and checks them against the evaluation
+envelope, and the survey derives per-map sub-seeds from a SeedSequence and
+runs the maps in order.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .maps import HomogeneousMap, jdet, random_map, ray_multiplicity
-from .morin import DEFAULT_TOL, classify, morin_tower
+from .maps import HomogeneousMap, jacobian, jdet, random_map, ray_multiplicity
+from .morin import DEFAULT_TOL, classify
 from .polynomials import COMPLEX, Polynomial
 from .properness import sylvester_matrix
 
@@ -42,14 +43,13 @@ __all__ = [
 ]
 
 ROOT_TOL = 1e-12
-MAX_SWEEPS = 200
 LINE_RESIDUAL_TOL = 1e-8
 CUSP_RESIDUAL_TOL = 1e-9
 MENU = ("A1", "A2", "A3")
 
 
 class RootConvergenceError(RuntimeError):
-    """Durand-Kerner failed to converge; carries the partial root estimates."""
+    """Some root misses the evaluation envelope; carries the root estimates."""
 
     def __init__(self, message: str, roots):
         super().__init__(message)
@@ -70,53 +70,22 @@ def _ascending_coeffs(p) -> np.ndarray:
     return np.asarray(list(p), dtype=complex)
 
 
-def _initial_configuration(monic: np.ndarray) -> np.ndarray:
-    """Starting points on annuli read off the Newton polygon of |coefficients|.
-
-    The upper convex hull of (k, log|a_k|) estimates how the root moduli are
-    distributed (Bini's initialization): each hull segment from index i to j
-    contributes j - i roots of modulus |a_i / a_j|^(1/(j-i)).  This keeps the
-    start close to the true annuli even when coefficient magnitudes span
-    hundreds of orders, where a single Cauchy/Fujiwara circle stalls the
-    iteration for hundreds of sweeps.
-    """
-    degree = monic.size - 1
-    with np.errstate(divide="ignore"):
-        logs = np.log(np.abs(monic))
-    finite = [k for k in range(degree + 1) if np.isfinite(logs[k])]
-    hull = []                      # indices of the upper convex hull
-    for k in finite:
-        while len(hull) >= 2:
-            i, j = hull[-2], hull[-1]
-            if (logs[j] - logs[i]) * (k - i) <= (logs[k] - logs[i]) * (j - i):
-                hull.pop()
-            else:
-                break
-        hull.append(k)
-    radii = np.empty(degree)
-    for i, j in zip(hull, hull[1:]):
-        radii[i:j] = np.exp((logs[i] - logs[j]) / (j - i))
-    angles = 2.0 * np.pi * (np.arange(degree) + 0.5) / degree + 0.4
-    return radii * np.exp(1j * angles)
-
-
-def univariate_roots(p, tol: float = ROOT_TOL, max_sweeps: int = MAX_SWEEPS) -> list[complex]:
+def univariate_roots(p) -> list[complex]:
     """All complex roots of a univariate polynomial, with multiplicity.
 
     Accepts a univariate Polynomial or an ascending coefficient sequence.
     Leading coefficients at or below ROOT_TOL of the largest are trimmed.
     Low-order coefficients that are exactly zero are stripped and come back
-    as roots at 0, first in the list.  The other roots come from
-    Durand-Kerner simultaneous iteration (deterministic Newton-polygon
-    starting configuration, at most ``max_sweeps`` sweeps) and are accepted
-    only when every residual clears the evaluation envelope,
-    |p(z)| <= tol * sum_k |a_k| |z|^k -- the scale floating-point evaluation
-    itself lives at.  Accepted roots are polished by Newton steps kept only
-    when they shrink the residual.  When the sweeps run out or stall first,
-    RootConvergenceError carries the partial roots, the roots at 0 included.
-    Multiple roots converge to a cluster whose radius grows like
-    eps^(1/m) -- accuracy, not validity, degrades there, and the residual
-    test still passes.
+    as roots at 0, first in the list.  The other roots are the eigenvalues
+    of the companion matrix of the monic polynomial (``np.roots``, backward
+    stable), polished by three Newton steps each kept only when it shrinks
+    the residual.  There is no iteration budget: the roots are accepted only
+    when every residual clears the evaluation envelope,
+    |p(z)| <= ROOT_TOL * sum_k |a_k| |z|^k -- the scale floating-point
+    evaluation itself lives at -- and otherwise RootConvergenceError carries
+    the polished estimates, the roots at 0 included.  Multiple roots come
+    back as a cluster whose radius grows like eps^(1/m) -- accuracy, not
+    validity, degrades there, and the residual test still passes.
     """
     coeffs = _ascending_coeffs(p)
     scale = float(np.max(np.abs(coeffs))) if coeffs.size else 0.0
@@ -131,35 +100,8 @@ def univariate_roots(p, tol: float = ROOT_TOL, max_sweeps: int = MAX_SWEEPS) -> 
     degree = coeffs.size - 1
     if degree == 0:
         return at_origin
-    monic = coeffs / coeffs[-1]
-    desc = monic[::-1]                       # np.polyval wants descending
-    absdesc = np.abs(desc)
-    z = _initial_configuration(monic)
-
-    def residuals_ok(zs: np.ndarray) -> bool:
-        vals = np.abs(np.polyval(desc, zs))
-        return bool(np.all(vals <= tol * np.polyval(absdesc, np.abs(zs))))
-
-    converged = False
-    for _ in range(max_sweeps):
-        diffs = z[:, None] - z[None, :]
-        np.fill_diagonal(diffs, 1.0)
-        denom = np.prod(diffs, axis=1)
-        denom = np.where(np.abs(denom) < 1e-300, 1e-300, denom)
-        delta = np.polyval(desc, z) / denom
-        # clamp each step to a fraction of the point's magnitude: at high
-        # degree an outlying point can otherwise be thrown so far out that
-        # the next evaluation overflows
-        cap = 0.3 * (1.0 + np.abs(z))
-        mag = np.abs(delta)
-        delta = np.where(mag > cap, delta * (cap / np.where(mag > cap, mag, 1.0)), delta)
-        z = z - delta
-        converged = residuals_ok(z)
-        if converged or np.all(np.abs(delta) <= 1e-15 * (1.0 + np.abs(z))):
-            break
-    if not converged:
-        raise RootConvergenceError(
-            f"Durand-Kerner did not converge in {max_sweeps} sweeps", at_origin + list(z))
+    desc = (coeffs / coeffs[-1])[::-1]       # monic, descending for np.polyval
+    z = np.roots(desc)
     dp = np.polyder(desc)
     for _ in range(3):
         vals = np.polyval(desc, z)
@@ -169,6 +111,13 @@ def univariate_roots(p, tol: float = ROOT_TOL, max_sweeps: int = MAX_SWEEPS) -> 
         candidate = z - step
         better = np.abs(np.polyval(desc, candidate)) < np.abs(vals)
         z = np.where(better, candidate, z)
+    # negated <= so that a NaN residual or envelope counts as outside
+    outside = ~(np.abs(np.polyval(desc, z))
+                <= ROOT_TOL * np.polyval(np.abs(desc), np.abs(z)))
+    if np.any(outside):
+        raise RootConvergenceError(
+            f"{int(np.sum(outside))} of {degree} roots miss the evaluation envelope",
+            at_origin + list(z))
     return at_origin + [complex(v) for v in z]
 
 
@@ -368,21 +317,24 @@ def cusp_points(F: HomogeneousMap, planes: int, seed: int,
     """Cusp (A_2) points of F located by plane sections of {J = 0, J_{1,i*} = 0}.
 
     i* is the first index whose level-1 tower polynomial is not identically
-    zero.  The variety {J = J_{1,i*} = 0} also contains fold points where the
-    left-kernel covector of dF has vanishing i*-th coordinate (there J_{1,i}
-    vanishes for the wrong reason), so every polished candidate is classified
-    and only genuine A_2 points are returned; rejects are discarded, and an
+    zero; the J_{1,i} are built one at a time, stopping at i*.  The variety
+    {J = J_{1,i*} = 0} also contains fold points where the left-kernel
+    covector of dF has vanishing i*-th coordinate (there J_{1,i} vanishes for
+    the wrong reason), so every polished candidate is classified and only
+    genuine A_2 points are returned; rejects are discarded, and an
     all-rejected plane budget simply yields an empty list.
     """
     if F.n != 4:
         raise ValueError("cusp hunting is implemented for n = 4")
     Fc = F.as_complex()
-    tower = morin_tower(Fc, k_max=1)
-    star = next((i for i in range(F.n) if not tower.level(1, i).is_zero()), None)
-    if star is None:
+    jac = jacobian(Fc)
+    J = jac.det()
+    grad = J.gradient()
+    level1 = next((L for L in (jac.with_row(i, grad).det() for i in range(F.n))
+                   if not L.is_zero()), None)
+    if level1 is None:
         return []
-    solutions = plane_section_solutions(tower.base, tower.level(1, star),
-                                        planes, seed)
+    solutions = plane_section_solutions(J, level1, planes, seed)
     kept = []
     for sol in solutions:
         if classify(Fc, sol.point, tol=tol).is_morin(2):

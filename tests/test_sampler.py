@@ -20,6 +20,7 @@ from morin_census import (
     univariate_roots,
 )
 from morin_census.maps import jdet
+from morin_census.sampler import _restrict_coeffs
 
 
 # ------------------------------------------------------------- root finder
@@ -55,20 +56,43 @@ def test_roots_scale_invariant():
     assert np.allclose(roots, [1, 2], atol=1e-9)
 
 
-def test_roots_match_numpy_reference():
-    """Random degree-25 and degree-104 polynomials: every root clears the
-    evaluation envelope and agrees with the companion-matrix roots."""
-    for degree, seed in ((25, 7), (104, 0), (104, 1), (104, 2)):
-        rng = np.random.default_rng(seed)
-        c = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
+def _line_polynomial():
+    """J of a (2,3,5,7) map restricted to a fixed line: degree 13."""
+    J = jdet(random_map((2, 3, 5, 7), seed=5, kind="complex"))
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    b = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    return _restrict_coeffs(J, a, b)
+
+
+def _random_coeffs(degree, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
+
+
+def test_roots_clear_the_envelope():
+    """A recorded line polynomial and random degree-25 and degree-104
+    polynomials: all roots come back and each clears the evaluation envelope."""
+    inputs = [_line_polynomial()] + [_random_coeffs(degree, seed) for degree, seed
+                                     in ((25, 7), (104, 0), (104, 1), (104, 2))]
+    for c in inputs:
         mine = np.array(univariate_roots(c))
-        assert len(mine) == degree
+        assert len(mine) == len(c) - 1
         desc = c[::-1]
         envelope = np.polyval(np.abs(desc), np.abs(mine))
         assert np.all(np.abs(np.polyval(desc, mine)) <= 1e-8 * envelope)
-        ref = np.roots(desc)
-        gaps = np.abs(mine[:, None] - ref[None, :])
-        assert gaps.min(axis=1).max() < 1e-9 and gaps.min(axis=0).max() < 1e-9
+
+
+def test_roots_match_mpmath_reference():
+    """The degree-25 roots agree with 40-digit mpmath roots."""
+    mpmath = pytest.importorskip("mpmath")
+    c = _random_coeffs(25, 7)
+    mine = np.array(univariate_roots(c))
+    with mpmath.workdps(40):
+        ref = np.array([complex(z) for z in mpmath.polyroots(
+            list(c[::-1]), maxsteps=200, extraprec=80)])
+    gaps = np.abs(mine[:, None] - ref[None, :])
+    assert gaps.min(axis=1).max() < 1e-9 and gaps.min(axis=0).max() < 1e-9
 
 
 def test_roots_reject_constant():
@@ -80,12 +104,14 @@ def test_roots_reject_constant():
 
 
 def test_nonconvergence_carries_partial_roots():
-    """With a starved sweep budget the error still exposes the iterates."""
-    rng = np.random.default_rng(1)
-    c = rng.standard_normal(40)
+    """Coefficients spanning 100 orders of magnitude put some root outside the
+    envelope; the error still exposes every estimate left after the trim."""
+    rng = np.random.default_rng(3)
+    c = (rng.standard_normal(41) + 1j * rng.standard_normal(41)) \
+        * 10.0 ** rng.uniform(-50, 50, 41)
     with pytest.raises(RootConvergenceError) as exc:
-        univariate_roots(c, max_sweeps=1)
-    assert len(exc.value.roots) == 39
+        univariate_roots(c)
+    assert len(exc.value.roots) == 36
 
 
 # ------------------------------------------------------------- line slicing
