@@ -20,6 +20,8 @@ Two evaluation strategies coexist:
   polynomials mod (x - p)^{m+1} form a ring, and J_{k,i} computed from an
   order-(k+1) jet of F is still correct to order k - r at level r, so every
   value J_{k,i}(p) comes out exact at a tiny fraction of the symbolic cost.
+  dF(p) is the linear part of the jets, and one point's jets and levels,
+  each built once, serve every tolerance the point is decided at.
   Both paths agree (this is tested), they just price the work differently.
 """
 
@@ -126,16 +128,15 @@ def morin_tower(F, k_max: int = DEFAULT_KMAX) -> MorinTower:
 
 
 # ---------------------------------------------------------------- jet evaluation
-def _tower_values_at(components: Sequence[Polynomial], p, k: int):
-    """J(p) and the values J_{r,i}(p) for r <= k, via order-(k+1) jets at p.
+def _tower_values_at(jets: Sequence[Polynomial], k: int):
+    """J(p) and the values J_{r,i}(p) for r <= k, from the order-(k+1) jets at p.
 
-    Translating to p and truncating past total degree k+1 keeps every
-    intermediate polynomial tiny; level r stays correct to order k - r, so all
-    constant terms below level k are exact (exact arithmetic in the rational
-    kind, plain floating error otherwise -- no truncation error either way).
+    Truncating past total degree k+1 keeps every intermediate polynomial tiny;
+    level r stays correct to order k - r, so all constant terms below level k
+    are exact (exact arithmetic in the rational kind, plain floating error
+    otherwise -- no truncation error either way).
     """
-    n = len(components)
-    jets = [f.translate_truncated(p, k + 1) for f in components]
+    n = len(jets)
     jac = PolyMatrix.from_rows(_jacobian_rows(jets))
     origin = (0,) * n
     base = jac.det(max_degree=k)
@@ -202,11 +203,10 @@ def _is_exact(components: Sequence[Polynomial], p) -> bool:
             and all(isinstance(v, (int, Fraction)) for v in p))
 
 
-def _differential(components: Sequence[Polynomial], p) -> list[list]:
-    """dF(p) as evaluated rows."""
-    n = len(components)
-    return [[components[i].partial(j).evaluate(p) for j in range(n)]
-            for i in range(n)]
+def _linear_rows(jets: Sequence[Polynomial]) -> list[list]:
+    """dF(p) read off the linear terms of the jets at p."""
+    units = [tuple(int(i == j) for i in range(len(jets))) for j in range(len(jets))]
+    return [[g.coefficient(u) for u in units] for g in jets]
 
 
 def _corank(rows, exact: bool, tol: float) -> int:
@@ -263,7 +263,34 @@ def _verdict(components, p, base_value, differential, level_row, k_max,
 def corank_at(F, p, tol: float = DEFAULT_TOL) -> int:
     """n - rank(dF(p)): exact row reduction for rational data, SVD otherwise."""
     components = _components_of(F)
-    return _corank(_differential(components, p), _is_exact(components, p), tol)
+    rows = _linear_rows([f.translate_truncated(p, 1) for f in components])
+    return _corank(rows, _is_exact(components, p), tol)
+
+
+def _classify_at(F, p, tols: Sequence[float], k_max: int) -> list[SingularityClass]:
+    """The verdict at p for each tolerance in `tols`, from one set of jets.
+
+    dF(p) and J(p) come from the linear terms of the order-2 jets.  Level r
+    comes from the order-(r+1) jets, built once, when the first verdict
+    reaches it.
+    """
+    components = _components_of(F)
+    jets2 = [f.translate_truncated(p, 2) for f in components]
+    levels = {}
+
+    def level_row(r: int):
+        if r not in levels:
+            jets = jets2 if r == 1 else [f.translate_truncated(p, r + 1) for f in components]
+            levels[r] = _tower_values_at(jets, r)[1][r - 1]
+        return levels[r]
+
+    rows = _linear_rows(jets2)
+    if _is_exact(components, p):
+        base_value = exact_det(rows)
+    else:
+        base_value = complex(np.linalg.det(np.array(rows, dtype=complex)))
+    return [_verdict(components, p, base_value, rows, level_row, k_max, tol)
+            for tol in tols]
 
 
 def classify(F, p, k_max: int = DEFAULT_KMAX, tol: float = DEFAULT_TOL) -> SingularityClass:
@@ -272,44 +299,30 @@ def classify(F, p, k_max: int = DEFAULT_KMAX, tol: float = DEFAULT_TOL) -> Singu
     Regular if J(p) != 0; corank >= 2 reported as such (the tower is blind
     there); otherwise Morin(k) for the smallest k <= k_max with some
     J_{k,i}(p) above the scale-aware tolerance, Indeterminate if none is.
-    Level r comes from an order-(r+1) jet built only when the decision gets
-    that far, so the common shallow verdicts never pay for deep ones; exact
-    inputs use exact zero tests throughout.
+    Level r comes from order-(r+1) Taylor jets at p, built only when the
+    decision gets that far, and dF(p) and J(p) from the order-2 jets' linear
+    terms; exact inputs use exact zero tests throughout.
     """
-    components = _components_of(F)
-    n = len(components)
-    if len(p) != n:
-        raise ValueError(f"point length {len(p)} != n {n}")
-    rows = _differential(components, p)
-    if _is_exact(components, p):
-        base_value = exact_det(rows)
-    else:
-        base_value = complex(np.linalg.det(np.array(
-            [[complex(v) for v in row] for row in rows], dtype=complex)))
-    return _verdict(components, p, base_value, rows,
-                    lambda r: _tower_values_at(components, p, r)[1][r - 1],
-                    k_max, tol)
+    return _classify_at(F, p, (tol,), k_max)[0]
 
 
 def jet_tower_values(F, p, k_max: int = DEFAULT_KMAX):
     """(J(p), [[J_{r,i}(p)]]) for r <= k_max from one jet computation at p.
 
     Every level at once, from order-(k_max+1) jets.  Classifying does not
-    need this: ``classify`` builds only the levels its decision reaches,
-    which is cheaper even when a point is re-decided under several
-    tolerances, because most points stop at level 1.
+    need this: ``classify`` builds only the levels its decision reaches, and
+    most points stop at level 1.
     """
-    components = _components_of(F)
-    if len(p) != len(components):
-        raise ValueError(f"point length {len(p)} != n {len(components)}")
-    return _tower_values_at(components, p, k_max)
+    jets = [f.translate_truncated(p, k_max + 1) for f in _components_of(F)]
+    return _tower_values_at(jets, k_max)
 
 
 def classify_from_values(F, p, base_value, level_values,
                          tol: float = DEFAULT_TOL) -> SingularityClass:
     """The ``classify`` decision on precomputed tower values (k_max = their depth)."""
     components = _components_of(F)
-    return _verdict(components, p, base_value, _differential(components, p),
+    rows = _linear_rows([f.translate_truncated(p, 1) for f in components])
+    return _verdict(components, p, base_value, rows,
                     lambda r: level_values[r - 1], len(level_values), tol)
 
 

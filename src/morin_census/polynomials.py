@@ -23,6 +23,7 @@ first float evaluation and kept on the instance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
@@ -236,14 +237,6 @@ class Polynomial:
                     out[e] = s
         return Polynomial(self.n_vars, out, self.kind)
 
-    def truncated(self, max_degree: int) -> "Polynomial":
-        """Discard all terms of total degree > max_degree."""
-        return Polynomial(
-            self.n_vars,
-            {e: c for e, c in self.terms.items() if sum(e) <= max_degree},
-            self.kind,
-        )
-
     # ---------------------------------------------------------------- calculus
     def partial(self, i: int) -> "Polynomial":
         """Formal partial derivative with respect to x_{i+1} (0-based i)."""
@@ -325,42 +318,32 @@ class Polynomial:
         return out
 
     def translate_truncated(self, point: Sequence[Scalar], max_degree: int) -> "Polynomial":
-        """Taylor jet at `point`: p(point + x) truncated past total degree max_degree."""
+        """Taylor jet at `point`: p(point + x) truncated past total degree max_degree.
+
+        The coefficient of x^a sums c_e * prod_i C(e_i, a_i) point_i^(e_i - a_i)
+        over the terms c_e x^e with e >= a, |a| <= max_degree (Neidinger, Math.
+        Comp. 74, 2005).  Exact points on a rational polynomial give Fractions;
+        other points on it go through ``as_complex()``.
+        """
         if len(point) != self.n_vars:
             raise ValueError(f"point length {len(point)} != n_vars {self.n_vars}")
         kind = self.kind
         if kind == RATIONAL and not all(isinstance(v, (int, Fraction)) for v in point):
             return self.as_complex().translate_truncated(point, max_degree)
-        poly = self
         vals = [Fraction(v) if kind == RATIONAL else complex(v) for v in point]
-        # truncated binomial powers (v_i + x_i)^e, memoized per variable/exponent
-        cache: dict[tuple[int, int], Polynomial] = {}
-
-        def shifted_power(i: int, e: int) -> Polynomial:
-            key = (i, e)
-            if key not in cache:
-                base = Polynomial(
-                    poly.n_vars,
-                    {(0,) * poly.n_vars: vals[i],
-                     tuple(1 if j == i else 0 for j in range(poly.n_vars)): 1},
-                    kind,
-                )
-                if e == 0:
-                    cache[key] = base.one_like()
-                elif e == 1:
-                    cache[key] = base
-                else:
-                    cache[key] = shifted_power(i, e - 1).mul_truncated(base, max_degree)
-            return cache[key]
-
-        out = Polynomial.zero(poly.n_vars, kind)
-        for exps, c in poly.terms.items():
-            term = Polynomial.constant(c, poly.n_vars, kind)
-            for i, e in enumerate(exps):
-                if e:
-                    term = term.mul_truncated(shifted_power(i, e), max_degree)
-            out = out + term
-        return out
+        powers = [[v ** k for k in range(max((e[i] for e in self.terms), default=0) + 1)]
+                  for i, v in enumerate(vals)]
+        out: dict[Exponents, Scalar] = {}
+        for exps, c in self.terms.items():
+            heads = [((), 0, c)]         # (a_1..a_i, |a|, weight) over the first i variables
+            for e, v, pw in zip(exps, vals, powers):
+                choices = ([(e, 1)] if v == 0 else
+                           [(a, math.comb(e, a) * pw[e - a]) for a in range(e + 1)])
+                heads = [(head + (a,), d + a, w * f) for head, d, w in heads
+                         for a, f in choices if d + a <= max_degree]
+            for a_vec, _, w in heads:
+                out[a_vec] = out.get(a_vec, 0) + w
+        return Polynomial(self.n_vars, out, kind)
 
     # ---------------------------------------------------------------- dunder glue
     def __eq__(self, other):

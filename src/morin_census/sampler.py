@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .maps import HomogeneousMap, jacobian, jdet, random_map, ray_multiplicity
-from .morin import DEFAULT_TOL, classify
+from .morin import DEFAULT_KMAX, DEFAULT_TOL, _classify_at, classify
 from .polynomials import COMPLEX, Polynomial
 from .properness import sylvester_matrix
 
@@ -383,7 +383,7 @@ def _survey_one_map(degrees, map_seed: int, line_seed: int, lines: int,
     deg_j = sum(d - 1 for d in degrees)
     records = []
     for p in critical_points_on_lines(F, lines, line_seed):
-        main, *others = [classify(F, p, tol=t) for t in (tol, tol * 10.0, tol / 10.0)]
+        main, *others = _classify_at(F, p, (tol, tol * 10.0, tol / 10.0), DEFAULT_KMAX)
         stable = all(v.label == main.label for v in others)
         mult = ray_multiplicity(F, p)
         records.append({
@@ -401,8 +401,8 @@ def survey(degrees: Sequence[int], maps: int, lines: int, seed: int,
            tol: float = DEFAULT_TOL) -> SurveyReport:
     """Classify line-sampled critical points of `maps` random maps.
 
-    Every point is classified at tol and at tol*10, tol/10 (points whose
-    verdict moves are counted as unstable), annotated with its ray
+    Each point is decided at tol, tol*10 and tol/10 on one set of jets (points
+    whose verdict moves are counted as unstable), annotated with its ray
     multiplicity, and rolled into a histogram.  For n = 4 the report carries
     the count of off-origin points outside the expected {A_1, A_2, A_3} menu;
     all sampled points sit at unit norm, so the off-origin filter (norm >

@@ -124,6 +124,30 @@ def test_translate_truncated_is_taylor_jet():
     assert jet == expected
     # constant term is the exact value at p
     assert jet.coefficient((0, 0)) == f.evaluate(p)
+    # a zero coordinate, and max_degree at or past the degree: the whole shift
+    zero_p = (0, Fraction(3, 2))
+    full = f.substitute([P(2, {(1, 0): 1}), P(2, {(0, 1): 1, (0, 0): Fraction(3, 2)})])
+    assert f.translate_truncated(zero_p, 2) == Polynomial(
+        2, {e: c for e, c in full.terms.items() if sum(e) <= 2})
+    for m in (3, 5):
+        jet = f.translate_truncated(zero_p, m)
+        assert jet == full
+        assert all(isinstance(c, Fraction) for c in jet.terms.values())
+    # a Fraction point keeps every coefficient a Fraction
+    jet = f.translate_truncated((Fraction(1, 3), Fraction(-2, 7)), 2)
+    assert jet.terms and all(isinstance(c, Fraction) for c in jet.terms.values())
+    # a complex quartic in 4 variables at a complex point, against the substituted shift
+    g = _random_quartic("complex")
+    rng = np.random.default_rng(7)
+    q = [complex(*rng.standard_normal(2)) for _ in range(4)]
+    shifted = g.substitute([P(4, {tuple(int(i == j) for i in range(4)): 1, (0,) * 4: q[j]},
+                              kind="complex") for j in range(4)])
+    scale = max(abs(c) for c in shifted.terms.values())
+    for m in (2, 4):
+        jet = g.translate_truncated(q, m)
+        want = {e: c for e, c in shifted.terms.items() if sum(e) <= m}
+        assert set(jet.terms) <= set(want)
+        assert max(abs(jet.coefficient(e) - c) for e, c in want.items()) <= 1e-12 * scale
 
 
 def test_evaluate_complex_matches_horner():

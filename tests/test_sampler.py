@@ -20,6 +20,7 @@ from morin_census import (
     univariate_roots,
 )
 from morin_census.maps import jdet
+from morin_census.morin import DEFAULT_TOL
 from morin_census.sampler import _restrict_coeffs
 
 
@@ -227,3 +228,35 @@ def test_survey_nonsquare_dimension_skips_menu():
     """Away from four dimensions the outside-menu tally is undefined (None)."""
     rep = survey((2, 2), maps=1, lines=3, seed=1)
     assert rep.to_dict()["outside_menu"] is None
+
+
+def test_survey_decides_each_tolerance_like_classify():
+    """Each record's class and stable flag are what separate classify calls
+    at tol, 10*tol and tol/10 give on the map the documented seeds rebuild."""
+    rep = survey((2, 3, 5, 7), maps=1, lines=1, seed=3)
+    map_seed = int(np.random.SeedSequence(3).generate_state(2, dtype=np.uint64)[0])
+    F = random_map((2, 3, 5, 7), seed=map_seed, kind="complex")
+    assert rep.points
+    for rec in rep.points:
+        p = [complex(re, im) for re, im in rec["point"]]
+        main, *others = [classify(F, p, tol=t)
+                         for t in (DEFAULT_TOL, DEFAULT_TOL * 10.0, DEFAULT_TOL / 10.0)]
+        assert rec["class"]["class"] == main.to_dict()["class"]
+        assert rec["class"].get("k") == main.k
+        assert rec["stable"] == all(v.label == main.label for v in others)
+
+
+def test_survey_builds_each_jet_once(monkeypatch):
+    """A survey point builds its jets once for all three tolerances: fewer
+    than 2n translate_truncated calls per point."""
+    calls = []
+    original = Polynomial.translate_truncated
+
+    def counted(self, point, max_degree):
+        calls.append(max_degree)
+        return original(self, point, max_degree)
+
+    monkeypatch.setattr(Polynomial, "translate_truncated", counted)
+    rep = survey((2, 3, 5, 7), maps=1, lines=1, seed=3)
+    assert rep.points
+    assert len(calls) < 2 * 4 * len(rep.points)
