@@ -1,11 +1,12 @@
 """
-Certifying properness: Macaulay determinants and sphere falsifiers
-==================================================================
+Certifying properness: one Macaulay matrix, both ways
+=====================================================
 
 A homogeneous square map is proper exactly when the origin is its only
-zero.  For exact rational coefficients a nonzero Macaulay determinant
-certifies this; otherwise a randomized search on the unit sphere hunts
-for a nonzero common zero as a counterexample witness.
+zero.  The full Macaulay matrix in degree nu = sum(d_i - 1) + 1 has full
+column rank exactly then.  For exact rational coefficients its exact rank
+decides; when the rank drops, the common root is read off the null space
+and returned as a unit-norm counterexample witness.
 """
 
 import numpy as np
@@ -19,26 +20,26 @@ from morin_census import (
     sphere_falsifier,
 )
 
-# A generic rational map: the Macaulay matrix in degree nu = sum(d_i - 1) + 1
-# has nonzero determinant, which certifies F^{-1}(0) = {0}.
+# A generic rational map: one row s * f_i for every monomial s of degree
+# nu - d_i; full column rank certifies F^{-1}(0) = {0}.
 F = random_map((2, 2, 2), seed=0)
 rows, monomials, _ = macaulay_matrix(F)
-print(f"Macaulay matrix: {len(rows)} x {len(rows)} in degree {sum(monomials[0])}")
+print(f"Macaulay matrix: {len(rows)} x {len(monomials)} in degree {sum(monomials[0])}")
 verdict = properness_verdict(F)
 print("verdict    :", verdict.verdict)
 print("certificate:", verdict.certificate)
 
 # A map with a whole line of zeros: (x1^2, x1 x2, x3^2, x4^2) kills the
-# x2-axis.  No determinant can be nonzero; the falsifier finds a witness.
+# x2-axis.  The rank drops, and the null space gives the witness.
 shared_zero = HomogeneousMap((2, 2, 2, 2), (
     Polynomial(4, {(2, 0, 0, 0): 1}),
     Polynomial(4, {(1, 1, 0, 0): 1}),
     Polynomial(4, {(0, 0, 2, 0): 1}),
     Polynomial(4, {(0, 0, 0, 2): 1}),
 ))
-witness = sphere_falsifier(shared_zero, samples=500, seed=0)
+witness = sphere_falsifier(shared_zero)
 print("\nwitness on the unit sphere:", np.round(np.asarray(witness), 6))
-bad = properness_verdict(shared_zero, samples=500, seed=0)
+bad = properness_verdict(shared_zero)
 print("verdict    :", bad.verdict)
 print("certificate:", bad.certificate)
 

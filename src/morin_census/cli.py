@@ -115,7 +115,6 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("proper", help="properness certificate / falsifier")
     p.add_argument("--map", required=True, dest="map_path")
-    p.add_argument("--samples", type=int, default=2000)
     common(p)
 
     p = sub.add_parser("census", help="closed-form singularity counts (n = 4)")
@@ -162,7 +161,7 @@ def _run_classify(args) -> None:
 
 def _run_proper(args) -> None:
     F = _load(args.map_path)
-    verdict = properness_verdict(F, samples=args.samples, seed=args.seed)
+    verdict = properness_verdict(F)
     _emit(verdict.to_dict(), f"{verdict.verdict}: {verdict.certificate}", args)
 
 

@@ -2,7 +2,7 @@
 
 Everything here operates on plain Python numbers (int / Fraction / complex),
 not on polynomials: resultant matrices, differentials at a point, and the
-random integer coordinate changes used for certificates and invariance tests.
+random integer coordinate changes used by the invariance tests.
 """
 
 from __future__ import annotations
@@ -61,10 +61,10 @@ def integer_rows(rows: Sequence[Sequence]) -> tuple[list[list[int]], int]:
     out = []
     product = 1
     for r in rows:
-        fr = [Fraction(v) for v in r]
+        fr = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in r]
         lcm = math.lcm(*(v.denominator for v in fr))
         product *= lcm
-        out.append([int(v * lcm) for v in fr])
+        out.append([v.numerator * (lcm // v.denominator) for v in fr])
     return out, product
 
 
@@ -75,31 +75,26 @@ def exact_det(rows: Sequence[Sequence]) -> Fraction:
 
 
 def exact_rank(rows: Sequence[Sequence]) -> int:
-    """Rank of a matrix over the rationals by Gaussian elimination."""
-    m = [[Fraction(v) for v in r] for r in rows]
-    if not m:
-        return 0
-    n_rows, n_cols = len(m), len(m[0])
-    rank = 0
-    row = 0
-    for col in range(n_cols):
-        pivot = None
-        for i in range(row, n_rows):
-            if m[i][col] != 0:
-                pivot = i
-                break
+    """Rank of a matrix over the rationals by fraction-free elimination.
+
+    Row scaling keeps the rank, so denominators are cleared first; after
+    step k every entry is a (k+1)-minor, which makes each division exact.
+    """
+    m, _ = integer_rows(rows)
+    rank, prev = 0, 1
+    for col in range(len(m[0]) if m else 0):
+        pivot = next((i for i in range(rank, len(m)) if m[i][col]), None)
         if pivot is None:
             continue
-        m[row], m[pivot] = m[pivot], m[row]
-        inv = 1 / m[row][col]
-        m[row] = [v * inv for v in m[row]]
-        for i in range(n_rows):
-            if i != row and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[row])]
+        m[rank], m[pivot] = m[pivot], m[rank]
+        p = m[rank][col]
+        for i in range(rank + 1, len(m)):
+            f = m[i][col]
+            m[i][col:] = [(a * p - f * b) // prev
+                          for a, b in zip(m[i][col:], m[rank][col:])]
+        prev = p
         rank += 1
-        row += 1
-        if row == n_rows:
+        if rank == len(m):
             break
     return rank
 
@@ -107,43 +102,41 @@ def exact_rank(rows: Sequence[Sequence]) -> int:
 _CERTIFICATE_PRIMES = (33_554_467, 33_554_473, 33_554_503)  # ~2^25, products fit int64
 
 
-def _det_mod_p(matrix: np.ndarray, p: int) -> int:
-    """det mod p by elimination; entries and p must keep products inside int64."""
+def _rank_mod_p(matrix: np.ndarray, p: int) -> int:
+    """Rank mod p by elimination; entries and p must keep products inside int64."""
     m = np.mod(matrix, p).astype(np.int64)
-    n = m.shape[0]
-    det = 1
-    for k in range(n):
-        pivot_rows = np.nonzero(m[k:, k])[0]
+    rank = 0
+    for k in range(m.shape[1]):
+        if rank == m.shape[0]:
+            break
+        pivot_rows = np.nonzero(m[rank:, k])[0]
         if pivot_rows.size == 0:
-            return 0
-        i = k + int(pivot_rows[0])
-        if i != k:
-            m[[k, i]] = m[[i, k]]
-            det = -det
-        pivot = int(m[k, k])
-        det = det * pivot % p
-        inv = pow(pivot, -1, p)
-        if k + 1 < n:
-            factors = m[k + 1:, k] * inv % p
-            m[k + 1:, k:] = (m[k + 1:, k:] - factors[:, None] * m[k, k:]) % p
-    return det % p
+            continue
+        i = rank + int(pivot_rows[0])
+        if i != rank:
+            m[[rank, i]] = m[[i, rank]]
+        inv = pow(int(m[rank, k]), -1, p)
+        factors = m[rank + 1:, k] * inv % p
+        m[rank + 1:, k:] = (m[rank + 1:, k:] - factors[:, None] * m[rank, k:]) % p
+        rank += 1
+    return rank
 
 
 def det_is_nonzero(rows: Sequence[Sequence[int]]) -> bool:
-    """Exact zero test for an integer determinant.
+    """Exact test that an integer matrix has full column rank.
 
-    A nonzero determinant mod any prime certifies det != 0 over the integers,
-    so modular elimination (fast, numpy) is tried first; only when every prime
-    yields zero does the exact Bareiss determinant decide.
+    For a square or tall matrix that is a nonzero maximal minor, and on a
+    square one det != 0.  Full rank mod any prime certifies full rank over the
+    integers, so modular elimination (fast, numpy) is tried first; only when
+    every prime loses rank does the exact rank decide.
     """
-    ints = [[int(v) for v in r] for r in rows]
-    if len(ints) == 0:
+    if len(rows) == 0:
         return True
+    ints = np.array([[int(v) for v in r] for r in rows], dtype=object)
     for p in _CERTIFICATE_PRIMES:
-        arr = np.array([[v % p for v in r] for r in ints], dtype=np.int64)
-        if _det_mod_p(arr, p) != 0:
+        if _rank_mod_p(ints, p) == ints.shape[1]:
             return True
-    return bareiss_det(ints) != 0
+    return exact_rank(ints.tolist()) == ints.shape[1]
 
 
 def random_unimodular_matrix(n: int, rng: np.random.Generator, steps: int | None = None) -> list[list[int]]:

@@ -1,22 +1,24 @@
 """Properness certificates for homogeneous polynomial maps.
 
 A homogeneous F: C^n -> C^n is proper exactly when F^{-1}(0) = {0}, so the
-question reduces to whether the components share a nonzero common root.  Three
-tools attack it from both sides:
+question reduces to whether the components share a nonzero common root.
 
 * ``sylvester_resultant`` -- the classical two-polynomial eliminant, exact.
-* ``macaulay_resultant_certificate`` -- builds the Macaulay matrix in degree
-  nu = sum(d_i - 1) + 1; its determinant equals the multivariate resultant
-  times an extraneous minor, so a nonzero determinant proves Res != 0 and
-  hence F^{-1}(0) = {0}.  A vanishing determinant proves nothing (the minor
-  may be the culprit), so the test retries under random unimodular coordinate
-  changes before giving up as inconclusive.
-* ``sphere_falsifier`` -- numeric search for a nonzero common root on the
-  unit sphere, polished by Newton steps.  A polished root is a properness
-  counterexample; finding none certifies nothing.
+* ``macaulay_matrix`` -- the full Macaulay matrix in degree
+  nu = sum(d_i - 1) + 1: one row s * f_i for every monomial s of degree
+  nu - d_i.  It has full column rank exactly when F^{-1}(0) = {0} (Macaulay,
+  1902): a regular sequence's ideal contains every monomial of degree nu,
+  and a nonzero common root z puts its monomial vector (z^m) in the null
+  space.
+* ``macaulay_resultant_certificate`` -- the exact rank of that matrix decides
+  rational maps both ways; a rank deficiency comes with the root read off
+  the null space as a witness.
+* ``sphere_falsifier`` -- the same null-space reading in floating point,
+  polished by Newton steps to a unit-norm common root.  It gives complex maps
+  a witness; finding none certifies nothing.
 
-``properness_verdict`` combines them: exact certificate first, falsifier as
-the negative-direction escalation.
+``properness_verdict`` decides rational maps by the certificate and gives
+complex maps a witness or INCONCLUSIVE.
 """
 
 from __future__ import annotations
@@ -28,9 +30,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import det_is_nonzero, exact_det, integer_rows, random_unimodular_matrix
+from .linalg import det_is_nonzero, exact_det, integer_rows
 from .maps import HomogeneousMap, validate_degrees
-from .morin import linear_conjugate
 from .polynomials import COMPLEX, RATIONAL, Polynomial
 
 __all__ = [
@@ -50,9 +51,10 @@ PROPER = "proper"
 NOT_PROPER = "not_proper"
 INCONCLUSIVE = "inconclusive"
 
-MACAULAY_SIDE_CAP = 3000  # refuse matrices past this side length
+MACAULAY_SIDE_CAP = 3000  # refuse matrices with more columns than this
 NEWTON_MAX_ITERS = 20
 WITNESS_TOL = 1e-12
+NULL_TOL = 1e-9           # singular values below this share of the largest span the null space
 
 
 @dataclass(frozen=True)
@@ -61,7 +63,7 @@ class PropernessVerdict:
 
     verdict: str                       # PROPER | NOT_PROPER | INCONCLUSIVE
     certificate: str
-    witness: tuple | None = None       # nonzero common root, when verdict is NOT_PROPER
+    witness: tuple | None = None       # unit-norm common root backing a NOT_PROPER verdict
 
     @property
     def is_proper(self) -> bool:
@@ -159,12 +161,12 @@ def _monomials_of_degree(n: int, degree: int) -> list[tuple[int, ...]]:
 
 
 def macaulay_matrix(F: HomogeneousMap):
-    """Macaulay matrix in degree nu = sum(d_i - 1) + 1, plus its row bookkeeping.
+    """Full Macaulay matrix in degree nu = sum(d_i - 1) + 1, plus its row bookkeeping.
 
-    Returns (rows, monomials, assignment): row r is the coefficient vector of
-    (monomials[r] / x_i^{d_i}) * f_i in the degree-nu monomial basis, where i
-    = assignment[r] is the first index with x_i^{d_i} dividing monomials[r].
-    Every degree-nu monomial admits such an i, so the matrix is square.
+    Returns (rows, monomials, assignment): one row for each component f_i and
+    each monomial s of degree nu - d_i, holding the coefficients of s * f_i in
+    the degree-nu monomial basis `monomials`; assignment[r] = i.  For n = 2
+    this is the Sylvester matrix.
     """
     n = F.n
     nu = sum(d - 1 for d in F.degrees) + 1
@@ -176,47 +178,31 @@ def macaulay_matrix(F: HomogeneousMap):
     zero = Fraction(0) if F.kind == RATIONAL else complex(0)
     rows = []
     assignment = []
-    for m in monomials:
-        i = next(k for k in range(n) if m[k] >= F.degrees[k])
-        shift = tuple(m[k] - (F.degrees[k] if k == i else 0) for k in range(n))
-        row = [zero] * len(monomials)
-        for exps, c in F.components[i].terms.items():
-            target = tuple(e + s for e, s in zip(exps, shift))
-            row[col[target]] = row[col[target]] + c
-        rows.append(row)
-        assignment.append(i)
+    for i, (d, f) in enumerate(zip(F.degrees, F.components)):
+        for shift in _monomials_of_degree(n, nu - d):
+            row = [zero] * len(monomials)
+            for exps, c in f.terms.items():
+                row[col[tuple(e + s for e, s in zip(exps, shift))]] = c
+            rows.append(row)
+            assignment.append(i)
     return rows, monomials, assignment
 
 
-def macaulay_resultant_certificate(F: HomogeneousMap, retries: int = 3,
-                                   seed: int = 0) -> PropernessVerdict:
-    """ProperCertified iff some Macaulay determinant is provably nonzero.
+def macaulay_resultant_certificate(F: HomogeneousMap) -> PropernessVerdict:
+    """PROPER iff the Macaulay matrix has full column rank, else NOT_PROPER.
 
-    The determinant is Res(f_1,...,f_n) times an extraneous minor, so nonzero
-    certifies F^{-1}(0) = {0}.  A zero determinant may just mean the minor
-    vanished; each retry composes F with a fresh random unimodular coordinate
-    change (which preserves F^{-1}(0) = {0}) and tries again.
+    The exact rank decides both ways.  A NOT_PROPER verdict carries the
+    common root read off the null space, or no witness if the polish misses it.
     """
     if F.kind != RATIONAL:
         raise ValueError("the Macaulay certificate needs the exact rational kind")
-    nu = sum(d - 1 for d in F.degrees) + 1
-    rng = np.random.default_rng(seed)
-    identity = [[int(i == j) for j in range(F.n)] for i in range(F.n)]
-    current = F
-    for attempt in range(retries + 1):
-        rows, _, _ = macaulay_matrix(current)
-        if det_is_nonzero(integer_rows(rows)[0]):
-            suffix = "" if attempt == 0 else f" after {attempt} coordinate change(s)"
-            return PropernessVerdict(
-                PROPER, f"Macaulay determinant nonzero in degree {nu}{suffix}")
-        if attempt < retries:
-            change = random_unimodular_matrix(F.n, rng)
-            current = HomogeneousMap(
-                F.degrees, tuple(linear_conjugate(F.components, identity, change)))
+    rows, monomials, _ = macaulay_matrix(F)
+    where = f"Macaulay matrix in degree {sum(monomials[0])}"
+    if det_is_nonzero(integer_rows(rows)[0]):
+        return PropernessVerdict(PROPER, f"{where} has full rank {len(monomials)}")
+    witness = _null_space_witness(F, rows, monomials, at_least=1)
     return PropernessVerdict(
-        INCONCLUSIVE,
-        f"Macaulay determinant vanished in degree {nu} "
-        f"after {retries} random coordinate changes")
+        NOT_PROPER, f"{where} is rank-deficient: {_witness_note(F, witness)}", witness)
 
 
 # ---------------------------------------------------------------- falsifier
@@ -224,88 +210,110 @@ def _witness_threshold(F: HomogeneousMap, x: np.ndarray) -> float:
     return WITNESS_TOL * (1.0 + float(np.linalg.norm(x)) ** max(F.degrees))
 
 
-def sphere_falsifier(F: HomogeneousMap, samples: int = 10_000,
-                     seed: int = 0) -> tuple | None:
-    """Search the unit sphere for a nonzero common root of the components.
+def _witness_note(F: HomogeneousMap, witness: tuple | None) -> str:
+    if witness is None:
+        return "a nonzero common root exists; the null space gave no witness"
+    residual = float(np.linalg.norm(F.evaluate(witness)))
+    return f"nonzero common root read off the null space (residual {residual:.2e})"
 
-    Returns a polished witness point (properness is then falsified) or None.
-    None is NOT a certificate -- it only reports that `samples` random unit
-    vectors, with Newton polish on the most promising ones, found nothing.
-    """
+
+def _polished(F: HomogeneousMap, partials, start: np.ndarray):
+    """Unit-norm common root near `start` after Newton polish, or None."""
     def evaluate(points: np.ndarray) -> np.ndarray:
         return np.stack(F.evaluate(points), axis=-1)
 
-    partials = [[f.partial(j) for j in range(F.n)] for f in F.components]
-    rng = np.random.default_rng(seed)
-    pts = rng.standard_normal((samples, F.n)) + 1j * rng.standard_normal((samples, F.n))
-    pts /= np.linalg.norm(pts, axis=1)[:, None]
-    residuals = np.linalg.norm(evaluate(pts), axis=1)
-    order = np.argsort(residuals)[: min(10, samples)]
-    def polished(start: np.ndarray):
-        # Newton on the full homogeneous system is a pure rescaling (Euler's
-        # identity gives dF(x) x = diag(d_i) F(x)), so the polish pins the
-        # dominant coordinate and iterates in that affine chart instead.
-        # Components crossing the zero cone with even multiplicity make the
-        # plain step converge only linearly; trying the doubled step as well
-        # and keeping the smaller residual restores fast convergence.
-        x = start.copy()
-        resid = float(np.linalg.norm(evaluate(x)))
-        for _ in range(NEWTON_MAX_ITERS):
-            scaled = x / np.linalg.norm(x)
-            if np.linalg.norm(evaluate(scaled)) < _witness_threshold(F, scaled):
-                return scaled
-            pivot = int(np.argmax(np.abs(x)))
-            keep = [j for j in range(F.n) if j != pivot]
-            fx = evaluate(x)
-            jac = np.array([[partials[i][j].evaluate(x) for j in keep]
-                            for i in range(F.n)], dtype=complex)
-            step, *_ = np.linalg.lstsq(jac, -fx, rcond=None)
-            best = None
-            for factor in (1.0, 2.0):
-                cand = x.copy()
-                cand[keep] = cand[keep] + factor * step
-                r = float(np.linalg.norm(evaluate(cand)))
-                if best is None or r < best[0]:
-                    best = (r, cand)
-            if best[0] >= resid:
-                break
-            resid, x = best
+    # Newton on the full homogeneous system is a pure rescaling (Euler's
+    # identity gives dF(x) x = diag(d_i) F(x)), so the polish pins the
+    # dominant coordinate and iterates in that affine chart instead.
+    # Components crossing the zero cone with even multiplicity make the
+    # plain step converge only linearly; trying the doubled step as well
+    # and keeping the smaller residual restores fast convergence.
+    x = start.copy()
+    resid = float(np.linalg.norm(evaluate(x)))
+    for _ in range(NEWTON_MAX_ITERS):
         scaled = x / np.linalg.norm(x)
         if np.linalg.norm(evaluate(scaled)) < _witness_threshold(F, scaled):
             return scaled
-        return None
-
-    for idx in order:
-        result = polished(pts[idx])
-        if result is not None:
-            return tuple(complex(v) for v in result)
+        pivot = int(np.argmax(np.abs(x)))
+        keep = [j for j in range(F.n) if j != pivot]
+        fx = evaluate(x)
+        jac = np.array([[partials[i][j].evaluate(x) for j in keep]
+                        for i in range(F.n)], dtype=complex)
+        step, *_ = np.linalg.lstsq(jac, -fx, rcond=None)
+        best = None
+        for factor in (1.0, 2.0):
+            cand = x.copy()
+            cand[keep] = cand[keep] + factor * step
+            r = float(np.linalg.norm(evaluate(cand)))
+            if best is None or r < best[0]:
+                best = (r, cand)
+        if best[0] >= resid:
+            break
+        resid, x = best
+    scaled = x / np.linalg.norm(x)
+    if np.linalg.norm(evaluate(scaled)) < _witness_threshold(F, scaled):
+        return scaled
     return None
 
 
-# ---------------------------------------------------------------- combined driver
-def properness_verdict(F: HomogeneousMap, samples: int = 2000, seed: int = 0,
-                       retries: int = 3) -> PropernessVerdict:
-    """Certificate first, falsifier second.
+def _null_space_witness(F: HomogeneousMap, rows, monomials, at_least: int = 0):
+    """First polished root among those read off the Macaulay matrix's null space.
 
-    Rational maps try the exact Macaulay certificate; if it certifies, done.
-    Otherwise (and always for the complex kind) the sphere falsifier hunts for
-    an explicit nonzero common root, which settles NOT_PROPER with a witness.
-    Neither side deciding leaves INCONCLUSIVE.
+    Each root z puts (z^m) in the null space N, and the rows S_j of N at the
+    monomials x_j * m (deg m = nu - 1) shift it by z_j.  So A_j = lstsq(S_k, S_j)
+    share eigenvectors W with eigenvalues z_j / z_k (Dreesen, Batselier and
+    De Moor, 2012).  `at_least` keeps that many vectors in N when the exact
+    rank is known to be deficient.
     """
-    notes = []
+    _, sigma, vh = np.linalg.svd(np.array(rows, dtype=complex), full_matrices=False)
+    nullity = max(at_least, int(np.count_nonzero(sigma <= NULL_TOL * sigma[0])))
+    if nullity == 0:
+        return None
+    null = vh[len(sigma) - nullity:].conj().T
+    n, nu = F.n, sum(monomials[0])
+    col = {m: j for j, m in enumerate(monomials)}
+    lower = _monomials_of_degree(n, nu - 1)
+    shifted = [null[[col[m[:j] + (m[j] + 1,) + m[j + 1:]] for m in lower]]
+               for j in range(n)]
+    pure = [col[tuple(nu * int(i == j) for i in range(n))] for j in range(n)]
+    k = max(range(n), key=lambda j: np.linalg.norm(null[pure[j]]))
+    mults = [np.linalg.lstsq(shifted[k], s, rcond=None)[0] for s in shifted]
+    _, vecs = np.linalg.eig(sum(w * a for w, a in zip(np.sqrt(np.arange(2, n + 2)), mults)))
+    inv = np.linalg.pinv(vecs)
+    estimates = np.array([np.diag(inv @ a @ vecs) for a in mults]).T
+    # a root of multiplicity r is a defective cluster of r eigenvalues whose
+    # mean, trace(A_j) / r, stays accurate
+    estimates = np.vstack([estimates, estimates.mean(axis=0)])
+    partials = [[f.partial(j) for j in range(n)] for f in F.components]
+    for start in estimates[np.isfinite(estimates).all(axis=1) & estimates.any(axis=1)]:
+        root = _polished(F, partials, start)
+        if root is not None:
+            return tuple(complex(v) for v in root)
+    return None
+
+
+def sphere_falsifier(F: HomogeneousMap) -> tuple | None:
+    """A unit-norm common root read off the Macaulay null space, or None.
+
+    None is NOT a certificate: it only reports that the float null space,
+    cut at NULL_TOL, gave no root that the Newton polish could confirm.
+    """
+    rows, monomials, _ = macaulay_matrix(F)
+    return _null_space_witness(F, rows, monomials)
+
+
+# ---------------------------------------------------------------- combined driver
+def properness_verdict(F: HomogeneousMap) -> PropernessVerdict:
+    """The exact certificate for rational maps; a null-space witness for complex ones.
+
+    Rational maps are always decided.  A complex map is NOT_PROPER with a
+    witness, or INCONCLUSIVE when the null space gives none.
+    """
     if F.kind == RATIONAL:
-        cert = macaulay_resultant_certificate(F, retries=retries, seed=seed)
-        if cert.is_proper:
-            return cert
-        notes.append(cert.certificate)
-    else:
-        notes.append("no exact certificate for the complex kind")
-    witness = sphere_falsifier(F, samples=samples, seed=seed)
+        return macaulay_resultant_certificate(F)
+    witness = sphere_falsifier(F)
     if witness is not None:
-        residual = float(np.linalg.norm(F.evaluate(witness)))
-        return PropernessVerdict(
-            NOT_PROPER,
-            f"nonzero common root found on the unit sphere (residual {residual:.2e})",
-            witness=witness)
-    notes.append(f"sphere search found no witness over {samples} samples")
-    return PropernessVerdict(INCONCLUSIVE, "; ".join(notes))
+        return PropernessVerdict(NOT_PROPER, _witness_note(F, witness), witness)
+    return PropernessVerdict(
+        INCONCLUSIVE, "no exact certificate for the complex kind; "
+        "the Macaulay null space gave no witness")

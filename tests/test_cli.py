@@ -45,7 +45,21 @@ def test_proper_subcommand_rational(tmp_path, capsys):
     assert code == 0
     d = json.loads(out)
     assert d["verdict"] == "proper"
-    assert "Macaulay determinant nonzero" in d["certificate"]
+    assert "has full rank" in d["certificate"]
+
+
+def test_proper_subcommand_shared_zero(tmp_path, capsys):
+    """proper on (x1^2, x1 x2, x3^2, x4^2) reports not_proper with its witness."""
+    terms = ([2, 0, 0, 0], [1, 1, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2])
+    doc = {"n": 4, "degrees": [2, 2, 2, 2], "kind": "rational",
+           "components": [[{"exps": e, "coeff": "1"}] for e in terms]}
+    path = tmp_path / "shared.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "proper", "--map", str(path))
+    assert code == 0
+    d = json.loads(out)
+    assert d["verdict"] == "not_proper"
+    assert len(d["witness"]) == 4 and all(len(pair) == 2 for pair in d["witness"])
 
 
 def test_gate_subcommand(capsys):

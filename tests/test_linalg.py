@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 
-from morin_census.linalg import exact_det, integer_rows
+from morin_census.linalg import _CERTIFICATE_PRIMES, det_is_nonzero, exact_det, integer_rows
 
 
 def test_exact_det_of_fraction_matrix():
@@ -18,3 +18,17 @@ def test_integer_rows_clear_each_row():
     ints, product = integer_rows([[Fraction(1, 2), Fraction(1, 3)], [3, Fraction(-1, 4)]])
     assert ints == [[3, 2], [12, -1]]
     assert product == 24
+
+
+def test_det_is_nonzero_tests_full_column_rank():
+    """A tall matrix passes when its columns are independent, fails when they are not."""
+    assert det_is_nonzero([[1, 2], [2, 4], [0, 1]])
+    assert not det_is_nonzero([[1, 2], [2, 4], [3, 6]])
+    assert det_is_nonzero([[2, 1], [1, 1]])
+    assert not det_is_nonzero([[1, 2], [2, 4]])
+
+
+def test_det_is_nonzero_falls_back_to_exact_rank():
+    """diag(p1 p2 p3, 1) loses rank mod every certificate prime, but not over Q."""
+    p1, p2, p3 = _CERTIFICATE_PRIMES
+    assert det_is_nonzero([[p1 * p2 * p3, 0], [0, 1]])

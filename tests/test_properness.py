@@ -1,6 +1,7 @@
 """Resultant-based properness certificates and the sphere falsifier."""
 
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
@@ -35,6 +36,26 @@ def _not_proper_map():
         Polynomial(4, {(0, 0, 0, 2): 1}),
     )
     return HomogeneousMap((2, 2, 2, 2), comps)
+
+
+def _planted_zero_map(seed):
+    """A random (2,2,2) map shifted so that all components vanish at a nonzero integer point."""
+    rng = np.random.default_rng(seed)
+    F = random_map((2, 2, 2), seed=int(rng.integers(2 ** 31)))
+    zero = [0, 0, 0]
+    while not any(zero):
+        zero = [int(v) for v in rng.integers(-3, 4, size=3)]
+    k = max(range(3), key=lambda i: abs(zero[i]))
+    power = tuple(2 * int(j == k) for j in range(3))
+    comps = tuple(f - Polynomial(3, {power: Fraction(f.evaluate(zero)) / zero[k] ** 2})
+                  for f in F.components)
+    return HomogeneousMap((2, 2, 2), comps)
+
+
+def _assert_unit_witness(F, witness):
+    w = np.asarray(witness)
+    assert abs(np.linalg.norm(w) - 1) < 1e-9
+    assert np.linalg.norm(F.evaluate(w)) < 1e-10
 
 
 # ------------------------------------------------------------- sylvester
@@ -81,14 +102,17 @@ def test_sylvester_rejects_zero_polynomial():
 
 # ------------------------------------------------------------- macaulay
 def test_macaulay_matrix_dimensions():
-    """Rows are indexed by degree-nu monomials, nu = sum(d_i - 1) + 1."""
-    F = random_map((2, 2, 2), seed=0)
+    """One row s * f_i per monomial s of degree nu - d_i; columns are the degree-nu monomials."""
+    F = random_map((2, 3, 4), seed=0)
     rows, monomials, assignment = macaulay_matrix(F)
+    n = F.n
     nu = sum(d - 1 for d in F.degrees) + 1
-    count = len(monomials)
-    assert len(rows) == count and all(len(r) == count for r in rows)
+    assert len(monomials) == comb(nu + n - 1, n - 1)
     assert all(sum(m) == nu for m in monomials)
-    assert len(assignment) == count
+    per_component = [comb(nu - d + n - 1, n - 1) for d in F.degrees]
+    assert len(rows) == sum(per_component)
+    assert all(len(r) == len(monomials) for r in rows)
+    assert assignment == [i for i, c in enumerate(per_component) for _ in range(c)]
 
 
 def test_macaulay_certifies_diagonal_power_map():
@@ -98,7 +122,7 @@ def test_macaulay_certifies_diagonal_power_map():
     F = HomogeneousMap((2, 2, 2), comps)
     v = macaulay_resultant_certificate(F)
     assert v.verdict == PROPER
-    assert "Macaulay determinant nonzero" in v.certificate
+    assert "has full rank" in v.certificate
 
 
 def test_macaulay_rejects_complex_kind():
@@ -119,10 +143,76 @@ def test_macaulay_matches_sylvester_for_two_variables():
         assert mac == syl or mac == -syl
 
 
+def test_macaulay_certifies_proper_map_whose_square_determinant_vanishes():
+    """(2,2,2,2) seed 1000016: f1..f3 lack x1^2, f4 does not, and the map is proper.
+
+    The square Macaulay determinant (one row per degree-nu monomial) is zero here.
+    """
+    v = macaulay_resultant_certificate(random_map((2, 2, 2, 2), seed=1000016))
+    assert v.verdict == PROPER and v.witness is None
+
+
+@pytest.mark.parametrize("seed", [97, 222, 227, 291, 302, 378, 457, 521, 527, 546,
+                                  549, 555, 564, 568])
+def test_planted_zero_maps_are_not_proper_with_witness(seed):
+    """Planted-zero maps the sampling falsifier used to leave inconclusive."""
+    F = _planted_zero_map(seed)
+    v = properness_verdict(F)
+    assert v.verdict == NOT_PROPER
+    assert v.witness is not None
+    _assert_unit_witness(F, v.witness)
+
+
+def test_missing_pure_cubes_give_witness_on_first_axis():
+    """(3,3,3) seed 1000016 lacks every x1^3 term, so (1,0,0) is a common zero."""
+    F = random_map((3, 3, 3), seed=1000016)
+    v = macaulay_resultant_certificate(F)
+    assert v.verdict == NOT_PROPER
+    _assert_unit_witness(F, v.witness)
+    w = np.asarray(v.witness)
+    assert abs(abs(w[0]) - 1) < 1e-9 and np.max(np.abs(w[1:])) < 1e-9
+
+
+def test_fourfold_root_gets_witness():
+    """(0,1,0,0) is a fourfold root: its eigenvalues split, and their mean is read off."""
+    F = HomogeneousMap((3, 2, 2, 3), (
+        Polynomial(4, {(1, 0, 0, 2): -1, (0, 0, 3, 0): 1}),
+        Polynomial(4, {(2, 0, 0, 0): 1, (0, 1, 0, 1): -2}),
+        Polynomial(4, {(2, 0, 0, 0): 2, (1, 0, 0, 1): 1, (0, 1, 1, 0): -2}),
+        Polynomial(4, {(2, 0, 1, 0): -1, (0, 0, 0, 3): 2}),
+    ))
+    v = macaulay_resultant_certificate(F)
+    assert v.verdict == NOT_PROPER
+    _assert_unit_witness(F, v.witness)
+    assert abs(abs(v.witness[1]) - 1) < 1e-6
+
+
+def test_zero_component_is_not_proper():
+    """A zero component leaves a curve of common zeros: the rank is deficient."""
+    F = random_map((2, 2, 3), seed=3)
+    Z = HomogeneousMap(F.degrees, (F.components[0], Polynomial(3, {}), F.components[2]))
+    assert properness_verdict(Z).verdict == NOT_PROPER
+
+
+def test_complex_copy_of_planted_map_gets_witness():
+    """The float null space finds the planted zero without the exact certificate."""
+    F = _planted_zero_map(97).as_complex()
+    v = properness_verdict(F)
+    assert v.verdict == NOT_PROPER
+    _assert_unit_witness(F, v.witness)
+
+
+def test_complex_map_past_the_cap_is_rejected():
+    """The null-space reading builds the Macaulay matrix, so the column cap applies."""
+    F = random_map((5, 5, 5, 5, 5), seed=0, kind="complex")
+    with pytest.raises(ValueError, match="exceeds the cap"):
+        properness_verdict(F)
+
+
 # ------------------------------------------------------------- falsifier
 def test_sphere_falsifier_finds_known_witness():
     """The shared-zero map yields a unit witness with a tiny residual."""
-    w = sphere_falsifier(_not_proper_map(), samples=500, seed=0)
+    w = sphere_falsifier(_not_proper_map())
     assert w is not None
     w = np.asarray(w)
     assert abs(np.linalg.norm(w) - 1) < 1e-9
@@ -135,7 +225,7 @@ def test_sphere_falsifier_passes_diagonal_map():
     comps = tuple(Polynomial(3, {tuple(2 * int(i == k) for i in range(3)): 1},
                              kind="complex") for k in range(3))
     F = HomogeneousMap((2, 2, 2), comps)
-    assert sphere_falsifier(F, samples=300, seed=1) is None
+    assert sphere_falsifier(F) is None
 
 
 # ------------------------------------------------------------- verdict
@@ -148,7 +238,7 @@ def test_verdict_proper_for_random_rational_maps():
 
 def test_verdict_not_proper_with_witness():
     """The shared-zero map produces a NOT_PROPER verdict carrying the witness."""
-    v = properness_verdict(_not_proper_map(), samples=500, seed=0)
+    v = properness_verdict(_not_proper_map())
     assert v.verdict == NOT_PROPER and not v.is_proper
     assert v.witness is not None
     d = v.to_dict()
@@ -160,6 +250,6 @@ def test_verdict_not_proper_with_witness():
 def test_verdict_inconclusive_for_generic_complex_map():
     """Complex maps with no witness stay inconclusive (no exact certificate)."""
     F = random_map((2, 2), seed=4, kind="complex")
-    v = properness_verdict(F, samples=200, seed=0)
+    v = properness_verdict(F)
     assert v.verdict == INCONCLUSIVE
     assert v.witness is None
