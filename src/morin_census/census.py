@@ -5,25 +5,29 @@ A_1 A_3, A_2^2, A_4, I_{2,2}) of a generic map with component degrees
 (d_1,d_2,d_3,d_4) is a polynomial in the degrees.  The ingredients:
 
 * the Chern series (1+d_1 a)(1+d_2 a)(1+d_3 a)(1+d_4 a)/(1+a)^4 expanded to
-  order 4 -- the divisor is expanded as the geometric series
-  sum_i (-4a - 6a^2 - 4a^3 - a^4)^i, all exactly, with coefficients that are
-  integer polynomials in the d_i;
+  order 4.  Since (1+a)^-4 = sum_m (-1)^m C(m+3, 3) a^m, its coefficients are
+  c_k = sum_{j<=k} (-1)^(k-j) C(k-j+3, 3) e_j, with e_j the j-th elementary
+  symmetric sum of the degrees.  One rule gives them as integer polynomials
+  in the degree symbols and as plain integers at a degree tuple;
 * the s-classes s_0 = d_1 d_2 d_3 d_4, s_1 = c_1 s_0, s_2 = c_1^2 s_0,
   s_3 = c_1^3 s_0, s_01 = c_2 s_0, s_11 = c_1 c_2 s_0, s_001 = c_3 s_0;
 * six closed-form combinations with prefactors 1/24 and 1/2.
 
 The prefactors are supposed to divide exactly for maps satisfying the
-genericity hypotheses; ``census`` verifies this and raises IntegralityError
-when a count comes out fractional rather than silently rounding.  (Degree
-tuples with exactly one odd entry do produce a half-integral #A_2^2; every
-such tuple also fails the eligibility gate, so the formulas are never trusted
-where they break.)  Negative counts are possible for ineligible tuples and
+genericity hypotheses.  ``census`` keeps each count as an integer numerator
+over its prefactor's denominator, checks the division with ``divmod``, and
+raises IntegralityError when a count comes out fractional rather than
+silently rounding.  (Degree tuples with exactly one odd entry do produce a
+half-integral #A_2^2; every such tuple also fails the eligibility gate, so
+the formulas are never trusted where they break.)  Negative counts are possible for ineligible tuples and
 are logged as warnings, not errors.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -74,13 +78,6 @@ class TruncatedSeries:
             raise ValueError(f"need exactly {ORDER + 1} coefficients")
         object.__setattr__(self, "coefficients", coeffs)
 
-    @staticmethod
-    def from_polynomial(constant: Polynomial, linear: Polynomial | None = None) -> "TruncatedSeries":
-        zero = constant.zero_like()
-        coeffs = [constant, linear if linear is not None else zero]
-        coeffs += [zero] * (ORDER + 1 - len(coeffs))
-        return TruncatedSeries(tuple(coeffs))
-
     def coefficient(self, k: int) -> Polynomial:
         return self.coefficients[k]
 
@@ -101,33 +98,30 @@ class TruncatedSeries:
         return TruncatedSeries(tuple(out))
 
 
-_chern_cache: TruncatedSeries | None = None
+def _chern_classes(degrees: Sequence, one, zero) -> tuple:
+    """c1..c4 of prod(1 + d_i a) / (1 + a)^4 from the elementary symmetric sums.
+
+    Works in any ring the degrees live in: on ints it gives ints, on the
+    degree symbols exact polynomials.  `one` and `zero` are that ring's 1 and 0.
+    """
+    e = [one] + [zero] * ORDER
+    for d in degrees:
+        for j in range(ORDER, 0, -1):
+            e[j] = e[j] + d * e[j - 1]
+    return tuple(sum((-1) ** (k - j) * math.comb(k - j + 3, 3) * e[j] for j in range(k + 1))
+                 for k in range(1, ORDER + 1))
 
 
+@functools.cache
 def chern_series() -> TruncatedSeries:
     """(1+d1 a)(1+d2 a)(1+d3 a)(1+d4 a) / (1+a)^4, exactly, to order 4.
 
-    The divisor is handled as 1 / (1 - u) = sum u^i with
-    u = -4a - 6a^2 - 4a^3 - a^4; since u has no constant term only i <= 4
-    contribute below the truncation order.
+    The coefficient of a^k is c_k = sum_{j<=k} (-1)^(k-j) C(k-j+3, 3) e_j, the
+    e_j being the elementary symmetric polynomials in the degree symbols:
+    (1+a)^-4 expands as sum_m (-1)^m C(m+3, 3) a^m.
     """
-    global _chern_cache
-    if _chern_cache is not None:
-        return _chern_cache
     one = Polynomial.constant(1, N_SOURCE, RATIONAL)
-    numerator = TruncatedSeries.from_polynomial(one)
-    for d in degree_symbols():
-        numerator = numerator * TruncatedSeries.from_polynomial(one, d)
-    u = TruncatedSeries(tuple(
-        Polynomial.constant(c, N_SOURCE, RATIONAL)
-        for c in (0, -4, -6, -4, -1)))
-    geometric = TruncatedSeries.from_polynomial(one)
-    power = TruncatedSeries.from_polynomial(one)
-    for _ in range(ORDER):
-        power = power * u
-        geometric = geometric + power
-    _chern_cache = numerator * geometric
-    return _chern_cache
+    return TruncatedSeries((one,) + _chern_classes(degree_symbols(), one, one.zero_like()))
 
 
 def chern_coefficients() -> tuple[Polynomial, Polynomial, Polynomial, Polynomial]:
@@ -143,17 +137,9 @@ def _require_four(degrees: Sequence[int]) -> tuple[int, ...]:
     return degrees
 
 
-def _as_int(value) -> int:
-    value = Fraction(value)
-    if value.denominator != 1:
-        raise ArithmeticError(f"expected an integer, got {value}")
-    return value.numerator
-
-
 def chern_values(degrees: Sequence[int]) -> tuple[int, int, int, int]:
     """c1..c4 evaluated at a concrete degree tuple (exact integers)."""
-    degrees = _require_four(degrees)
-    return tuple(_as_int(c.evaluate(degrees)) for c in chern_coefficients())
+    return _chern_classes(_require_four(degrees), 1, 0)
 
 
 def s_classes_symbolic() -> dict[str, Polynomial]:
@@ -204,30 +190,30 @@ class IntegralityError(ArithmeticError):
             f"count {name} at degrees {self.degrees} is not an integer: {value}")
 
 
-def _raw_counts(c: Sequence[int], s: dict[str, int]) -> dict[str, Fraction]:
-    """The six closed forms, before integrality is enforced."""
+def _raw_counts(c: Sequence[int], s: dict[str, int]) -> dict[str, tuple[int, int]]:
+    """The six closed forms as (numerator, denominator), before integrality is enforced."""
     c1, c2, c3, c4 = c
     s1, s2, s3 = s["s1"], s["s2"], s["s3"]
     s01, s11, s001 = s["s01"], s["s11"], s["s001"]
     return {
-        "A1_4": Fraction(
+        "A1_4": (
             s1 ** 3 * c1 - 12 * s1 * s2 * c1 + 40 * s3 * c1 - 6 * s1 * s01 * c1
             + 56 * s11 * c1 + 24 * s001 * c1 - 12 * s1 ** 2 * c1 ** 2
             + 48 * s2 * c1 ** 2 + 24 * s01 * c1 ** 2 + 120 * s1 * c1 ** 3
             - 672 * c1 ** 4 - 6 * s1 ** 2 * c2 + 24 * s2 * c2 + 12 * s01 * c2
             + 168 * s1 * c1 * c2 - 1776 * c1 ** 2 * c2 - 288 * c2 ** 2
             + 72 * s1 * c3 - 1584 * c1 * c3 - 720 * c4, 24),
-        "A1_2A2": Fraction(
+        "A1_2A2": (
             s2 * c1 + s01 * c1 - 6 * c1 ** 3 - 12 * c1 * c2 - 6 * c3, 2),
-        "A1A3": Fraction(
+        "A1A3": (
             s3 * c1 + 3 * s11 * c1 + 2 * s001 * c1 - 8 * c1 ** 4
-            - 36 * c1 ** 2 * c2 - 8 * c2 ** 2 - 44 * c1 * c3 - 24 * c4),
-        "A2_2": Fraction(
+            - 36 * c1 ** 2 * c2 - 8 * c2 ** 2 - 44 * c1 * c3 - 24 * c4, 1),
+        "A2_2": (
             s2 * c1 ** 2 + s01 * c1 ** 2 - 9 * c1 ** 4 + s2 * c2 + s01 * c2
             - 36 * c1 ** 2 * c2 - 12 * c2 ** 2 - 39 * c1 * c3 - 24 * c4, 2),
-        "A4": Fraction(
-            c1 ** 4 + 6 * c1 ** 2 * c2 + 2 * c2 ** 2 + 9 * c1 * c3 + 6 * c4),
-        "I22": Fraction(c2 ** 2 - c1 * c3),
+        "A4": (
+            c1 ** 4 + 6 * c1 ** 2 * c2 + 2 * c2 ** 2 + 9 * c1 * c3 + 6 * c4, 1),
+        "I22": (c2 ** 2 - c1 * c3, 1),
     }
 
 
@@ -265,10 +251,11 @@ def census(degrees: Sequence[int]) -> CensusReport:
     raw = _raw_counts(c, s)
     counts = {}
     for name in COUNT_NAMES:
-        value = raw[name]
-        if value.denominator != 1:
-            raise IntegralityError(degrees, name, value)
-        counts[name] = value.numerator
+        numerator, denominator = raw[name]
+        value, remainder = divmod(numerator, denominator)
+        if remainder:
+            raise IntegralityError(degrees, name, Fraction(numerator, denominator))
+        counts[name] = value
         if value < 0:
             logger.warning("count %s at degrees %s is negative (%s); the closed "
                            "forms are only meaningful for eligible tuples",

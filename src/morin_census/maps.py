@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -53,8 +54,18 @@ __all__ = [
 
 
 def validate_degrees(degrees: Sequence[int]) -> tuple[int, ...]:
-    """Degree tuples need length >= 2 and entries >= 1 (degree 1 is a trivial edge case)."""
-    t = tuple(int(d) for d in degrees)
+    """Degree tuples need length >= 2 and integral entries >= 1 (degree 1 is a trivial edge case).
+
+    Entries must be ints or numpy integers; anything else, such as 2.5 or 2.0,
+    is rejected rather than truncated.
+    """
+    entries = []
+    for d in degrees:
+        try:
+            entries.append(operator.index(d))
+        except TypeError:
+            raise ValueError(f"degrees must be integers, got {d!r}") from None
+    t = tuple(entries)
     if len(t) < 2:
         raise ValueError("need at least two degrees")
     if any(d < 1 for d in t):

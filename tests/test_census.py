@@ -75,6 +75,18 @@ def test_chern_values_sample_tuple():
     assert chern_values((2, 3, 5, 7)) == (13, 43, -7, -73)
 
 
+LARGE_TUPLES = ((101, 103, 107, 109), (2, 2, 2, 1000), (97, 2, 1000, 13))
+
+
+def test_chern_values_match_symbolic_coefficients():
+    """The integer path gives the symbolic coefficients' values, exactly."""
+    coefficients = chern_coefficients()
+    for degrees in itertools.chain(itertools.product(range(1, 6), repeat=4), LARGE_TUPLES):
+        values = chern_values(degrees)
+        assert values == tuple(c.evaluate(degrees) for c in coefficients)
+        assert all(type(v) is int for v in values)
+
+
 def test_s_classes_build_on_chern_values():
     """The seven s-classes follow their defining products."""
     c1, c2, c3, _ = chern_values((2, 3, 5, 7))
@@ -133,6 +145,39 @@ def test_integrality_error_on_half_integral_tuple():
         census((1, 2, 2, 2))
     assert exc.value.value == Fraction(81, 2)
     assert exc.value.name == "A2_2"
+
+
+def test_integrality_error_stays_exact():
+    """The failing count is reported as an exact Fraction, not a float or a floor."""
+    with pytest.raises(IntegralityError) as exc:
+        census((2, 2, 2, 1))
+    err = exc.value
+    assert err.name == "A2_2"
+    assert isinstance(err.value, Fraction) and err.value.denominator == 2
+    assert err.degrees == (2, 2, 2, 1)
+    assert str(err) == "count A2_2 at degrees (2, 2, 2, 1) is not an integer: 81/2"
+
+
+def test_census_never_evaluates_the_symbolic_coefficients(monkeypatch):
+    """The per-tuple census runs on integers: no exact Polynomial evaluation."""
+    def forbidden(self, point):
+        raise AssertionError("census went through Polynomial.evaluate")
+
+    monkeypatch.setattr(Polynomial, "evaluate", forbidden)
+    for degrees in itertools.product((1, 2, 3, 8), repeat=4):
+        try:
+            census(degrees)
+        except IntegralityError:
+            pass
+
+
+def test_census_rejects_fractional_degrees():
+    """Non-integral degrees raise instead of being truncated to the tuple below."""
+    for degrees in ((2.5, 3, 5, 7), (2.0, 3, 5, 7), (2, 3, Fraction(5), 7)):
+        with pytest.raises(ValueError, match="integers"):
+            census(degrees)
+        with pytest.raises(ValueError, match="integers"):
+            chern_values(degrees)
 
 
 def test_counts_permutation_invariant_sampled():

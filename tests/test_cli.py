@@ -124,6 +124,13 @@ def test_usage_error_exit_code_is_one(capsys):
     assert code == 1 and err
 
 
+def test_fractional_degrees_are_usage_error(capsys):
+    """A fractional degree is a usage error, not a truncated tuple."""
+    for sub in ("gate", "census", "gen"):
+        code, out, err = run(capsys, sub, "--degrees", "2.5,3,5,7")
+        assert code == 1 and err and not out
+
+
 def test_wrong_degree_count_is_usage_error(capsys):
     """gate and census require exactly four degrees."""
     assert run(capsys, "gate", "--degrees", "2,3")[0] == 1

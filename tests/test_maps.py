@@ -63,6 +63,19 @@ def test_validate_degrees_rejects_nonpositive():
         validate_degrees((2, 0))
 
 
+def test_validate_degrees_rejects_non_integral_entries():
+    """Fractional degrees are rejected, naming the entry, rather than truncated."""
+    for bad in ((2.5, 3), (2, 3.0), (2, Fraction(3)), (2, "3")):
+        with pytest.raises(ValueError, match="integers"):
+            validate_degrees(bad)
+    with pytest.raises(ValueError, match=r"2\.9"):
+        eligibility_gate((2.9, 3, 5, 7))
+    with pytest.raises(ValueError, match=r"2\.5"):
+        random_map((2.5, 3), seed=1)
+    assert validate_degrees(np.array([2, 3], dtype=np.int64)) == (2, 3)
+    assert all(type(d) is int for d in validate_degrees((np.int32(2), np.uint8(3))))
+
+
 def test_homogeneity_enforced():
     """A non-homogeneous component is rejected at construction."""
     bad = Polynomial(2, {(1, 0): 1, (0, 0): 1})
