@@ -144,18 +144,7 @@ def chern_values(degrees: Sequence[int]) -> tuple[int, int, int, int]:
 
 def s_classes_symbolic() -> dict[str, Polynomial]:
     """The seven s-classes as exact polynomials in the degree symbols."""
-    d1, d2, d3, d4 = degree_symbols()
-    c1, c2, c3, _ = chern_coefficients()
-    s0 = d1 * d2 * d3 * d4
-    return {
-        "s0": s0,
-        "s1": c1 * s0,
-        "s2": c1 * c1 * s0,
-        "s3": c1 * c1 * c1 * s0,
-        "s01": c2 * s0,
-        "s11": c1 * c2 * s0,
-        "s001": c3 * s0,
-    }
+    return _s_values(degree_symbols(), chern_coefficients())
 
 
 def s_classes(degrees: Sequence[int]) -> dict[str, int]:
@@ -164,8 +153,12 @@ def s_classes(degrees: Sequence[int]) -> dict[str, int]:
     return _s_values(degrees, chern_values(degrees))
 
 
-def _s_values(degrees: tuple[int, ...], c: Sequence[int]) -> dict[str, int]:
-    """The seven s-classes from the degrees and their Chern values c1..c4."""
+def _s_values(degrees: Sequence, c: Sequence) -> dict:
+    """The seven s-classes from the degrees and their Chern classes c1..c4.
+
+    Like ``_chern_classes`` it works in any ring: ints at a degree tuple,
+    exact polynomials on the degree symbols.
+    """
     c1, c2, c3, _ = c
     s0 = degrees[0] * degrees[1] * degrees[2] * degrees[3]
     return {

@@ -89,19 +89,22 @@ def _build_parser() -> _Parser:
                                  "classification, properness, counts, surveys.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=0, help="RNG seed (64-bit)")
+    def common(p, *used):
+        """--format and --out everywhere; --seed and --tol where `used` names them."""
+        if "seed" in used:
+            p.add_argument("--seed", type=int, default=0, help="RNG seed (64-bit)")
         p.add_argument("--format", choices=("json", "text"), default="json")
         p.add_argument("--out", default=None, help="write output to this path")
-        p.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                       help="float classification tolerance")
+        if "tol" in used:
+            p.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                           help="float classification tolerance")
 
     p = sub.add_parser("gen", help="generate a random homogeneous map")
     p.add_argument("--degrees", required=True)
     p.add_argument("--kind", choices=(RATIONAL, COMPLEX), default=RATIONAL)
     p.add_argument("--bound", type=int, default=10,
                    help="coefficient bound for the rational kind")
-    common(p)
+    common(p, "seed")
 
     p = sub.add_parser("gate", help="finite-determinacy eligibility of a degree tuple")
     p.add_argument("--degrees", required=True)
@@ -111,7 +114,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--map", required=True, dest="map_path")
     p.add_argument("--point", required=True, help="comma-separated coordinates")
     p.add_argument("--kmax", type=int, default=DEFAULT_KMAX)
-    common(p)
+    common(p, "tol")
 
     p = sub.add_parser("proper", help="properness certificate / falsifier")
     p.add_argument("--map", required=True, dest="map_path")
@@ -125,7 +128,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--degrees", required=True)
     p.add_argument("--maps", type=int, default=10)
     p.add_argument("--lines", type=int, default=20)
-    common(p)
+    common(p, "seed", "tol")
 
     return parser
 

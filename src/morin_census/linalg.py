@@ -23,33 +23,41 @@ __all__ = [
 ]
 
 
+def _eliminate(m: list[list[int]]) -> tuple[int, int]:
+    """Fraction-free (Bareiss) elimination of an integer matrix, in place.
+
+    Returns the rank and the last pivot signed by the row swaps.  After step k
+    every entry below the pivot rows is a (k+1)-minor, which makes each
+    division exact; on a nonsingular square matrix the signed last pivot is
+    the determinant.
+    """
+    rank, prev, sign = 0, 1, 1
+    for col in range(len(m[0]) if m else 0):
+        pivot = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if pivot is None:
+            continue
+        if pivot != rank:
+            m[rank], m[pivot] = m[pivot], m[rank]
+            sign = -sign
+        p = m[rank][col]
+        for i in range(rank + 1, len(m)):
+            f = m[i][col]
+            m[i][col:] = [(a * p - f * b) // prev
+                          for a, b in zip(m[i][col:], m[rank][col:])]
+        prev = p
+        rank += 1
+        if rank == len(m):
+            break
+    return rank, sign * prev
+
+
 def bareiss_det(rows: Sequence[Sequence[int]]) -> int:
     """Exact determinant of an integer matrix by fraction-free elimination."""
-    n = len(rows)
-    if n == 0:
-        return 1
     m = [list(map(int, r)) for r in rows]
-    if any(len(r) != n for r in m):
+    if any(len(r) != len(m) for r in m):
         raise ValueError("determinant of a non-square matrix")
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                # Bareiss update: every division is exact
-                m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = pivot
-    return sign * m[n - 1][n - 1]
+    rank, pivot = _eliminate(m)
+    return pivot if rank == len(m) else 0
 
 
 def integer_rows(rows: Sequence[Sequence]) -> tuple[list[list[int]], int]:
@@ -77,26 +85,9 @@ def exact_det(rows: Sequence[Sequence]) -> Fraction:
 def exact_rank(rows: Sequence[Sequence]) -> int:
     """Rank of a matrix over the rationals by fraction-free elimination.
 
-    Row scaling keeps the rank, so denominators are cleared first; after
-    step k every entry is a (k+1)-minor, which makes each division exact.
+    Row scaling keeps the rank, so denominators are cleared first.
     """
-    m, _ = integer_rows(rows)
-    rank, prev = 0, 1
-    for col in range(len(m[0]) if m else 0):
-        pivot = next((i for i in range(rank, len(m)) if m[i][col]), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        p = m[rank][col]
-        for i in range(rank + 1, len(m)):
-            f = m[i][col]
-            m[i][col:] = [(a * p - f * b) // prev
-                          for a, b in zip(m[i][col:], m[rank][col:])]
-        prev = p
-        rank += 1
-        if rank == len(m):
-            break
-    return rank
+    return _eliminate(integer_rows(rows)[0])[0]
 
 
 _CERTIFICATE_PRIMES = (33_554_467, 33_554_473, 33_554_503)  # ~2^25, products fit int64
@@ -139,12 +130,10 @@ def det_is_nonzero(rows: Sequence[Sequence[int]]) -> bool:
     return exact_rank(ints.tolist()) == ints.shape[1]
 
 
-def random_unimodular_matrix(n: int, rng: np.random.Generator, steps: int | None = None) -> list[list[int]]:
-    """Random integer matrix with determinant +-1 (product of elementary operations)."""
+def random_unimodular_matrix(n: int, rng: np.random.Generator) -> list[list[int]]:
+    """Random integer matrix with determinant +-1 (a product of 3n elementary operations)."""
     m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    if steps is None:
-        steps = 3 * n
-    for _ in range(steps):
+    for _ in range(3 * n):
         op = int(rng.integers(0, 3))
         i, j = map(int, rng.choice(n, size=2, replace=False))
         if op == 0:  # add a small multiple of row j to row i

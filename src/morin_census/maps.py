@@ -166,10 +166,13 @@ def random_map(degrees: Sequence[int], seed: int, kind: str = RATIONAL,
     return HomogeneousMap(degrees, tuple(components))
 
 
-def jacobian(F: HomogeneousMap) -> PolyMatrix:
-    """n x n matrix with entry (i, j) = d f_i / d x_j."""
-    rows = [[f.partial(j) for j in range(F.n)] for f in F.components]
-    return PolyMatrix.from_rows(rows)
+def jacobian(F) -> PolyMatrix:
+    """dF, the n x n matrix with entry (i, j) = d f_i / d x_j; every dF is built here.
+
+    F is any square map: a HomogeneousMap, or a GeneralMap such as the jets of
+    a map at a point.
+    """
+    return PolyMatrix.from_rows([[f.partial(j) for j in range(F.n)] for f in F.components])
 
 
 def jdet(F: HomogeneousMap) -> Polynomial:
@@ -225,15 +228,16 @@ def eligibility_gate(degrees: Sequence[int]) -> EligibilityVerdict:
 
 # ------------------------------------------------------------------ ray counting
 INFINITE_RAY = math.inf
+_RAY_TOL = 1e-9
 
 
-def ray_multiplicity(F: HomogeneousMap, p: Sequence, tol: float = 1e-9):
+def ray_multiplicity(F: HomogeneousMap, p: Sequence):
     """Number of points on the ray C*p sharing the value F(p).
 
     Scaling p by lambda multiplies f_i(p) by lambda^{d_i}, so the ray collapses
     onto F(p) exactly gcd{d_i : f_i(p) != 0} times; if every component vanishes
     the whole ray maps to 0 and the designated INFINITE_RAY marker is returned.
-    Float maps test vanishing against |f_i(p)| <= tol * ||p||^{d_i}.
+    Float maps test vanishing against |f_i(p)| <= _RAY_TOL * ||p||^{d_i}.
     """
     if len(p) != F.n:
         raise ValueError(f"point length {len(p)} != n {F.n}")
@@ -246,7 +250,7 @@ def ray_multiplicity(F: HomogeneousMap, p: Sequence, tol: float = 1e-9):
     else:
         norm = math.sqrt(sum(abs(complex(v)) ** 2 for v in p))
         surviving = [d for d, v in zip(F.degrees, values)
-                     if abs(complex(v)) > tol * norm ** d]
+                     if abs(complex(v)) > _RAY_TOL * norm ** d]
     if not surviving:
         return INFINITE_RAY
     return math.gcd(*surviving)

@@ -11,15 +11,16 @@ For graph-like maps (x_1,...,x_{n-1}, g) the chain collapses to J_{r,n} =
 d^{r+1} g / d x_n^{r+1}, which the symbolic tower reproduces exactly.  Points
 of corank >= 2 kill every level, so the classifier reports them separately.
 
-Two evaluation strategies coexist:
+J_{k,i} depends only on J_{k-1,i}, so the tower is n chains, one per row i of
+dF; ``_chain`` builds one, a level at a time as it is pulled, for both paths:
 
 * ``morin_tower`` builds every J_{k,i} symbolically -- exact, cacheable, and
   cheap while component degrees are small, but level-k degrees grow like
   k * sum(d_i - 1), which is ruinous for one-point queries on larger maps.
 * ``classify`` instead works with truncated Taylor jets at the query point:
-  polynomials mod (x - p)^{m+1} form a ring, and J_{k,i} computed from an
-  order-(k+1) jet of F is still correct to order k - r at level r, so every
-  value J_{k,i}(p) comes out exact at a tiny fraction of the symbolic cost.
+  polynomials mod (x - p)^{m+1} form a ring, and J_{r,i} computed from an
+  order-(k+1) jet of F is still correct to order k - r, so every value
+  J_{r,i}(p) comes out exact at a tiny fraction of the symbolic cost.
   dF(p) is the linear part of the jets, and one point's jets and levels,
   each built once, serve every tolerance the point is decided at.
   Both paths agree (this is tested), they just price the work differently.
@@ -35,7 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from .linalg import exact_det, exact_rank
-from .maps import HomogeneousMap
+from .maps import HomogeneousMap, jacobian
 from .polynomials import RATIONAL, Polynomial, PolyMatrix
 
 __all__ = [
@@ -85,9 +86,12 @@ def _components_of(F) -> tuple[Polynomial, ...]:
     return GeneralMap(comps).components  # runs the shape validation
 
 
-def _jacobian_rows(components: Sequence[Polynomial]) -> list[list[Polynomial]]:
-    n = len(components)
-    return [[f.partial(j) for j in range(n)] for f in components]
+def _chain(jac: PolyMatrix, base: Polynomial, i: int, k: int, cap: int | None = None):
+    """Yield J_{1,i}, ..., J_{k,i} from dF and J; with `cap`, cut level r past degree cap - r."""
+    level = base
+    for r in range(1, k + 1):
+        level = jac.with_row(i, level.gradient()).det(None if cap is None else cap - r)
+        yield level
 
 
 # ---------------------------------------------------------------- symbolic tower
@@ -112,48 +116,27 @@ def morin_tower(F, k_max: int = DEFAULT_KMAX) -> MorinTower:
     if k_max > _KMAX_GUARD:
         raise ValueError(f"k_max {k_max} exceeds the symbolic-growth guard {_KMAX_GUARD}")
     components = _components_of(F)
-    n = len(components)
-    jac = PolyMatrix.from_rows(_jacobian_rows(components))
+    jac = jacobian(GeneralMap(components))
     base = jac.det()
-    levels = []
-    chains = [base] * n
-    for _ in range(k_max):
-        row = []
-        for i in range(n):
-            grad = chains[i].gradient()
-            row.append(jac.with_row(i, grad).det())
-        chains = row
-        levels.append(tuple(row))
-    return MorinTower(components, k_max, base, tuple(levels))
+    chains = [_chain(jac, base, i, k_max) for i in range(len(components))]
+    return MorinTower(components, k_max, base, tuple(zip(*chains)))
 
 
 # ---------------------------------------------------------------- jet evaluation
 def _tower_values_at(jets: Sequence[Polynomial], k: int):
     """J(p) and the values J_{r,i}(p) for r <= k, from the order-(k+1) jets at p.
 
-    Truncating past total degree k+1 keeps every intermediate polynomial tiny;
-    level r stays correct to order k - r, so all constant terms below level k
-    are exact (exact arithmetic in the rational kind, plain floating error
-    otherwise -- no truncation error either way).
+    Truncating level r past total degree k - r keeps every intermediate
+    polynomial tiny and its constant term exact (exact arithmetic in the
+    rational kind, plain floating error otherwise -- no truncation error
+    either way).
     """
-    n = len(jets)
-    jac = PolyMatrix.from_rows(_jacobian_rows(jets))
-    origin = (0,) * n
+    jac = jacobian(GeneralMap(jets))
+    origin = (0,) * len(jets)
     base = jac.det(max_degree=k)
-    values = []
-    chains = [base] * n
-    for r in range(1, k + 1):
-        cap = k - r
-        row_vals = []
-        new_chains = []
-        for i in range(n):
-            grad = chains[i].gradient()
-            level_poly = jac.with_row(i, grad).det(max_degree=cap)
-            new_chains.append(level_poly)
-            row_vals.append(level_poly.coefficient(origin))
-        chains = new_chains
-        values.append(row_vals)
-    return base.coefficient(origin), values
+    chains = [[L.coefficient(origin) for L in _chain(jac, base, i, k, cap=k)]
+              for i in range(len(jets))]
+    return base.coefficient(origin), [list(row) for row in zip(*chains)]
 
 
 # ---------------------------------------------------------------- classification
@@ -333,22 +316,11 @@ def linear_conjugate(components: Sequence[Polynomial], target: Sequence[Sequence
     components = list(components)
     n = len(components)
     kind = components[0].kind
-    variables = [Polynomial.variable(j, n, kind) for j in range(n)]
-    substituted = []
-    for f in components:
-        linear_forms = []
-        for i in range(n):
-            form = Polynomial.zero(n, kind)
-            for j in range(n):
-                if source[i][j]:
-                    form = form + variables[j] * source[i][j]
-            linear_forms.append(form)
-        substituted.append(f.substitute(linear_forms))
-    out = []
-    for i in range(n):
-        g = Polynomial.zero(n, kind)
-        for j in range(n):
-            if target[i][j]:
-                g = g + substituted[j] * target[i][j]
-        out.append(g)
-    return out
+
+    def times(matrix, polys):
+        """The matrix-vector product matrix @ polys, skipping zero entries."""
+        return [sum((p * m for m, p in zip(row, polys) if m), Polynomial.zero(n, kind))
+                for row in matrix]
+
+    linear_forms = times(source, [Polynomial.variable(j, n, kind) for j in range(n)])
+    return times(target, [f.substitute(linear_forms) for f in components])

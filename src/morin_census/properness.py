@@ -31,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .linalg import det_is_nonzero, exact_det, integer_rows
-from .maps import HomogeneousMap, validate_degrees
+from .maps import HomogeneousMap, jacobian, validate_degrees
 from .polynomials import COMPLEX, RATIONAL, Polynomial
 
 __all__ = [
@@ -217,8 +217,8 @@ def _witness_note(F: HomogeneousMap, witness: tuple | None) -> str:
     return f"nonzero common root read off the null space (residual {residual:.2e})"
 
 
-def _polished(F: HomogeneousMap, partials, start: np.ndarray):
-    """Unit-norm common root near `start` after Newton polish, or None."""
+def _polished(F: HomogeneousMap, dF, start: np.ndarray):
+    """Unit-norm common root near `start` after Newton polish, or None; dF = jacobian(F)."""
     def evaluate(points: np.ndarray) -> np.ndarray:
         return np.stack(F.evaluate(points), axis=-1)
 
@@ -237,7 +237,7 @@ def _polished(F: HomogeneousMap, partials, start: np.ndarray):
         pivot = int(np.argmax(np.abs(x)))
         keep = [j for j in range(F.n) if j != pivot]
         fx = evaluate(x)
-        jac = np.array([[partials[i][j].evaluate(x) for j in keep]
+        jac = np.array([[dF.entry(i, j).evaluate(x) for j in keep]
                         for i in range(F.n)], dtype=complex)
         step, *_ = np.linalg.lstsq(jac, -fx, rcond=None)
         best = None
@@ -284,9 +284,9 @@ def _null_space_witness(F: HomogeneousMap, rows, monomials, at_least: int = 0):
     # a root of multiplicity r is a defective cluster of r eigenvalues whose
     # mean, trace(A_j) / r, stays accurate
     estimates = np.vstack([estimates, estimates.mean(axis=0)])
-    partials = [[f.partial(j) for j in range(n)] for f in F.components]
+    dF = jacobian(F)
     for start in estimates[np.isfinite(estimates).all(axis=1) & estimates.any(axis=1)]:
-        root = _polished(F, partials, start)
+        root = _polished(F, dF, start)
         if root is not None:
             return tuple(complex(v) for v in root)
     return None

@@ -24,8 +24,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .maps import HomogeneousMap, jacobian, jdet, random_map, ray_multiplicity
-from .morin import DEFAULT_KMAX, DEFAULT_TOL, _classify_at, classify
+from .maps import HomogeneousMap, jacobian, jdet, random_map, ray_multiplicity, validate_degrees
+from .morin import DEFAULT_KMAX, DEFAULT_TOL, _chain, _classify_at, classify
 from .polynomials import COMPLEX, Polynomial
 from .properness import sylvester_matrix
 
@@ -312,32 +312,30 @@ def plane_section_solutions(P1: Polynomial, P2: Polynomial, planes: int,
     return out
 
 
-def cusp_points(F: HomogeneousMap, planes: int, seed: int,
-                tol: float = DEFAULT_TOL) -> list[SectionSolution]:
+def cusp_points(F: HomogeneousMap, planes: int, seed: int) -> list[SectionSolution]:
     """Cusp (A_2) points of F located by plane sections of {J = 0, J_{1,i*} = 0}.
 
     i* is the first index whose level-1 tower polynomial is not identically
-    zero; the J_{1,i} are built one at a time, stopping at i*.  The variety
-    {J = J_{1,i*} = 0} also contains fold points where the left-kernel
+    zero; the Morin chains are pulled one at a time, stopping at i*.  The
+    variety {J = J_{1,i*} = 0} also contains fold points where the left-kernel
     covector of dF has vanishing i*-th coordinate (there J_{1,i} vanishes for
     the wrong reason), so every polished candidate is classified and only
-    genuine A_2 points are returned; rejects are discarded, and an
-    all-rejected plane budget simply yields an empty list.
+    genuine A_2 points (at DEFAULT_TOL) are returned; rejects are discarded,
+    and an all-rejected plane budget simply yields an empty list.
     """
     if F.n != 4:
         raise ValueError("cusp hunting is implemented for n = 4")
     Fc = F.as_complex()
     jac = jacobian(Fc)
     J = jac.det()
-    grad = J.gradient()
-    level1 = next((L for L in (jac.with_row(i, grad).det() for i in range(F.n))
-                   if not L.is_zero()), None)
+    level1 = next((L for i in range(F.n) for L in _chain(jac, J, i, 1) if not L.is_zero()),
+                  None)
     if level1 is None:
         return []
     solutions = plane_section_solutions(J, level1, planes, seed)
     kept = []
     for sol in solutions:
-        if classify(Fc, sol.point, tol=tol).is_morin(2):
+        if classify(Fc, sol.point).is_morin(2):
             kept.append(sol)
     return kept
 
@@ -410,7 +408,7 @@ def survey(degrees: Sequence[int], maps: int, lines: int, seed: int,
     give bit-identical reports: each map's sub-seeds come from a SeedSequence
     keyed on `seed`, and the maps run in order.
     """
-    degrees = tuple(int(d) for d in degrees)
+    degrees = validate_degrees(degrees)
     state = np.random.SeedSequence(seed).generate_state(2 * max(maps, 1), dtype=np.uint64)
     points = [rec for m in range(maps)
               for rec in _survey_one_map(degrees, int(state[2 * m]), int(state[2 * m + 1]),

@@ -87,6 +87,19 @@ def test_survey_subcommand_json(capsys):
     assert d["histogram"] == {"A1": d["points_found"]}
 
 
+def test_seed_and_tol_where_used(tmp_path, capsys):
+    """classify takes --tol and survey takes --seed and --tol."""
+    path = tmp_path / "m.json"
+    run(capsys, "gen", "--degrees", "2,2", "--kind", "complex",
+        "--seed", "1", "--out", str(path))
+    code, out, _ = run(capsys, "classify", "--map", str(path),
+                       "--point", "1,0", "--tol", "1e-6")
+    assert code == 0 and "class" in json.loads(out)
+    code, out, _ = run(capsys, "survey", "--degrees", "2,2,2,2", "--maps", "1",
+                       "--lines", "2", "--seed", "5", "--tol", "1e-6")
+    assert code == 0 and json.loads(out)["seed"] == 5
+
+
 def test_text_format(capsys):
     """--format text renders a one-line summary instead of JSON."""
     code, out, _ = run(capsys, "gate", "--degrees", "2,3,5,7",
@@ -135,6 +148,19 @@ def test_wrong_degree_count_is_usage_error(capsys):
     """gate and census require exactly four degrees."""
     assert run(capsys, "gate", "--degrees", "2,3")[0] == 1
     assert run(capsys, "census", "--degrees", "2,3")[0] == 1
+
+
+def test_unused_seed_and_tol_are_usage_errors(tmp_path, capsys):
+    """Subcommands that draw no random numbers take no --seed, and those
+    that classify nothing take no --tol."""
+    assert run(capsys, "census", "--degrees", "2,3,5,7", "--seed", "1")[0] == 1
+    assert run(capsys, "gate", "--degrees", "2,3,5,7", "--tol", "1e-6")[0] == 1
+    assert run(capsys, "gen", "--degrees", "2,2", "--tol", "1e-6")[0] == 1
+    path = tmp_path / "m.json"
+    run(capsys, "gen", "--degrees", "2,2", "--seed", "2", "--out", str(path))
+    assert run(capsys, "proper", "--map", str(path), "--seed", "1")[0] == 1
+    assert run(capsys, "classify", "--map", str(path), "--point", "1,0",
+               "--seed", "1")[0] == 1
 
 
 def test_missing_map_file_is_usage_error(capsys):

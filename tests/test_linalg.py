@@ -2,7 +2,16 @@
 
 from fractions import Fraction
 
-from morin_census.linalg import _CERTIFICATE_PRIMES, det_is_nonzero, exact_det, integer_rows
+import pytest
+
+from morin_census.linalg import (
+    _CERTIFICATE_PRIMES,
+    bareiss_det,
+    det_is_nonzero,
+    exact_det,
+    exact_rank,
+    integer_rows,
+)
 
 
 def test_exact_det_of_fraction_matrix():
@@ -32,3 +41,16 @@ def test_det_is_nonzero_falls_back_to_exact_rank():
     """diag(p1 p2 p3, 1) loses rank mod every certificate prime, but not over Q."""
     p1, p2, p3 = _CERTIFICATE_PRIMES
     assert det_is_nonzero([[p1 * p2 * p3, 0], [0, 1]])
+
+
+def test_bareiss_det_and_exact_rank_share_one_elimination():
+    """Row swaps flip the determinant's sign, a skipped pivot column makes it
+    0, and the rank counts the pivots."""
+    assert bareiss_det([[0, 1], [1, 0]]) == -1
+    assert bareiss_det([[0, 2, 1], [3, 1, 4], [1, 0, 2]]) == -5
+    singular = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
+    assert bareiss_det(singular) == 0 and exact_rank(singular) == 2
+    assert exact_rank([[0, 0, 0], [0, 0, 5]]) == 1
+    assert bareiss_det([]) == 1
+    with pytest.raises(ValueError):
+        bareiss_det([[1, 2]])

@@ -11,6 +11,7 @@ from morin_census import (
     HYPOTHESIS_FAILS,
     INFINITE_RAY,
     NEVER_FINITE,
+    GeneralMap,
     HomogeneousMap,
     Polynomial,
     coefficient,
@@ -101,6 +102,14 @@ def test_jacobian_shape_and_entries():
     J = jacobian(F)
     assert (J.rows, J.cols) == (4, 4)
     assert J.entry(3, 3) == Polynomial(4, {(0, 0, 0, 1): 2})
+
+
+def test_jacobian_takes_a_general_map():
+    """Any square map goes in, not only a homogeneous one."""
+    G = GeneralMap((Polynomial(2, {(2, 0): 1, (0, 1): 1}), Polynomial(2, {(1, 1): 3})))
+    J = jacobian(G)
+    assert J.row(0) == [Polynomial(2, {(1, 0): 2}), Polynomial(2, {(0, 0): 1})]
+    assert J.row(1) == [Polynomial(2, {(0, 1): 3}), Polynomial(2, {(1, 0): 3})]
 
 
 def test_jdet_of_fold_normal_form():

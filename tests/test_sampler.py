@@ -21,6 +21,7 @@ from morin_census import (
 )
 from morin_census.maps import jdet
 from morin_census.morin import DEFAULT_TOL
+from morin_census.polynomials import PolyMatrix
 from morin_census.sampler import _restrict_coeffs
 
 
@@ -187,6 +188,22 @@ def test_cusp_points_all_classify_a2():
         assert classify(F, np.asarray(s.point)).label == "A2"
 
 
+def test_cusp_points_builds_level_one_lazily(monkeypatch):
+    """The cusp hunt takes J and the first nonzero J_{1,i} only: two symbolic
+    determinants on a map whose first level-1 determinant is not zero."""
+    calls = []
+    original = PolyMatrix.det
+
+    def counted(self, max_degree=None):
+        calls.append(max_degree)
+        return original(self, max_degree)
+
+    monkeypatch.setattr(PolyMatrix, "det", counted)
+    F = random_map((3, 3, 3, 3), seed=2, kind="complex")
+    assert cusp_points(F, planes=0, seed=0) == []
+    assert calls == [None, None]
+
+
 def test_cusp_points_requires_n4():
     """Cusp hunting is defined for four source dimensions."""
     F = random_map((2, 2), seed=0, kind="complex")
@@ -244,6 +261,12 @@ def test_survey_decides_each_tolerance_like_classify():
         assert rec["class"]["class"] == main.to_dict()["class"]
         assert rec["class"].get("k") == main.k
         assert rec["stable"] == all(v.label == main.label for v in others)
+
+
+def test_survey_rejects_fractional_degrees():
+    """A fractional degree is an error, not a truncated tuple."""
+    with pytest.raises(ValueError, match="2.5"):
+        survey((2.5, 3, 5, 7), maps=1, lines=1, seed=3)
 
 
 def test_survey_builds_each_jet_once(monkeypatch):
