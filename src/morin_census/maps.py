@@ -176,7 +176,12 @@ def jacobian(F) -> PolyMatrix:
 
 
 def jdet(F: HomogeneousMap) -> Polynomial:
-    """J(F) = det(jacobian(F)); homogeneous of degree sum(d_i - 1) when nonzero."""
+    """J(F) = det(jacobian(F)); homogeneous of degree sum(d_i - 1) when nonzero.
+
+    The exact, symbolic J: the exact path and the oracle the float paths are
+    tested against.  Float sampling never builds it; it evaluates dF and
+    takes numeric determinants instead.
+    """
     return jacobian(F).det()
 
 

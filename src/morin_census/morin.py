@@ -21,9 +21,17 @@ dF; ``_chain`` builds one, a level at a time as it is pulled, for both paths:
   polynomials mod (x - p)^{m+1} form a ring, and J_{r,i} computed from an
   order-(k+1) jet of F is still correct to order k - r, so every value
   J_{r,i}(p) comes out exact at a tiny fraction of the symbolic cost.
-  dF(p) is the linear part of the jets, and one point's jets and levels,
-  each built once, serve every tolerance the point is decided at.
+  One point's jets and levels, each built once, serve every tolerance the
+  point is decided at.
   Both paths agree (this is tested), they just price the work differently.
+
+At a float point the first level needs no determinant polynomial at all.
+dF(p) and the Hessians of F come from F's first and second partials, each
+evaluated once on all the points being classified.  Jacobi's formula gives
+grad J(p)_k = tr(adj dF(p) . d_k dF(p)), and expanding the replaced row gives
+the whole level J_{1,.}(p) = grad J(p) @ adj dF(p); the adjugate comes from
+the SVD, which stays accurate at J(p) ~ 0.  Exact points read dF(p) off their
+jets and keep exact arithmetic throughout.
 """
 
 from __future__ import annotations
@@ -187,9 +195,49 @@ def _is_exact(components: Sequence[Polynomial], p) -> bool:
 
 
 def _linear_rows(jets: Sequence[Polynomial]) -> list[list]:
-    """dF(p) read off the linear terms of the jets at p."""
+    """dF(p) read off the linear terms of the jets at an exact point p."""
     units = [tuple(int(i == j) for i in range(len(jets))) for j in range(len(jets))]
     return [[g.coefficient(u) for u in units] for g in jets]
+
+
+def _evaluated(jac: PolyMatrix, points) -> np.ndarray:
+    """A square polynomial matrix at each of the (N, n) float points: an (N, n, n) array.
+
+    Each entry goes through one ``Polynomial.evaluate`` over all the points.
+    """
+    x = np.asarray(points, dtype=complex)
+    values = np.array([e.evaluate(x) for e in jac.entries])
+    return values.T.reshape(len(x), jac.rows, jac.cols)
+
+
+def _differential(components: Sequence[Polynomial], p) -> list[list]:
+    """dF(p): from the order-1 jets at an exact point, else from F's evaluated partials."""
+    if _is_exact(components, p):
+        return _linear_rows([f.translate_truncated(p, 1) for f in components])
+    return _evaluated(jacobian(GeneralMap(components)), [p])[0]
+
+
+def _level_one(components: Sequence[Polynomial], points) -> tuple[np.ndarray, np.ndarray]:
+    """dF(p) and the row [J_{1,i}(p)] at each of the (N, n) float points.
+
+    dF and the Hessians of F come from F's first and second partials, each
+    evaluated once on all the points.  By Jacobi's formula grad J_k =
+    tr(adj dF . d_k dF), and replacing row i of dF by grad J makes
+    J_{1,i} = (grad J @ adj dF)_i.  With dF = U diag(s) V^H the adjugate is
+    det(U) det(V^H) V diag(prod_{k != j} s_k) U^H, which needs no inverse.
+    """
+    jac = jacobian(GeneralMap(components))
+    differentials = _evaluated(jac, points)
+    # hessians[p, i, j, k] = d^2 f_i / dx_j dx_k at point p
+    hessians = np.stack([_evaluated(jacobian(GeneralMap(jac.row(i))), points)
+                         for i in range(jac.rows)], axis=1)
+    u, s, vh = np.linalg.svd(differentials)
+    others = np.prod(np.where(np.eye(jac.rows, dtype=bool), 1.0, s[:, None, :]), axis=-1)
+    phase = np.linalg.det(u) * np.linalg.det(vh)
+    adj = (phase[:, None, None] * vh.conj().transpose(0, 2, 1) * others[:, None, :]
+           @ u.conj().transpose(0, 2, 1))
+    grad = np.einsum("pab,pbak->pk", adj, hessians)
+    return differentials, np.einsum("pk,pki->pi", grad, adj)
 
 
 def _corank(rows, exact: bool, tol: float) -> int:
@@ -246,34 +294,43 @@ def _verdict(components, p, base_value, differential, level_row, k_max,
 def corank_at(F, p, tol: float = DEFAULT_TOL) -> int:
     """n - rank(dF(p)): exact row reduction for rational data, SVD otherwise."""
     components = _components_of(F)
-    rows = _linear_rows([f.translate_truncated(p, 1) for f in components])
-    return _corank(rows, _is_exact(components, p), tol)
+    return _corank(_differential(components, p), _is_exact(components, p), tol)
 
 
-def _classify_at(F, p, tols: Sequence[float], k_max: int) -> list[SingularityClass]:
-    """The verdict at p for each tolerance in `tols`, from one set of jets.
+def _classify_at(F, points, tols: Sequence[float], k_max: int) -> list[list[SingularityClass]]:
+    """The verdicts at each point for each tolerance in `tols`.
 
-    dF(p) and J(p) come from the linear terms of the order-2 jets.  Level r
-    comes from the order-(r+1) jets, built once, when the first verdict
-    reaches it.
+    At the float points, dF(p), J(p) and level 1 come from F's first and
+    second partials, evaluated once on all of those points (``_level_one``).
+    An exact point reads dF(p) and level 1 off its order-2 jets.  Level
+    r >= 2 comes from the order-(r+1) jets at p, built once, when the first
+    verdict at p reaches it.
     """
     components = _components_of(F)
-    jets2 = [f.translate_truncated(p, 2) for f in components]
-    levels = {}
+    floats = [p for p in points if not _is_exact(components, p)]
+    if floats:
+        float_rows = iter(zip(*_level_one(components, floats)))
 
-    def level_row(r: int):
-        if r not in levels:
-            jets = jets2 if r == 1 else [f.translate_truncated(p, r + 1) for f in components]
-            levels[r] = _tower_values_at(jets, r)[1][r - 1]
-        return levels[r]
+    def verdicts(p, rows, base_value, levels, jets2=None):
+        def level_row(r: int):
+            if r not in levels:
+                jets = jets2 if r == 1 else [f.translate_truncated(p, r + 1) for f in components]
+                levels[r] = _tower_values_at(jets, r)[1][r - 1]
+            return levels[r]
 
-    rows = _linear_rows(jets2)
-    if _is_exact(components, p):
-        base_value = exact_det(rows)
-    else:
-        base_value = complex(np.linalg.det(np.array(rows, dtype=complex)))
-    return [_verdict(components, p, base_value, rows, level_row, k_max, tol)
-            for tol in tols]
+        return [_verdict(components, p, base_value, rows, level_row, k_max, tol)
+                for tol in tols]
+
+    out = []
+    for p in points:
+        if _is_exact(components, p):
+            jets2 = [f.translate_truncated(p, 2) for f in components]
+            rows = _linear_rows(jets2)
+            out.append(verdicts(p, rows, exact_det(rows), {}, jets2))
+        else:
+            rows, first = next(float_rows)
+            out.append(verdicts(p, rows, complex(np.linalg.det(rows)), {1: list(first)}))
+    return out
 
 
 def classify(F, p, k_max: int = DEFAULT_KMAX, tol: float = DEFAULT_TOL) -> SingularityClass:
@@ -282,11 +339,12 @@ def classify(F, p, k_max: int = DEFAULT_KMAX, tol: float = DEFAULT_TOL) -> Singu
     Regular if J(p) != 0; corank >= 2 reported as such (the tower is blind
     there); otherwise Morin(k) for the smallest k <= k_max with some
     J_{k,i}(p) above the scale-aware tolerance, Indeterminate if none is.
-    Level r comes from order-(r+1) Taylor jets at p, built only when the
-    decision gets that far, and dF(p) and J(p) from the order-2 jets' linear
-    terms; exact inputs use exact zero tests throughout.
+    Level r >= 2 comes from order-(r+1) Taylor jets at p, built only when the
+    decision gets that far.  At a float point dF(p), J(p) and level 1 come
+    from F's evaluated partials; exact inputs read them off the order-2 jets
+    and use exact zero tests throughout.
     """
-    return _classify_at(F, p, (tol,), k_max)[0]
+    return _classify_at(F, [p], (tol,), k_max)[0][0]
 
 
 def jet_tower_values(F, p, k_max: int = DEFAULT_KMAX):
@@ -304,8 +362,7 @@ def classify_from_values(F, p, base_value, level_values,
                          tol: float = DEFAULT_TOL) -> SingularityClass:
     """The ``classify`` decision on precomputed tower values (k_max = their depth)."""
     components = _components_of(F)
-    rows = _linear_rows([f.translate_truncated(p, 1) for f in components])
-    return _verdict(components, p, base_value, rows,
+    return _verdict(components, p, base_value, _differential(components, p),
                     lambda r: level_values[r - 1], len(level_values), tol)
 
 

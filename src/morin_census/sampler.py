@@ -2,12 +2,13 @@
 
 The critical set of a homogeneous map is a cone of (projective) dimension
 n - 2, so random affine lines hit it in deg J = sum(d_i - 1) isolated points.
-This module locates those points (restrict J to a line, solve one univariate
-polynomial), hunts the codimension-2 cusp stratum with bivariate resultant
-elimination on random affine 2-planes, classifies everything with the jet
-classifier, and aggregates survey statistics: the expected picture for a
-generic map is that every off-origin singular point is A_1, A_2 or A_3, with
-random line samples almost surely landing on the A_1 stratum.
+This module locates those points (interpolate J on a line from det dF at
+deg J + 1 nodes, solve one univariate polynomial), hunts the codimension-2
+cusp stratum with bivariate resultant elimination on random affine 2-planes,
+classifies everything with the Morin classifier, and aggregates survey
+statistics: the expected picture for a generic map is that every off-origin
+singular point is A_1, A_2 or A_3, with random line samples almost surely
+landing on the A_1 stratum.
 
 All numerics are deterministic for a fixed seed: polynomial restriction uses
 roots-of-unity interpolation (an inverse FFT), root finding takes the
@@ -24,8 +25,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .maps import HomogeneousMap, jacobian, jdet, random_map, ray_multiplicity, validate_degrees
-from .morin import DEFAULT_KMAX, DEFAULT_TOL, _chain, _classify_at, classify
+from .maps import HomogeneousMap, jacobian, random_map, ray_multiplicity, validate_degrees
+from .morin import DEFAULT_KMAX, DEFAULT_TOL, _chain, _classify_at, _evaluated, classify
 from .polynomials import COMPLEX, Polynomial
 from .properness import sylvester_matrix
 
@@ -134,16 +135,24 @@ class LineSection:
         return tuple(a + t * b for a, b in zip(self.q1, self.q2))
 
 
+def _line_nodes(q1: np.ndarray, q2: np.ndarray, degree: int) -> np.ndarray:
+    """The degree + 1 points q1 + w*q2, w the roots of unity, that interpolate on the line."""
+    count = degree + 1
+    return q1 + np.exp(2j * np.pi * np.arange(count) / count)[:, None] * q2
+
+
+def _interpolate(values: np.ndarray) -> np.ndarray:
+    """Ascending coefficients in t from the values at ``_line_nodes``."""
+    # sampling at exp(+2*pi*i*j/N) makes the forward DFT the interpolator
+    return np.fft.fft(values) / len(values)
+
+
 def _restrict_coeffs(P: Polynomial, q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
     """Coefficients of t -> P(q1 + t*q2) by interpolation at roots of unity."""
     degree = P.total_degree()
     if degree is None:
         return np.zeros(1, dtype=complex)
-    count = degree + 1
-    nodes = np.exp(2j * np.pi * np.arange(count) / count)
-    values = P.evaluate(q1 + nodes[:, None] * q2)
-    # sampling at exp(+2*pi*i*j/N) makes the forward DFT the interpolator
-    return np.fft.fft(values) / count
+    return _interpolate(P.evaluate(_line_nodes(q1, q2, degree)))
 
 def restrict_to_line(P: Polynomial, q1: Sequence, q2: Sequence) -> LineSection:
     """Restrict P to the line through q1 with direction q2.
@@ -161,6 +170,19 @@ def restrict_to_line(P: Polynomial, q1: Sequence, q2: Sequence) -> LineSection:
     return LineSection(tuple(a), tuple(b), tuple(complex(c) for c in coeffs))
 
 
+def _jacobian_dets(jac, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """J = det dF at the points, and the Hadamard bound prod_i ||row i of dF|| on |J|.
+
+    The rows are scaled to unit norm before the elimination, so their very
+    different scales (row i grows like ||x||^(d_i - 1)) cost no accuracy.
+    """
+    differentials = _evaluated(jac, points)
+    norms = np.linalg.norm(differentials, axis=-1)
+    norms = np.where(norms > 0.0, norms, 1.0)       # a zero row: J = 0 all the same
+    hadamard = np.prod(norms, axis=-1)
+    return np.linalg.det(differentials / norms[..., None]) * hadamard, hadamard
+
+
 def _phase_normalized(p: np.ndarray) -> tuple:
     """Unit norm and canonical phase: the largest coordinate is real positive."""
     p = p / np.linalg.norm(p)
@@ -173,15 +195,19 @@ def critical_points_on_lines(F: HomogeneousMap, lines: int, seed: int) -> list[t
     """Critical points of F found by slicing C(F) = {J = 0} with random lines.
 
     Each line contributes the roots of J restricted to it -- generically
-    deg J = sum(d_i - 1) points, with multiplicity.  Points are returned at
-    unit norm with canonical phase (C(F) is a cone, so rays are what matter)
-    and only when they pass the residual check
-    |J(p)| <= 1e-8 * (1 + ||p||)^deg J.
+    deg J = sum(d_i - 1) points, with multiplicity.  J on the line is
+    interpolated from its values det dF at deg J + 1 nodes, with each entry
+    of ``jacobian(F)`` evaluated on all the nodes at once; the symbolic
+    ``jdet(F)`` is never built.  J counts as identically zero, a ValueError,
+    when every node value on a line is within rounding of zero: at most
+    n * eps times the product of the row norms of dF, the Hadamard bound on
+    |det dF|.  Each root then takes two Newton steps on det dF itself, each
+    kept only where it shrinks |J|.  Points are returned at unit norm with
+    canonical phase (C(F) is a cone, so rays are what matter) and only when
+    they pass the residual check |J(p)| <= 1e-8 * (1 + ||p||)^deg J.
     """
-    J = jdet(F)
-    if J.is_zero():
-        raise ValueError("jdet(F) is identically zero; no critical cone to sample")
-    deg = J.total_degree()
+    jac = jacobian(F)
+    deg = sum(d - 1 for d in F.degrees)      # deg J, unless J is identically zero
     rng = np.random.default_rng(seed)
     points: list[tuple] = []
     for _ in range(lines):
@@ -191,17 +217,30 @@ def critical_points_on_lines(F: HomogeneousMap, lines: int, seed: int) -> list[t
             cross = abs(complex(a @ b.conj())) / (np.linalg.norm(a) * np.linalg.norm(b))
             if cross < 1.0 - 1e-12:
                 break
-        coeffs = _restrict_coeffs(J, a, b)
+        values, hadamard = _jacobian_dets(jac, _line_nodes(a, b, deg))
+        if np.all(np.abs(values) <= F.n * np.finfo(float).eps * hadamard):
+            raise ValueError("jdet(F) is identically zero; no critical cone to sample")
+        coeffs = _interpolate(values)
         try:
-            roots = univariate_roots(coeffs)
+            roots = np.asarray(univariate_roots(coeffs), dtype=complex)
         except RootConvergenceError as err:
-            roots = err.roots
-        candidates = [_phase_normalized(p) for p in a + np.outer(roots, b)
-                      if np.linalg.norm(p) >= 1e-12]
-        if candidates:
-            residuals = np.abs(J.evaluate(np.array(candidates)))
-            points += [p for p, r in zip(candidates, residuals)
-                       if r <= LINE_RESIDUAL_TOL * 2.0 ** deg]
+            roots = np.asarray(err.roots, dtype=complex)
+        # Newton on J itself, with the interpolant's slope: the interpolant
+        # carries noise of eps * max |J| on the nodes, which near the origin
+        # (where some lines pass) is far above J and moves its roots
+        j = _jacobian_dets(jac, a + roots[:, None] * b)[0]
+        slopes = np.polyder(coeffs[::-1])
+        for _ in range(2):
+            slope = np.polyval(slopes, roots)
+            stepped = roots - j / np.where(slope != 0, slope, 1.0)
+            j_stepped = _jacobian_dets(jac, a + stepped[:, None] * b)[0]
+            better = np.abs(j_stepped) < np.abs(j)
+            roots, j = np.where(better, stepped, roots), np.where(better, j_stepped, j)
+        x = a + roots[:, None] * b
+        norms = np.linalg.norm(x, axis=1)
+        # J is homogeneous: |J(x / ||x||)| = |J(x)| / ||x||^deg
+        kept = (norms >= 1e-12) & (np.abs(j) <= LINE_RESIDUAL_TOL * 2.0 ** deg * norms ** deg)
+        points += [_phase_normalized(p) for p in x[kept]]
     return points
 
 
@@ -379,9 +418,10 @@ def _survey_one_map(degrees, map_seed: int, line_seed: int, lines: int,
                     tol: float) -> list[dict]:
     F = random_map(degrees, seed=map_seed, kind=COMPLEX)
     deg_j = sum(d - 1 for d in degrees)
+    points = critical_points_on_lines(F, lines, line_seed)
+    verdicts = _classify_at(F, points, (tol, tol * 10.0, tol / 10.0), DEFAULT_KMAX)
     records = []
-    for p in critical_points_on_lines(F, lines, line_seed):
-        main, *others = _classify_at(F, p, (tol, tol * 10.0, tol / 10.0), DEFAULT_KMAX)
+    for p, (main, *others) in zip(points, verdicts):
         stable = all(v.label == main.label for v in others)
         mult = ray_multiplicity(F, p)
         records.append({
@@ -399,9 +439,10 @@ def survey(degrees: Sequence[int], maps: int, lines: int, seed: int,
            tol: float = DEFAULT_TOL) -> SurveyReport:
     """Classify line-sampled critical points of `maps` random maps.
 
-    Each point is decided at tol, tol*10 and tol/10 on one set of jets (points
-    whose verdict moves are counted as unstable), annotated with its ray
-    multiplicity, and rolled into a histogram.  For n = 4 the report carries
+    Each point is decided at tol, tol*10 and tol/10 on one set of tower
+    values (points whose verdict moves are counted as unstable), annotated
+    with its ray multiplicity, and rolled into a histogram; a map's partials
+    are evaluated once, on all of its points.  For n = 4 the report carries
     the count of off-origin points outside the expected {A_1, A_2, A_3} menu;
     all sampled points sit at unit norm, so the off-origin filter (norm >
     1e-6) is vacuous-by-construction but kept explicit.  Identical arguments

@@ -20,9 +20,10 @@ from morin_census import (
     univariate_roots,
 )
 from morin_census.maps import jdet
+from morin_census import sampler
 from morin_census.morin import DEFAULT_TOL
 from morin_census.polynomials import PolyMatrix
-from morin_census.sampler import _restrict_coeffs
+from morin_census.sampler import LINE_RESIDUAL_TOL, _restrict_coeffs
 
 
 # ------------------------------------------------------------- root finder
@@ -149,6 +150,47 @@ def test_critical_points_land_on_the_cone():
         assert abs(J.evaluate(arr)) < 1e-7
 
 
+@pytest.mark.parametrize("degrees, map_seed", [((2, 2, 2, 2), 3), ((2, 3, 5, 7), 5)])
+def test_critical_points_match_the_jdet_oracle(monkeypatch, degrees, map_seed):
+    """On the same lines, the points interpolated from det dF are the roots of
+    the symbolic jdet(F) restricted to each line: as many of them, each within
+    1e-9 of an oracle root's ray, and each passing the residual rule on jdet."""
+    lines = []
+    original = sampler._line_nodes
+
+    def recorded(q1, q2, degree):
+        lines.append((q1, q2))
+        return original(q1, q2, degree)
+
+    monkeypatch.setattr(sampler, "_line_nodes", recorded)
+    F = random_map(degrees, seed=map_seed, kind="complex")
+    pts = critical_points_on_lines(F, lines=3, seed=7)
+    monkeypatch.undo()
+    J = jdet(F)
+    assert len(lines) == 3
+    rays = []
+    for a, b in lines:
+        for t in univariate_roots(_restrict_coeffs(J, a, b)):
+            q = a + t * b
+            rays.append(q / np.linalg.norm(q))
+    assert len(pts) == len(rays) == 3 * J.total_degree()
+    for p in pts:
+        p = np.asarray(p)
+        gap = min(np.linalg.norm(p - q * np.vdot(q, p)) for q in rays)
+        assert gap <= 1e-9
+        assert abs(J.evaluate(p)) <= LINE_RESIDUAL_TOL * 2.0 ** J.total_degree()
+
+
+def test_critical_points_reject_identically_zero_jdet():
+    """A map whose second component repeats its first has J = 0 everywhere:
+    slicing its critical cone is an error, not a list of every node."""
+    F = random_map((2, 2, 2, 2), seed=3, kind="complex")
+    f1, _, f3, f4 = F.components
+    G = HomogeneousMap((2, 2, 2, 2), (f1, f1, f3, f4))
+    with pytest.raises(ValueError, match="identically zero"):
+        critical_points_on_lines(G, lines=2, seed=11)
+
+
 def test_critical_points_deterministic():
     """Same seed, same points, bitwise."""
     F = random_map((2, 2, 2, 2), seed=3, kind="complex")
@@ -267,6 +309,24 @@ def test_survey_rejects_fractional_degrees():
     """A fractional degree is an error, not a truncated tuple."""
     with pytest.raises(ValueError, match="2.5"):
         survey((2.5, 3, 5, 7), maps=1, lines=1, seed=3)
+
+
+def test_survey_of_folds_builds_no_determinant_polynomial(monkeypatch):
+    """J on the lines and level 1 at float points come from evaluated partials:
+    a survey whose points all stop at level 1 (seed 1: 13 A1 points) calls
+    PolyMatrix.det not at all, where the symbolic path made jdet plus five
+    level-1 jet determinants per point."""
+    calls = []
+    original = PolyMatrix.det
+
+    def counted(self, max_degree=None):
+        calls.append(max_degree)
+        return original(self, max_degree)
+
+    monkeypatch.setattr(PolyMatrix, "det", counted)
+    rep = survey((2, 3, 5, 7), maps=1, lines=1, seed=1)
+    assert rep.histogram == {"A1": 13} and rep.unstable == 0
+    assert calls == []
 
 
 def test_survey_builds_each_jet_once(monkeypatch):
