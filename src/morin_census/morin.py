@@ -201,7 +201,7 @@ def _linear_rows(jets: Sequence[Polynomial]) -> list[list]:
 
 
 def _evaluated(jac: PolyMatrix, points) -> np.ndarray:
-    """A square polynomial matrix at each of the (N, n) float points: an (N, n, n) array.
+    """A polynomial matrix at each of the (N, n) float points: an (N, rows, cols) array.
 
     Each entry goes through one ``Polynomial.evaluate`` over all the points.
     """

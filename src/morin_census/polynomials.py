@@ -191,10 +191,26 @@ class Polynomial:
             if c == 0:
                 return self.zero_like()
             return Polynomial(self.n_vars, {e: v * c for e, v in self.terms.items()}, self.kind)
+        return self._product(other, None)
+
+    __rmul__ = __mul__
+
+    def _product(self, other: "Polynomial", max_degree: int | None) -> "Polynomial":
+        """The one product loop: every pair of terms, or with `max_degree` set only
+        the pairs whose total degree stays at or below it."""
         self._check_compatible(other)
+        right = list(other.terms.items())
+        if max_degree is not None:
+            degrees = [sum(e) for e in other.terms]
         out: dict[Exponents, Scalar] = {}
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
+            partners = right
+            if max_degree is not None:
+                room = max_degree - sum(e1)
+                if room < 0:
+                    continue
+                partners = [term for term, d in zip(right, degrees) if d <= room]
+            for e2, c2 in partners:
                 e = tuple(a + b for a, b in zip(e1, e2))
                 s = out.get(e, 0) + c1 * c2
                 if s == 0:
@@ -202,8 +218,6 @@ class Polynomial:
                 else:
                     out[e] = s
         return Polynomial(self.n_vars, out, self.kind)
-
-    __rmul__ = __mul__
 
     def __pow__(self, k: int):
         if k < 0:
@@ -217,25 +231,9 @@ class Polynomial:
             k >>= 1
         return result
 
-    def mul_truncated(self, other: "Polynomial", max_degree: int) -> "Polynomial":
-        """Product with every term of total degree > max_degree discarded."""
-        self._check_compatible(other)
-        out: dict[Exponents, Scalar] = {}
-        for e1, c1 in self.terms.items():
-            d1 = sum(e1)
-            if d1 > max_degree:
-                continue
-            room = max_degree - d1
-            for e2, c2 in other.terms.items():
-                if sum(e2) > room:
-                    continue
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, 0) + c1 * c2
-                if s == 0:
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return Polynomial(self.n_vars, out, self.kind)
+    def mul_truncated(self, other: "Polynomial", max_degree: int | None) -> "Polynomial":
+        """Product with every term of total degree > max_degree discarded (none if None)."""
+        return self._product(other, max_degree)
 
     # ---------------------------------------------------------------- calculus
     def partial(self, i: int) -> "Polynomial":
@@ -485,10 +483,7 @@ class PolyMatrix:
                 if not a.is_zero():
                     sub = minor(r + 1, cols - {j})
                     if not sub.is_zero():
-                        if max_degree is None:
-                            prod = a * sub
-                        else:
-                            prod = a.mul_truncated(sub, max_degree)
+                        prod = a.mul_truncated(sub, max_degree)
                         total = total + (prod if sign > 0 else -prod)
                 sign = -sign
             cache[key] = total

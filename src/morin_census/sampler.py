@@ -4,7 +4,8 @@ The critical set of a homogeneous map is a cone of (projective) dimension
 n - 2, so random affine lines hit it in deg J = sum(d_i - 1) isolated points.
 This module locates those points (interpolate J on a line from det dF at
 deg J + 1 nodes, solve one univariate polynomial), hunts the codimension-2
-cusp stratum with bivariate resultant elimination on random affine 2-planes,
+cusp stratum with bivariate resultant elimination on random affine 2-planes
+(one batched Newton polish per plane, one classification pass per hunt),
 classifies everything with the Morin classifier, and aggregates survey
 statistics: the expected picture for a generic map is that every off-origin
 singular point is A_1, A_2 or A_3, with random line samples almost surely
@@ -13,7 +14,8 @@ landing on the A_1 stratum.
 All numerics are deterministic for a fixed seed: polynomial restriction uses
 roots-of-unity interpolation (an inverse FFT), root finding takes the
 eigenvalues of the companion matrix and checks them against the evaluation
-envelope, and the survey derives per-map sub-seeds from a SeedSequence and
+envelope (the slicers keep estimates that miss it, and their residual tests
+decide), and the survey derives per-map sub-seeds from a SeedSequence and
 runs the maps in order.
 """
 
@@ -26,8 +28,8 @@ from typing import Sequence
 import numpy as np
 
 from .maps import HomogeneousMap, jacobian, random_map, ray_multiplicity, validate_degrees
-from .morin import DEFAULT_KMAX, DEFAULT_TOL, _chain, _classify_at, _evaluated, classify
-from .polynomials import COMPLEX, Polynomial
+from .morin import DEFAULT_KMAX, DEFAULT_TOL, _chain, _classify_at, _evaluated
+from .polynomials import COMPLEX, Polynomial, PolyMatrix
 from .properness import sylvester_matrix
 
 __all__ = [
@@ -82,11 +84,11 @@ def univariate_roots(p) -> list[complex]:
     stable), polished by three Newton steps each kept only when it shrinks
     the residual.  There is no iteration budget: the roots are accepted only
     when every residual clears the evaluation envelope,
-    |p(z)| <= ROOT_TOL * sum_k |a_k| |z|^k -- the scale floating-point
-    evaluation itself lives at -- and otherwise RootConvergenceError carries
-    the polished estimates, the roots at 0 included.  Multiple roots come
-    back as a cluster whose radius grows like eps^(1/m) -- accuracy, not
-    validity, degrades there, and the residual test still passes.
+    |p(z)| <= ROOT_TOL * sum_k |a_k| |z|^k (on the reversed polynomial at 1/z
+    where |z| > 1), the scale floating-point evaluation itself lives at --
+    and otherwise RootConvergenceError carries the polished estimates, the
+    roots at 0 included.  Multiple roots come back as a cluster whose radius
+    grows like eps^(1/m) -- accuracy, not validity, degrades there.
     """
     coeffs = _ascending_coeffs(p)
     scale = float(np.max(np.abs(coeffs))) if coeffs.size else 0.0
@@ -104,22 +106,39 @@ def univariate_roots(p) -> list[complex]:
     desc = (coeffs / coeffs[-1])[::-1]       # monic, descending for np.polyval
     z = np.roots(desc)
     dp = np.polyder(desc)
-    for _ in range(3):
-        vals = np.polyval(desc, z)
-        slopes = np.polyval(dp, z)
-        safe = np.abs(slopes) > 1e-30
-        step = np.where(safe, vals / np.where(safe, slopes, 1.0), 0.0)
-        candidate = z - step
-        better = np.abs(np.polyval(desc, candidate)) < np.abs(vals)
-        z = np.where(better, candidate, z)
-    # negated <= so that a NaN residual or envelope counts as outside
-    outside = ~(np.abs(np.polyval(desc, z))
-                <= ROOT_TOL * np.polyval(np.abs(desc), np.abs(z)))
+    # far out a slope or a stepped value may overflow to inf/nan: no step then
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(3):
+            vals = np.polyval(desc, z)
+            slopes = np.polyval(dp, z)
+            safe = np.abs(slopes) > 1e-30
+            step = np.where(safe, vals / np.where(safe, slopes, 1.0), 0.0)
+            candidate = z - step
+            better = np.abs(np.polyval(desc, candidate)) < np.abs(vals)
+            z = np.where(better, candidate, z)
+    # where |z| > 1 test the reversed polynomial at 1/z: both sides shrink by
+    # |z|^degree, so nothing overflows; a NaN counts as outside (negated <=)
+    inner = np.abs(z) <= 1.0
+    w = np.where(inner, z, 1.0 / np.where(inner, 1.0, z))
+    clears = [np.abs(np.polyval(c, w)) <= ROOT_TOL * np.polyval(np.abs(c), np.abs(w))
+              for c in (desc, desc[::-1])]
+    outside = ~np.where(inner, *clears)
     if np.any(outside):
         raise RootConvergenceError(
             f"{int(np.sum(outside))} of {degree} roots miss the evaluation envelope",
             at_origin + list(z))
     return at_origin + [complex(v) for v in z]
+
+
+def _roots(coeffs) -> np.ndarray:
+    """The slicers' roots of ascending `coeffs`: estimates that miss the envelope
+    are kept for the caller's residual test, and nothing left to solve gives none."""
+    try:
+        return np.asarray(univariate_roots(coeffs), dtype=complex)
+    except RootConvergenceError as err:
+        return np.asarray(err.roots, dtype=complex)
+    except ValueError:
+        return np.empty(0, dtype=complex)
 
 
 # ---------------------------------------------------------------- line slicing
@@ -221,10 +240,7 @@ def critical_points_on_lines(F: HomogeneousMap, lines: int, seed: int) -> list[t
         if np.all(np.abs(values) <= F.n * np.finfo(float).eps * hadamard):
             raise ValueError("jdet(F) is identically zero; no critical cone to sample")
         coeffs = _interpolate(values)
-        try:
-            roots = np.asarray(univariate_roots(coeffs), dtype=complex)
-        except RootConvergenceError as err:
-            roots = np.asarray(err.roots, dtype=complex)
+        roots = _roots(coeffs)
         # Newton on J itself, with the interpolant's slope: the interpolant
         # carries noise of eps * max |J| on the nodes, which near the origin
         # (where some lines pass) is far above J and moves its roots
@@ -259,95 +275,79 @@ def plane_section_solutions(P1: Polynomial, P2: Polynomial, planes: int,
 
     Per plane: restrict both polynomials to x = q0 + u*q1 + v*q2, eliminate v
     with per-sample Sylvester determinants interpolated into the resultant
-    R(u) (degree <= deg P1 * deg P2 by Bezout), solve R, back-substitute for
-    v, then polish each (u, v) candidate with Newton on the restricted 2x2
-    system.  Survivors are reported at unit norm with both absolute residuals
-    |P_k(point)|; anything above 1e-9 is dropped.
+    R(u) (degree <= deg P1 * deg P2 by Bezout), solve R, solve for v at each
+    root u, and polish all the (u, v) pairs at once with up to 20 Newton
+    steps on the restricted 2x2 system.  Survivors are reported at unit norm
+    with both absolute residuals |P_k(point)|; anything above 1e-9 is dropped.
     """
     n = P1.n_vars
     d1, d2 = P1.total_degree(), P2.total_degree()
     if d1 is None or d2 is None or d1 < 1 or d2 < 1:
         raise ValueError("plane sections need two nonconstant polynomials")
-    grads1 = P1.gradient()
-    grads2 = P2.gradient()
+    system = PolyMatrix.from_rows([[P] + P.gradient() for P in (P1, P2)])
+    # a candidate stops once |P_k| <= 1e-15 * max|coefficient of P_k| * (1 + ||x||)^d_k
+    scales = 1e-15 * np.array([max(abs(c) for c in P.terms.values()) for P in (P1, P2)])
+    u_nodes = np.exp(2j * np.pi * np.arange(d1 * d2 + 1) / (d1 * d2 + 1))
+
+    def restricted(base, direction):      # ascending coefficients of P1 and P2 on the line
+        return [_interpolate(P.evaluate(_line_nodes(base, direction, d)))
+                for P, d in ((P1, d1), (P2, d2))]
+
     rng = np.random.default_rng(seed)
     out: list[SectionSolution] = []
+    rays = np.empty((0, n), dtype=complex)
     for _ in range(planes):
         for _attempt in range(20):
-            q0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            q1 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            q2 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            q0, q1, q2 = (rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(3))
             # leading v-coefficients are the top forms at q2: constant in u
-            lead1 = _restrict_coeffs(P1, q0, q2)[-1]
-            lead2 = _restrict_coeffs(P2, q0, q2)[-1]
-            if abs(lead1) > 1e-8 and abs(lead2) > 1e-8:
+            if all(abs(c[-1]) > 1e-8 for c in restricted(q0, q2)):
                 break
         else:
             continue
-        bezout = d1 * d2
-        u_nodes = np.exp(2j * np.pi * np.arange(bezout + 1) / (bezout + 1))
         dets = []
         for u in u_nodes:
-            c1 = _restrict_coeffs(P1, q0 + u * q1, q2)[::-1]
-            c2 = _restrict_coeffs(P2, q0 + u * q1, q2)[::-1]
-            rows = sylvester_matrix(list(c1), list(c2))
+            c1, c2 = restricted(q0 + u * q1, q2)
+            rows = sylvester_matrix(list(c1[::-1]), list(c2[::-1]))
             dets.append(np.linalg.det(np.array(rows, dtype=complex)))
-        dets = np.array(dets, dtype=complex)
         det_scale = float(np.max(np.abs(dets)))
         if det_scale == 0.0:
             continue        # the two curves look non-transverse on this plane
+        pairs = []
         # constant rescaling keeps the roots and tames the huge determinant
         # magnitudes a product of d1 + d2 sample values can reach
-        r_coeffs = np.fft.fft(dets / det_scale) / len(dets)
-        if float(np.max(np.abs(r_coeffs))) < 1e-13:
-            continue
-        try:
-            u_roots = univariate_roots(r_coeffs)
-        except (RootConvergenceError, ValueError):
-            continue
-        coeff_scale1 = max(abs(c) for c in P1.terms.values())
-        coeff_scale2 = max(abs(c) for c in P2.terms.values())
-        for u in u_roots:
-            c1u = _restrict_coeffs(P1, q0 + u * q1, q2)
-            c2u = _restrict_coeffs(P2, q0 + u * q1, q2)
-            env1 = np.abs(c1u)[::-1]
-            try:
-                v_roots = univariate_roots(c2u)
-            except (RootConvergenceError, ValueError):
-                continue
-            for v in v_roots:
-                # spurious pairings from the elimination fail this test by a
-                # wide relative margin; true pairs sit near the rounding floor
-                # of the evaluation envelope sum_k |c_k| |v|^k
-                if abs(np.polyval(np.asarray(c1u)[::-1], v)) > \
-                        1e-6 * np.polyval(env1, abs(v)):
-                    continue
-                uu, vv = u, v
-                for _ in range(20):
-                    x = q0 + uu * q1 + vv * q2
-                    f = np.array([P1.evaluate(x), P2.evaluate(x)], dtype=complex)
-                    grow = (1.0 + float(np.linalg.norm(x)))
-                    if abs(f[0]) <= 1e-15 * coeff_scale1 * grow ** d1 and \
-                            abs(f[1]) <= 1e-15 * coeff_scale2 * grow ** d2:
-                        break
-                    jac = np.array([[g.evaluate(x) for g in grads]
-                                    for grads in (grads1, grads2)]) @ np.array([q1, q2]).T
-                    try:
-                        step = np.linalg.solve(jac, -f)
-                    except np.linalg.LinAlgError:
-                        break
-                    uu, vv = uu + step[0], vv + step[1]
-                x = np.asarray(q0 + uu * q1 + vv * q2, dtype=complex)
-                if np.linalg.norm(x) < 1e-8:
-                    continue
-                candidate = _phase_normalized(x)
-                res = (abs(P1.evaluate(candidate)), abs(P2.evaluate(candidate)))
-                if max(res) >= CUSP_RESIDUAL_TOL:
-                    continue
-                if any(abs(1.0 - abs(np.vdot(np.asarray(candidate), np.asarray(s.point))))
-                       < 1e-8 for s in out):
-                    continue     # projective duplicate of an earlier solution
-                out.append(SectionSolution(candidate, res))
+        for u in _roots(_interpolate(np.array(dets) / det_scale)):
+            c1, c2 = restricted(q0 + u * q1, q2)
+            v = _roots(c2)
+            # spurious pairings from the elimination fail this test by a wide
+            # relative margin; true pairs sit near the rounding floor of the
+            # evaluation envelope sum_k |c_k| |v|^k
+            paired = (np.abs(np.polyval(c1[::-1], v))
+                      <= 1e-6 * np.polyval(np.abs(c1[::-1]), np.abs(v)))
+            pairs += [(u, root) for root in v[paired]]
+        uv = np.array(pairs, dtype=complex).reshape(-1, 2)
+        plane = np.array([q1, q2])                    # dx / d(u, v)
+        moving = np.arange(len(uv))
+        for _ in range(20):
+            x = q0 + uv[moving] @ plane
+            values = _evaluated(system, x)            # row k: P_k and its gradient
+            f, jac = values[:, :, 0], values[:, :, 1:] @ plane.T
+            bound = scales * (1.0 + np.linalg.norm(x, axis=1))[:, None] ** [d1, d2]
+            # a candidate also stops on a singular system
+            keep = ~np.all(np.abs(f) <= bound, axis=1) & (np.linalg.det(jac) != 0.0)
+            moving, f, jac = moving[keep], f[keep], jac[keep]
+            if not moving.size:
+                break
+            uv[moving] += np.linalg.solve(jac, -f[..., None])[..., 0]
+        x = q0 + uv @ plane
+        points = np.array([_phase_normalized(p) for p in x[np.linalg.norm(x, axis=1) >= 1e-8]],
+                          dtype=complex).reshape(-1, n)
+        residuals = np.abs([P1.evaluate(points), P2.evaluate(points)]).T
+        small = np.max(residuals, axis=1) < CUSP_RESIDUAL_TOL
+        for p, res in zip(points[small], residuals[small]):
+            if np.any(np.abs(1.0 - np.abs(rays.conj() @ p)) < 1e-8):
+                continue     # projective duplicate of an earlier solution
+            rays = np.vstack([rays, p])
+            out.append(SectionSolution(tuple(complex(c) for c in p), tuple(map(float, res))))
     return out
 
 
@@ -358,9 +358,10 @@ def cusp_points(F: HomogeneousMap, planes: int, seed: int) -> list[SectionSoluti
     zero; the Morin chains are pulled one at a time, stopping at i*.  The
     variety {J = J_{1,i*} = 0} also contains fold points where the left-kernel
     covector of dF has vanishing i*-th coordinate (there J_{1,i} vanishes for
-    the wrong reason), so every polished candidate is classified and only
-    genuine A_2 points (at DEFAULT_TOL) are returned; rejects are discarded,
-    and an all-rejected plane budget simply yields an empty list.
+    the wrong reason), so the polished candidates are classified, all in one
+    pass over F's partials, and only genuine A_2 points (at DEFAULT_TOL) are
+    returned; rejects are discarded, and an all-rejected plane budget simply
+    yields an empty list.
     """
     if F.n != 4:
         raise ValueError("cusp hunting is implemented for n = 4")
@@ -372,11 +373,8 @@ def cusp_points(F: HomogeneousMap, planes: int, seed: int) -> list[SectionSoluti
     if level1 is None:
         return []
     solutions = plane_section_solutions(J, level1, planes, seed)
-    kept = []
-    for sol in solutions:
-        if classify(Fc, sol.point).is_morin(2):
-            kept.append(sol)
-    return kept
+    verdicts = _classify_at(Fc, [s.point for s in solutions], (DEFAULT_TOL,), DEFAULT_KMAX)
+    return [s for s, (verdict,) in zip(solutions, verdicts) if verdict.is_morin(2)]
 
 
 # ---------------------------------------------------------------- survey

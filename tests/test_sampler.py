@@ -20,7 +20,7 @@ from morin_census import (
     univariate_roots,
 )
 from morin_census.maps import jdet
-from morin_census import sampler
+from morin_census import morin, sampler
 from morin_census.morin import DEFAULT_TOL
 from morin_census.polynomials import PolyMatrix
 from morin_census.sampler import LINE_RESIDUAL_TOL, _restrict_coeffs
@@ -106,15 +106,29 @@ def test_roots_reject_constant():
         univariate_roots([0.0])
 
 
-def test_nonconvergence_carries_partial_roots():
-    """Coefficients spanning 100 orders of magnitude put some root outside the
-    envelope; the error still exposes every estimate left after the trim."""
-    rng = np.random.default_rng(3)
-    c = (rng.standard_normal(41) + 1j * rng.standard_normal(41)) \
-        * 10.0 ** rng.uniform(-50, 50, 41)
-    with pytest.raises(RootConvergenceError) as exc:
-        univariate_roots(c)
-    assert len(exc.value.roots) == 36
+def test_nonconvergence_carries_partial_roots(monkeypatch):
+    """Eigenvalues all 10 off the roots 1..8 stay off them after three Newton
+    steps, so every root misses the envelope; the error still exposes every
+    estimate, the two exact zeros at the origin included."""
+    original = np.roots
+    monkeypatch.setattr(np, "roots", lambda desc: original(desc) + 10.0)
+    with pytest.raises(RootConvergenceError, match="8 of 8") as exc:
+        univariate_roots([0.0, 0.0, *np.poly(range(1, 9))[::-1]])
+    assert len(exc.value.roots) == 10 and exc.value.roots[:2] == (0j, 0j)
+
+
+@pytest.mark.filterwarnings("error")
+def test_envelope_of_a_huge_root_does_not_overflow():
+    """1 + z^103 + 1.01e-12 z^104 has a root near -1/1.01e-12: |z|^104
+    overflows a double, so the envelope is tested on the reversed polynomial
+    at 1/z there, and the root clears it without a floating-point warning."""
+    c = np.zeros(105)
+    c[0], c[103], c[104] = 1.0, 1.0, 1.01e-12
+    roots = np.array(univariate_roots(c))
+    assert len(roots) == 104
+    big = roots[np.argmax(np.abs(roots))]
+    assert abs(big + 1 / 1.01e-12) < 1e-6 * abs(big)
+    assert np.all(np.abs(np.delete(roots, np.argmax(np.abs(roots)))) < 1.1)
 
 
 # ------------------------------------------------------------- line slicing
@@ -200,30 +214,58 @@ def test_critical_points_deterministic():
 
 
 # ------------------------------------------------------------- plane slicing
-def test_plane_sections_recover_known_projective_zeros():
-    """{x1^2 - x2 x3, x2^2 - x1 x3} has four rays; slicing finds them all."""
-    P1 = Polynomial(3, {(2, 0, 0): 1, (0, 1, 1): -1}, kind="complex")
-    P2 = Polynomial(3, {(0, 2, 0): 1, (1, 0, 1): -1}, kind="complex")
-    sols = plane_section_solutions(P1, P2, planes=3, seed=1)
+def _four_known_rays_found(sols) -> int:
+    """How many of the four rays of {x1^2 - x2 x3, x2^2 - x1 x3} are among `sols`."""
     omega = np.exp(2j * np.pi / 3)
     expected = [np.array([0, 0, 1.0])]
     for k in range(3):
         v = np.array([1.0, omega ** k, omega ** (2 * k)])
         expected.append(v / np.linalg.norm(v))
-    found = 0
-    for e in expected:
-        for s in sols:
-            if abs(abs(np.vdot(e, np.asarray(s.point))) - 1) < 1e-6:
-                found += 1
-                break
-    assert found == 4
+    return sum(any(abs(abs(np.vdot(e, np.asarray(s.point))) - 1) < 1e-6 for s in sols)
+               for e in expected)
+
+
+_P1 = Polynomial(3, {(2, 0, 0): 1, (0, 1, 1): -1}, kind="complex")
+_P2 = Polynomial(3, {(0, 2, 0): 1, (1, 0, 1): -1}, kind="complex")
+
+
+def test_plane_sections_recover_known_projective_zeros():
+    """{x1^2 - x2 x3, x2^2 - x1 x3} has four rays; slicing finds them all."""
+    sols = plane_section_solutions(_P1, _P2, planes=3, seed=1)
+    assert _four_known_rays_found(sols) == 4
     assert all(max(s.residuals) < 1e-9 for s in sols)
 
 
-def test_cusp_points_all_classify_a2():
-    """Every returned cusp candidate on a cubic map re-classifies as A2."""
+def test_plane_sections_keep_roots_that_miss_the_envelope(monkeypatch):
+    """A root solve that raises RootConvergenceError still hands its estimates
+    on, and the residual test decides: with every u- and v-solve raising on
+    the true roots, the four rays are still found."""
+    original = sampler.univariate_roots
+
+    def raising(coeffs):
+        raise RootConvergenceError("forced", original(coeffs))
+
+    monkeypatch.setattr(sampler, "univariate_roots", raising)
+    sols = plane_section_solutions(_P1, _P2, planes=3, seed=1)
+    assert _four_known_rays_found(sols) == 4
+    assert all(max(s.residuals) < 1e-9 for s in sols)
+
+
+def test_cusp_points_all_classify_a2(monkeypatch):
+    """Every returned cusp candidate on a cubic map re-classifies as A2, and
+    the hunt classifies all its candidates in one pass over F's partials."""
+    calls = []
+    original = morin._level_one
+
+    def counted(components, points):
+        calls.append(len(points))
+        return original(components, points)
+
+    monkeypatch.setattr(morin, "_level_one", counted)
     F = random_map((3, 3, 3, 3), seed=2, kind="complex")
     sols = cusp_points(F, planes=2, seed=9)
+    monkeypatch.undo()
+    assert len(calls) == 1 and calls[0] >= len(sols)
     assert sols, "expected at least one cusp point"
     for s in sols:
         assert max(s.residuals) < 1e-9
