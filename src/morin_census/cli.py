@@ -97,7 +97,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--out", default=None, help="write output to this path")
         if "tol" in used:
             p.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                           help="float classification tolerance")
+                           help="relative tolerance of the float classification rule")
 
     p = sub.add_parser("gen", help="generate a random homogeneous map")
     p.add_argument("--degrees", required=True)

@@ -32,6 +32,12 @@ grad J(p)_k = tr(adj dF(p) . d_k dF(p)), and expanding the replaced row gives
 the whole level J_{1,.}(p) = grad J(p) @ adj dF(p); the adjugate comes from
 the SVD, which stays accurate at J(p) ~ 0.  Exact points read dF(p) off their
 jets and keep exact arithmetic throughout.
+
+One scale-free rule decides a float point: p is regular exactly when no
+singular value of dF(p) is at or below tol * sigma_1, and J_{r,i}(p) =
+grad J_{r-1,i}(p) . adj dF(p)[:, i] vanishes when it is at most tol times its
+Cauchy-Schwarz bound ||grad J_{r-1,i}(p)|| * ||adj dF(p)||_2, where
+||adj dF(p)||_2 = sigma_1 ... sigma_{n-1}.  Exact points use exact rank and 0.
 """
 
 from __future__ import annotations
@@ -132,19 +138,22 @@ def morin_tower(F, k_max: int = DEFAULT_KMAX) -> MorinTower:
 
 # ---------------------------------------------------------------- jet evaluation
 def _tower_values_at(jets: Sequence[Polynomial], k: int):
-    """J(p) and the values J_{r,i}(p) for r <= k, from the order-(k+1) jets at p.
+    """J(p), the values J_{r,i}(p) and the norms ||grad J_{r-1,i}(p)|| for r <= k,
+    from the order-(k+1) jets at p (J_{0,i} = J).
 
     Truncating level r past total degree k - r keeps every intermediate
-    polynomial tiny and its constant term exact (exact arithmetic in the
+    polynomial tiny and the terms read off it exact (exact arithmetic in the
     rational kind, plain floating error otherwise -- no truncation error
     either way).
     """
     jac = jacobian(GeneralMap(jets))
     origin = (0,) * len(jets)
     base = jac.det(max_degree=k)
-    chains = [[L.coefficient(origin) for L in _chain(jac, base, i, k, cap=k)]
-              for i in range(len(jets))]
-    return base.coefficient(origin), [list(row) for row in zip(*chains)]
+    chains = [[base, *_chain(jac, base, i, k, cap=k)] for i in range(len(jets))]
+    values = [[L.coefficient(origin) for L in chain[1:]] for chain in chains]
+    norms = [[math.hypot(*map(abs, g)) for g in _linear_rows(chain[:-1])] for chain in chains]
+    return (base.coefficient(origin), [list(r) for r in zip(*values)],
+            [list(r) for r in zip(*norms)])
 
 
 # ---------------------------------------------------------------- classification
@@ -175,28 +184,15 @@ class SingularityClass:
         return out
 
 
-def _degree_bounds(components: Sequence[Polynomial], k_max: int):
-    """Degree bounds for J and each tower level, for scale-aware thresholds."""
-    degs = [max(f.total_degree() or 0, 1) for f in components]
-    s = sum(d - 1 for d in degs)
-    base = s
-    levels = [[max(s + k * (s - d), 0) for d in degs] for k in range(1, k_max + 1)]
-    return base, levels
-
-
-def _threshold(tol: float, p, degree: int) -> float:
-    norm = math.sqrt(sum(abs(complex(v)) ** 2 for v in p))
-    return tol * (1.0 + norm) ** degree
-
-
 def _is_exact(components: Sequence[Polynomial], p) -> bool:
     return (components[0].kind == RATIONAL
             and all(isinstance(v, (int, Fraction)) for v in p))
 
 
 def _linear_rows(jets: Sequence[Polynomial]) -> list[list]:
-    """dF(p) read off the linear terms of the jets at an exact point p."""
-    units = [tuple(int(i == j) for i in range(len(jets))) for j in range(len(jets))]
+    """The gradient at p of each jet at p, read off its linear terms; dF(p) for F's jets."""
+    n = jets[0].n_vars if jets else 0
+    units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
     return [[g.coefficient(u) for u in units] for g in jets]
 
 
@@ -217,8 +213,8 @@ def _differential(components: Sequence[Polynomial], p) -> list[list]:
     return _evaluated(jacobian(GeneralMap(components)), [p])[0]
 
 
-def _level_one(components: Sequence[Polynomial], points) -> tuple[np.ndarray, np.ndarray]:
-    """dF(p) and the row [J_{1,i}(p)] at each of the (N, n) float points.
+def _level_one(components: Sequence[Polynomial], points):
+    """dF(p), the row [J_{1,i}(p)] and ||grad J(p)|| at each of the (N, n) float points.
 
     dF and the Hessians of F come from F's first and second partials, each
     evaluated once on all the points.  By Jacobi's formula grad J_k =
@@ -237,56 +233,45 @@ def _level_one(components: Sequence[Polynomial], points) -> tuple[np.ndarray, np
     adj = (phase[:, None, None] * vh.conj().transpose(0, 2, 1) * others[:, None, :]
            @ u.conj().transpose(0, 2, 1))
     grad = np.einsum("pab,pbak->pk", adj, hessians)
-    return differentials, np.einsum("pk,pki->pi", grad, adj)
+    return differentials, np.einsum("pk,pki->pi", grad, adj), np.linalg.norm(grad, axis=-1)
 
 
-def _corank(rows, exact: bool, tol: float) -> int:
-    """n - rank of an evaluated differential: exact row reduction or SVD."""
+def _corank(rows, exact: bool, tol: float) -> tuple[int, float | None]:
+    """n - rank of an evaluated differential, by exact row reduction or by the
+    SVD, and at a float point ||adj dF||_2 = sigma_1 ... sigma_{n-1}."""
     n = len(rows)
     if exact:
-        return n - exact_rank(rows)
-    a = np.array([[complex(v) for v in row] for row in rows], dtype=complex)
-    sv = np.linalg.svd(a, compute_uv=False)
-    top = sv[0] if len(sv) else 0.0
-    if top == 0.0:
-        return n
-    return n - int(np.sum(sv > tol * top))
+        return n - exact_rank(rows), None
+    sv = np.linalg.svd(np.array(rows, dtype=complex), compute_uv=False)
+    return n - int(np.sum(sv > tol * sv[0])), float(np.prod(sv[:-1]))
 
 
 def _verdict(components, p, base_value, differential, level_row, k_max,
              tol) -> SingularityClass:
     """The classification decision, given J(p), dF(p) and a level source.
 
-    ``level_row(r)`` returns the values [J_{r,i}(p)]; it is asked for
-    r = 1, 2, ... only until some level survives, so a lazy source pays for
-    the shallow verdicts alone.
+    Regular exactly at corank 0; only corank 1 climbs the tower, by the
+    module's vanish rule.  ``level_row(r)`` returns [J_{r,i}(p)] and
+    [||grad J_{r-1,i}(p)||]; it is asked for r = 1, 2, ... only until some
+    level survives, so a lazy source pays for the shallow verdicts alone.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     exact = _is_exact(components, p)
-    base_bound, level_bounds = _degree_bounds(components, k_max)
-
-    def vanishes(value, degree: int) -> bool:
-        if exact:
-            return value == 0
-        return abs(complex(value)) <= _threshold(tol, p, degree)
-
+    corank, adj_norm = _corank(differential, exact, tol)
     diag = {
         "abs_jdet": float(abs(complex(base_value))),
         "tol": None if exact else tol,
         "levels": {},
+        "corank": corank,
     }
-    if not vanishes(base_value, base_bound):
-        diag["corank"] = 0
-        return SingularityClass("regular", diagnostics=diag)
-    corank = _corank(differential, exact, tol)
-    diag["corank"] = corank
-    if corank >= 2:
-        return SingularityClass("corank_ge_2", diagnostics=diag)
+    if corank != 1:
+        return SingularityClass("regular" if corank == 0 else "corank_ge_2", diagnostics=diag)
     for r in range(1, k_max + 1):
-        row = level_row(r)
-        diag["levels"][str(r)] = float(max(abs(complex(v)) for v in row))
-        if any(not vanishes(v, level_bounds[r - 1][i]) for i, v in enumerate(row)):
+        values, norms = level_row(r)
+        diag["levels"][str(r)] = float(max(abs(complex(v)) for v in values))
+        if any(v != 0 if exact else abs(complex(v)) > tol * g * adj_norm
+               for v, g in zip(values, norms)):
             return SingularityClass("morin", k=r, diagnostics=diag)
     return SingularityClass("indeterminate", diagnostics=diag)
 
@@ -294,17 +279,17 @@ def _verdict(components, p, base_value, differential, level_row, k_max,
 def corank_at(F, p, tol: float = DEFAULT_TOL) -> int:
     """n - rank(dF(p)): exact row reduction for rational data, SVD otherwise."""
     components = _components_of(F)
-    return _corank(_differential(components, p), _is_exact(components, p), tol)
+    return _corank(_differential(components, p), _is_exact(components, p), tol)[0]
 
 
 def _classify_at(F, points, tols: Sequence[float], k_max: int) -> list[list[SingularityClass]]:
     """The verdicts at each point for each tolerance in `tols`.
 
-    At the float points, dF(p), J(p) and level 1 come from F's first and
-    second partials, evaluated once on all of those points (``_level_one``).
-    An exact point reads dF(p) and level 1 off its order-2 jets.  Level
-    r >= 2 comes from the order-(r+1) jets at p, built once, when the first
-    verdict at p reaches it.
+    At the float points, dF(p), J(p), level 1 and ||grad J(p)|| come from
+    F's first and second partials, evaluated once on all of those points
+    (``_level_one``).  An exact point reads dF(p) and level 1 off its order-2
+    jets.  Level r >= 2 and its norms come from the order-(r+1) jets at p,
+    built once, when the first verdict at p reaches it.
     """
     components = _components_of(F)
     floats = [p for p in points if not _is_exact(components, p)]
@@ -315,7 +300,8 @@ def _classify_at(F, points, tols: Sequence[float], k_max: int) -> list[list[Sing
         def level_row(r: int):
             if r not in levels:
                 jets = jets2 if r == 1 else [f.translate_truncated(p, r + 1) for f in components]
-                levels[r] = _tower_values_at(jets, r)[1][r - 1]
+                _, values, norms = _tower_values_at(jets, r)
+                levels[r] = values[r - 1], norms[r - 1]
             return levels[r]
 
         return [_verdict(components, p, base_value, rows, level_row, k_max, tol)
@@ -328,21 +314,24 @@ def _classify_at(F, points, tols: Sequence[float], k_max: int) -> list[list[Sing
             rows = _linear_rows(jets2)
             out.append(verdicts(p, rows, exact_det(rows), {}, jets2))
         else:
-            rows, first = next(float_rows)
-            out.append(verdicts(p, rows, complex(np.linalg.det(rows)), {1: list(first)}))
+            rows, first, grad_norm = next(float_rows)
+            out.append(verdicts(p, rows, complex(np.linalg.det(rows)),
+                                {1: (list(first), [grad_norm] * len(first))}))
     return out
 
 
 def classify(F, p, k_max: int = DEFAULT_KMAX, tol: float = DEFAULT_TOL) -> SingularityClass:
     """Singularity type of F at p.
 
-    Regular if J(p) != 0; corank >= 2 reported as such (the tower is blind
-    there); otherwise Morin(k) for the smallest k <= k_max with some
-    J_{k,i}(p) above the scale-aware tolerance, Indeterminate if none is.
-    Level r >= 2 comes from order-(r+1) Taylor jets at p, built only when the
-    decision gets that far.  At a float point dF(p), J(p) and level 1 come
-    from F's evaluated partials; exact inputs read them off the order-2 jets
-    and use exact zero tests throughout.
+    Regular if dF(p) has corank 0; corank >= 2 reported as such (the tower
+    is blind there); at corank 1, Morin(k) for the smallest k <= k_max with
+    some J_{k,i}(p) above tol times its bound ||grad J_{k-1,i}(p)|| *
+    ||adj dF(p)||_2, Indeterminate if none is.  The rank counts singular
+    values above tol * sigma_1, so multiplying F by a constant keeps the
+    verdict.  Level r >= 2 comes from order-(r+1) Taylor jets at p, built
+    only when the decision gets that far.  At a float point dF(p), J(p) and
+    level 1 come from F's evaluated partials; exact inputs read them off the
+    order-2 jets and use exact rank and zero tests throughout.
     """
     return _classify_at(F, [p], (tol,), k_max)[0][0]
 
@@ -355,15 +344,18 @@ def jet_tower_values(F, p, k_max: int = DEFAULT_KMAX):
     most points stop at level 1.
     """
     jets = [f.translate_truncated(p, k_max + 1) for f in _components_of(F)]
-    return _tower_values_at(jets, k_max)
+    return _tower_values_at(jets, k_max)[:2]
 
 
 def classify_from_values(F, p, base_value, level_values,
                          tol: float = DEFAULT_TOL) -> SingularityClass:
-    """The ``classify`` decision on precomputed tower values (k_max = their depth)."""
+    """The ``classify`` decision on precomputed tower values (k_max = their
+    depth); the norms ||grad J_{r-1,i}(p)|| come from the jets at p."""
     components = _components_of(F)
+    k = len(level_values)
+    norms = _tower_values_at([f.translate_truncated(p, k + 1) for f in components], k)[2]
     return _verdict(components, p, base_value, _differential(components, p),
-                    lambda r: level_values[r - 1], len(level_values), tol)
+                    lambda r: (level_values[r - 1], norms[r - 1]), k, tol)
 
 
 # ---------------------------------------------------------------- coordinate changes

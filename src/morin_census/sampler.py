@@ -220,8 +220,9 @@ def critical_points_on_lines(F: HomogeneousMap, lines: int, seed: int) -> list[t
     ``jdet(F)`` is never built.  J counts as identically zero, a ValueError,
     when every node value on a line is within rounding of zero: at most
     n * eps times the product of the row norms of dF, the Hadamard bound on
-    |det dF|.  Each root then takes two Newton steps on det dF itself, each
-    kept only where it shrinks |J|.  Points are returned at unit norm with
+    |det dF|.  Each root is then polished by Newton steps on det dF itself,
+    each kept only where it shrinks |J|, until no root's |J| shrinks (at most
+    20 steps).  Points are returned at unit norm with
     canonical phase (C(F) is a cone, so rays are what matter) and only when
     they pass the residual check |J(p)| <= 1e-8 * (1 + ||p||)^deg J.
     """
@@ -246,11 +247,13 @@ def critical_points_on_lines(F: HomogeneousMap, lines: int, seed: int) -> list[t
         # (where some lines pass) is far above J and moves its roots
         j = _jacobian_dets(jac, a + roots[:, None] * b)[0]
         slopes = np.polyder(coeffs[::-1])
-        for _ in range(2):
+        for _ in range(20):
             slope = np.polyval(slopes, roots)
             stepped = roots - j / np.where(slope != 0, slope, 1.0)
             j_stepped = _jacobian_dets(jac, a + stepped[:, None] * b)[0]
             better = np.abs(j_stepped) < np.abs(j)
+            if not better.any():
+                break
             roots, j = np.where(better, stepped, roots), np.where(better, j_stepped, j)
         x = a + roots[:, None] * b
         norms = np.linalg.norm(x, axis=1)

@@ -163,7 +163,9 @@ def test_float_level_one_matches_the_jet_tower():
     four normal forms at a float origin, before and after 5 unimodular
     conjugations each, and on 20 line-sampled critical points of a (2,3,5,7)
     map.  The scale is the row's size, or 1 where the jet row is exactly 0
-    (integer germs whose level 1 vanishes)."""
+    (integer germs whose level 1 vanishes).  The kernel's ||grad J(p)|| must
+    match the jet tower's level-1 norms, read off the linear terms of J in
+    all n variables, to 1e-12 of the larger of that norm and 1."""
     rng = np.random.default_rng(2024)
     cases = []
     for form in (fold_form(), cusp_form(), swallowtail_form(), corank2_form()):
@@ -178,12 +180,15 @@ def test_float_level_one_matches_the_jet_tower():
     cases.append((F.components, points))
     checked = 0
     for components, pts in cases:
-        _, rows = _level_one(components, pts)
-        for p, row in zip(pts, rows):
+        _, rows, grad_norms = _level_one(components, pts)
+        for p, row, grad_norm in zip(pts, rows, grad_norms):
             jets = [f.translate_truncated(p, 2) for f in components]
-            ref = np.array(_tower_values_at(jets, 1)[1][0], dtype=complex)
+            _, values, norms = _tower_values_at(jets, 1)
+            ref = np.array(values[0], dtype=complex)
             scale = max(float(np.max(np.abs(ref))), 1.0)
             assert np.max(np.abs(row - ref)) <= 1e-12 * scale, (p, row, ref)
+            assert norms[0] == [norms[0][0]] * 4, norms
+            assert abs(grad_norm - norms[0][0]) <= 1e-12 * max(norms[0][0], 1.0), (p, grad_norm)
             checked += 1
     assert checked == 24 + 20
 
@@ -220,12 +225,22 @@ def test_k_max_below_one_is_rejected():
 
 
 def test_classification_scale_invariant():
-    """Scaling the point along the fold cone does not change the verdict."""
+    """Scaling the point along the fold cone, or F itself, does not change the
+    verdict: the 13 line points of a (2,3,5,7) map stay A1 with F times 1e-2
+    and 1e2, and the float cusp normal form times 1e-3 stays A2 at 0."""
     F = random_map((2, 2, 2, 2), seed=8, kind="complex")
     G = GeneralMap(F.components)
     p = np.asarray(critical_points_on_lines(F, lines=1, seed=0)[0])
     for scale in (1.0, 10.0, 1000.0):
         assert classify(G, scale * p).label == "A1"
+    F = random_map((2, 3, 5, 7), seed=5, kind="complex")
+    points = critical_points_on_lines(F, lines=1, seed=0)
+    assert len(points) == 13
+    for scale in (1e-2, 1.0, 1e2):
+        G = GeneralMap(tuple(f * scale for f in F.components))
+        assert [classify(G, p).label for p in points] == ["A1"] * 13, scale
+    cusp = GeneralMap(tuple(f.as_complex() * 1e-3 for f in cusp_form().components))
+    assert classify(cusp, ORIGIN).label == "A2"
 
 
 def test_corank_at_exact_and_float():

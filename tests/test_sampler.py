@@ -385,3 +385,22 @@ def test_survey_builds_each_jet_once(monkeypatch):
     rep = survey((2, 3, 5, 7), maps=1, lines=1, seed=3)
     assert rep.points
     assert len(calls) < 2 * 4 * len(rep.points)
+
+
+@pytest.mark.parametrize("bench_seed, round_index",
+                         [(101, 4), (1201, 21), (1208, 34), (1702, 192), (1706, 212), (1701, 0)])
+def test_benchmark_survey_rounds(bench_seed, round_index):
+    """Survey rounds of the benchmark that once gave wrong labels: a fold
+    called A2 (101, 4), corank-1 points left indeterminate, and at (1701, 0)
+    line points polished too little to be corank 1, labelled A1 at corank 0.
+    The survey seed is derived as the benchmark's survey workload derives it."""
+    rng = np.random.default_rng(np.random.SeedSequence((bench_seed, round_index, 1)))
+    rep = survey((2, 3, 5, 7), maps=2, lines=1, seed=int(rng.integers(2 ** 31)))
+    if (bench_seed, round_index) == (1701, 0):
+        assert rep.points
+        for rec in rep.points:
+            assert rec["class"]["diagnostics"]["corank"] == 1
+            assert rec["residuals"]["jdet"] <= 1e-12
+    else:
+        assert rep.histogram == {"A1": 26}
+        assert rep.unstable == 0
