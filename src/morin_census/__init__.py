@@ -22,10 +22,9 @@ from .properness import (INCONCLUSIVE, NOT_PROPER, PROPER, PropernessVerdict,
                          macaulay_matrix, macaulay_resultant_certificate,
                          properness_verdict, sphere_falsifier,
                          sylvester_matrix, sylvester_resultant)
-from .sampler import (LineSection, RootConvergenceError, SectionSolution,
-                      SurveyReport, critical_points_on_lines, cusp_points,
-                      plane_section_solutions, restrict_to_line, survey,
-                      univariate_roots)
+from .sampler import (RootConvergenceError, SectionSolution, SurveyReport,
+                      critical_points_on_lines, cusp_points,
+                      plane_section_solutions, survey, univariate_roots)
 
 __version__ = "0.1.0"
 
@@ -43,7 +42,7 @@ __all__ = [
     "TruncatedSeries", "CensusReport", "IntegralityError", "degree_symbols",
     "chern_series", "chern_coefficients", "chern_values", "s_classes",
     "s_classes_symbolic", "census",
-    "RootConvergenceError", "LineSection", "SectionSolution", "SurveyReport",
-    "univariate_roots", "restrict_to_line", "critical_points_on_lines",
+    "RootConvergenceError", "SectionSolution", "SurveyReport",
+    "univariate_roots", "critical_points_on_lines",
     "plane_section_solutions", "cusp_points", "survey",
 ]

@@ -5,18 +5,20 @@ n - 2, so random affine lines hit it in deg J = sum(d_i - 1) isolated points.
 This module locates those points (interpolate J on a line from det dF at
 deg J + 1 nodes, solve one univariate polynomial), hunts the codimension-2
 cusp stratum with bivariate resultant elimination on random affine 2-planes
-(one batched Newton polish per plane, one classification pass per hunt),
-classifies everything with the Morin classifier, and aggregates survey
-statistics: the expected picture for a generic map is that every off-origin
-singular point is A_1, A_2 or A_3, with random line samples almost surely
-landing on the A_1 stratum.
+(J and J_{1,i*} evaluated on one grid per plane, one batched Newton polish
+per plane, one classification pass per hunt), classifies everything with the
+Morin classifier, and aggregates survey statistics: the expected picture for
+a generic map is that every off-origin singular point is A_1, A_2 or A_3,
+with random line samples almost surely landing on the A_1 stratum.  No path
+here builds a determinant polynomial: J and the first tower level are read
+off F's evaluated partials, as the classifier reads them.
 
-All numerics are deterministic for a fixed seed: polynomial restriction uses
-roots-of-unity interpolation (an inverse FFT), root finding takes the
-eigenvalues of the companion matrix and checks them against the evaluation
-envelope (the slicers keep estimates that miss it, and their residual tests
-decide), and the survey derives per-map sub-seeds from a SeedSequence and
-runs the maps in order.
+All numerics are deterministic for a fixed seed: restriction to a line or a
+plane is roots-of-unity interpolation of values (an FFT, 2-D on planes), root
+finding takes the eigenvalues of the companion matrix and checks them against
+the evaluation envelope (the slicers keep estimates that miss it, and their
+residual tests decide), and the survey derives per-map sub-seeds from a
+SeedSequence and runs the maps in order.
 """
 
 from __future__ import annotations
@@ -28,16 +30,14 @@ from typing import Sequence
 import numpy as np
 
 from .maps import HomogeneousMap, jacobian, random_map, ray_multiplicity, validate_degrees
-from .morin import DEFAULT_KMAX, DEFAULT_TOL, _chain, _classify_at, _evaluated
-from .polynomials import COMPLEX, Polynomial, PolyMatrix
+from .morin import DEFAULT_KMAX, DEFAULT_TOL, _classify_at, _corank, _evaluated, _level_one
+from .polynomials import COMPLEX, Polynomial
 from .properness import sylvester_matrix
 
 __all__ = [
     "RootConvergenceError",
-    "LineSection",
     "SectionSolution",
     "univariate_roots",
-    "restrict_to_line",
     "critical_points_on_lines",
     "plane_section_solutions",
     "cusp_points",
@@ -77,7 +77,8 @@ def univariate_roots(p) -> list[complex]:
     """All complex roots of a univariate polynomial, with multiplicity.
 
     Accepts a univariate Polynomial or an ascending coefficient sequence.
-    Leading coefficients at or below ROOT_TOL of the largest are trimmed.
+    Only leading coefficients that are exactly zero are trimmed: a tiny
+    nonzero one stands for huge roots, and they come back like the others.
     Low-order coefficients that are exactly zero are stripped and come back
     as roots at 0, first in the list.  The other roots are the eigenvalues
     of the companion matrix of the monic polynomial (``np.roots``, backward
@@ -91,13 +92,11 @@ def univariate_roots(p) -> list[complex]:
     grows like eps^(1/m) -- accuracy, not validity, degrades there.
     """
     coeffs = _ascending_coeffs(p)
-    scale = float(np.max(np.abs(coeffs))) if coeffs.size else 0.0
-    if scale == 0.0:
+    if not np.any(coeffs):
         raise ValueError("zero polynomial has no roots to find")
-    while coeffs.size > 1 and abs(coeffs[-1]) <= ROOT_TOL * scale:
-        coeffs = coeffs[:-1]
+    coeffs = coeffs[:int(np.flatnonzero(coeffs)[-1]) + 1]
     if coeffs.size < 2:
-        raise ValueError("degree must be >= 1 after trimming the leading coefficient")
+        raise ValueError("degree must be >= 1 after trimming the zero leading coefficients")
     at_origin = [0j] * int(np.argmax(coeffs != 0))
     coeffs = coeffs[len(at_origin):]
     degree = coeffs.size - 1
@@ -142,18 +141,6 @@ def _roots(coeffs) -> np.ndarray:
 
 
 # ---------------------------------------------------------------- line slicing
-@dataclass(frozen=True)
-class LineSection:
-    """A polynomial restricted to the affine line t -> q1 + t*q2."""
-
-    q1: tuple
-    q2: tuple
-    coefficients: tuple          # ascending in t
-
-    def point(self, t: complex) -> tuple:
-        return tuple(a + t * b for a, b in zip(self.q1, self.q2))
-
-
 def _line_nodes(q1: np.ndarray, q2: np.ndarray, degree: int) -> np.ndarray:
     """The degree + 1 points q1 + w*q2, w the roots of unity, that interpolate on the line."""
     count = degree + 1
@@ -173,29 +160,13 @@ def _restrict_coeffs(P: Polynomial, q1: np.ndarray, q2: np.ndarray) -> np.ndarra
         return np.zeros(1, dtype=complex)
     return _interpolate(P.evaluate(_line_nodes(q1, q2, degree)))
 
-def restrict_to_line(P: Polynomial, q1: Sequence, q2: Sequence) -> LineSection:
-    """Restrict P to the line through q1 with direction q2.
 
-    The spanning data must be linearly independent; the restricted polynomial
-    is recovered exactly (up to rounding) from deg(P) + 1 samples on the line
-    via the inverse FFT, since the sample nodes are roots of unity.
-    """
-    a = np.asarray(q1, dtype=complex)
-    b = np.asarray(q2, dtype=complex)
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0 or nb == 0 or np.linalg.norm(a / na - (a @ b.conj()) / (na * nb ** 2) * b) < 1e-10:
-        raise ValueError("line spanning points must be linearly independent")
-    coeffs = _restrict_coeffs(P, a, b)
-    return LineSection(tuple(a), tuple(b), tuple(complex(c) for c in coeffs))
-
-
-def _jacobian_dets(jac, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """J = det dF at the points, and the Hadamard bound prod_i ||row i of dF|| on |J|.
+def _jacobian_dets(differentials: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """J = det dF from (N, n, n) evaluated dF, and the Hadamard bound prod_i ||row i|| on |J|.
 
     The rows are scaled to unit norm before the elimination, so their very
     different scales (row i grows like ||x||^(d_i - 1)) cost no accuracy.
     """
-    differentials = _evaluated(jac, points)
     norms = np.linalg.norm(differentials, axis=-1)
     norms = np.where(norms > 0.0, norms, 1.0)       # a zero row: J = 0 all the same
     hadamard = np.prod(norms, axis=-1)
@@ -237,7 +208,7 @@ def critical_points_on_lines(F: HomogeneousMap, lines: int, seed: int) -> list[t
             cross = abs(complex(a @ b.conj())) / (np.linalg.norm(a) * np.linalg.norm(b))
             if cross < 1.0 - 1e-12:
                 break
-        values, hadamard = _jacobian_dets(jac, _line_nodes(a, b, deg))
+        values, hadamard = _jacobian_dets(_evaluated(jac, _line_nodes(a, b, deg)))
         if np.all(np.abs(values) <= F.n * np.finfo(float).eps * hadamard):
             raise ValueError("jdet(F) is identically zero; no critical cone to sample")
         coeffs = _interpolate(values)
@@ -245,12 +216,12 @@ def critical_points_on_lines(F: HomogeneousMap, lines: int, seed: int) -> list[t
         # Newton on J itself, with the interpolant's slope: the interpolant
         # carries noise of eps * max |J| on the nodes, which near the origin
         # (where some lines pass) is far above J and moves its roots
-        j = _jacobian_dets(jac, a + roots[:, None] * b)[0]
+        j = _jacobian_dets(_evaluated(jac, a + roots[:, None] * b))[0]
         slopes = np.polyder(coeffs[::-1])
         for _ in range(20):
             slope = np.polyval(slopes, roots)
             stepped = roots - j / np.where(slope != 0, slope, 1.0)
-            j_stepped = _jacobian_dets(jac, a + stepped[:, None] * b)[0]
+            j_stepped = _jacobian_dets(_evaluated(jac, a + stepped[:, None] * b))[0]
             better = np.abs(j_stepped) < np.abs(j)
             if not better.any():
                 break
@@ -266,85 +237,99 @@ def critical_points_on_lines(F: HomogeneousMap, lines: int, seed: int) -> list[t
 # ---------------------------------------------------------------- plane slicing
 @dataclass(frozen=True)
 class SectionSolution:
-    """A polished common zero of two polynomials found on an affine 2-plane."""
+    """A polished common zero of two functions found on an affine 2-plane."""
 
     point: tuple                  # unit norm, canonical phase
-    residuals: tuple              # (|P1(point)|, |P2(point)|)
+    residuals: tuple              # |values(point)|: the two functions' moduli there
 
 
-def plane_section_solutions(P1: Polynomial, P2: Polynomial, planes: int,
+def plane_section_solutions(values, degrees: Sequence[int], n: int, planes: int,
                             seed: int) -> list[SectionSolution]:
-    """Common zeros of {P1, P2} on random affine 2-planes, polished by Newton.
+    """Common zeros of two functions on random affine 2-planes, polished by Newton.
 
-    Per plane: restrict both polynomials to x = q0 + u*q1 + v*q2, eliminate v
-    with per-sample Sylvester determinants interpolated into the resultant
-    R(u) (degree <= deg P1 * deg P2 by Bezout), solve R, solve for v at each
-    root u, and polish all the (u, v) pairs at once with up to 20 Newton
-    steps on the restricted 2x2 system.  Survivors are reported at unit norm
-    with both absolute residuals |P_k(point)|; anything above 1e-9 is dropped.
+    `values` maps (N, n) points to (N, 2) values of two polynomials of total
+    degrees at most `degrees` = (d1, d2).  Per plane x = q0 + u*q1 + v*q2 they
+    are evaluated once, on the grid of u, v among the (d+1)-th roots of unity
+    (d = max(d1, d2)), and one 2-D FFT gives C[a, b, k], the coefficient of
+    u^a v^b in function k.  Each function's C is divided by its largest
+    modulus, v is eliminated by Sylvester determinants interpolated into R(u)
+    (degree <= d1 * d2 by Bezout), and v is solved at each root u.  All (u, v)
+    pairs are polished by Newton on the true values with the interpolant's
+    slopes, each step kept only where it shrinks max |f|, until none does (at
+    most 20 steps).  Survivors are reported at unit norm with both absolute
+    residuals; anything above 1e-9 is dropped.
     """
-    n = P1.n_vars
-    d1, d2 = P1.total_degree(), P2.total_degree()
-    if d1 is None or d2 is None or d1 < 1 or d2 < 1:
+    d1, d2 = degrees
+    if d1 < 1 or d2 < 1:
         raise ValueError("plane sections need two nonconstant polynomials")
-    system = PolyMatrix.from_rows([[P] + P.gradient() for P in (P1, P2)])
-    # a candidate stops once |P_k| <= 1e-15 * max|coefficient of P_k| * (1 + ||x||)^d_k
-    scales = 1e-15 * np.array([max(abs(c) for c in P.terms.values()) for P in (P1, P2)])
+    d = max(d1, d2)
+    powers = np.arange(d + 1)
+    grid = np.exp(2j * np.pi * powers / (d + 1))
+    # monomials u^a v^b of function k have a + b <= d_k: the rest is rounding
+    support = np.add.outer(powers, powers)[..., None] <= np.array([d1, d2])
     u_nodes = np.exp(2j * np.pi * np.arange(d1 * d2 + 1) / (d1 * d2 + 1))
-
-    def restricted(base, direction):      # ascending coefficients of P1 and P2 on the line
-        return [_interpolate(P.evaluate(_line_nodes(base, direction, d)))
-                for P, d in ((P1, d1), (P2, d2))]
-
     rng = np.random.default_rng(seed)
     out: list[SectionSolution] = []
     rays = np.empty((0, n), dtype=complex)
     for _ in range(planes):
         for _attempt in range(20):
             q0, q1, q2 = (rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(3))
+            x = q0 + grid[:, None, None] * q1 + grid[:, None] * q2
+            coeffs = np.fft.fft2(values(x.reshape(-1, n)).reshape(d + 1, d + 1, 2),
+                                 axes=(0, 1)) / (d + 1) ** 2
+            coeffs = np.where(support, coeffs, 0.0)
             # leading v-coefficients are the top forms at q2: constant in u
-            if all(abs(c[-1]) > 1e-8 for c in restricted(q0, q2)):
+            if np.all(np.abs(coeffs[0, [d1, d2], [0, 1]]) > 1e-8):
                 break
         else:
             continue
-        dets = []
-        for u in u_nodes:
-            c1, c2 = restricted(q0 + u * q1, q2)
-            rows = sylvester_matrix(list(c1[::-1]), list(c2[::-1]))
-            dets.append(np.linalg.det(np.array(rows, dtype=complex)))
+        # unit-scale blocks change R(u) by a constant factor, and the pivoting
+        # loses no digits to the gap between the functions' magnitudes
+        balanced = coeffs / np.max(np.abs(coeffs), axis=(0, 1))
+
+        def in_v(u):        # ascending v-coefficients of both balanced functions at each u
+            return np.einsum("ua,abk->ubk", np.power.outer(u, powers), balanced)
+
+        dets = np.linalg.det(np.array([sylvester_matrix(list(c[d1::-1, 0]), list(c[d2::-1, 1]))
+                                       for c in in_v(u_nodes)], dtype=complex))
         det_scale = float(np.max(np.abs(dets)))
         if det_scale == 0.0:
             continue        # the two curves look non-transverse on this plane
-        pairs = []
         # constant rescaling keeps the roots and tames the huge determinant
-        # magnitudes a product of d1 + d2 sample values can reach
-        for u in _roots(_interpolate(np.array(dets) / det_scale)):
-            c1, c2 = restricted(q0 + u * q1, q2)
-            v = _roots(c2)
+        # magnitudes a product of d1 + d2 coefficients can reach
+        u_roots = _roots(_interpolate(dets / det_scale))
+        pairs = []
+        for u, c in zip(u_roots, in_v(u_roots)):
+            v = _roots(c[:d2 + 1, 1])
             # spurious pairings from the elimination fail this test by a wide
             # relative margin; true pairs sit near the rounding floor of the
-            # evaluation envelope sum_k |c_k| |v|^k
-            paired = (np.abs(np.polyval(c1[::-1], v))
-                      <= 1e-6 * np.polyval(np.abs(c1[::-1]), np.abs(v)))
+            # evaluation envelope sum_k |c_k| |v|^k, or within Newton's reach
+            first = c[d1::-1, 0]
+            paired = np.abs(np.polyval(first, v)) <= 1e-4 * np.polyval(np.abs(first), np.abs(v))
             pairs += [(u, root) for root in v[paired]]
         uv = np.array(pairs, dtype=complex).reshape(-1, 2)
         plane = np.array([q1, q2])                    # dx / d(u, v)
+        slopes = [np.polynomial.polynomial.polyder(coeffs, axis=axis) for axis in (0, 1)]
+        f = values(q0 + uv @ plane)
+        # an unimproved pair would repeat its step: only improved pairs step on
         moving = np.arange(len(uv))
         for _ in range(20):
-            x = q0 + uv[moving] @ plane
-            values = _evaluated(system, x)            # row k: P_k and its gradient
-            f, jac = values[:, :, 0], values[:, :, 1:] @ plane.T
-            bound = scales * (1.0 + np.linalg.norm(x, axis=1))[:, None] ** [d1, d2]
-            # a candidate also stops on a singular system
-            keep = ~np.all(np.abs(f) <= bound, axis=1) & (np.linalg.det(jac) != 0.0)
-            moving, f, jac = moving[keep], f[keep], jac[keep]
+            # jac[m, k, j]: d f_k / d(u, v)_j from the interpolant
+            jac = np.stack([np.polynomial.polynomial.polyval2d(*uv[moving].T, s)
+                            for s in slopes], axis=-1).transpose(1, 0, 2)
+            solvable = np.linalg.det(jac) != 0.0      # a singular system takes no step
+            moving, jac = moving[solvable], jac[solvable]
+            stepped = uv[moving] - np.linalg.solve(jac, f[moving][..., None])[..., 0]
+            f_stepped = values(q0 + stepped @ plane)
+            better = np.max(np.abs(f_stepped), axis=1) < np.max(np.abs(f[moving]), axis=1)
+            moving = moving[better]
             if not moving.size:
                 break
-            uv[moving] += np.linalg.solve(jac, -f[..., None])[..., 0]
+            uv[moving], f[moving] = stepped[better], f_stepped[better]
         x = q0 + uv @ plane
         points = np.array([_phase_normalized(p) for p in x[np.linalg.norm(x, axis=1) >= 1e-8]],
                           dtype=complex).reshape(-1, n)
-        residuals = np.abs([P1.evaluate(points), P2.evaluate(points)]).T
+        residuals = np.abs(values(points))
         small = np.max(residuals, axis=1) < CUSP_RESIDUAL_TOL
         for p, res in zip(points[small], residuals[small]):
             if np.any(np.abs(1.0 - np.abs(rays.conj() @ p)) < 1e-8):
@@ -357,9 +342,10 @@ def plane_section_solutions(P1: Polynomial, P2: Polynomial, planes: int,
 def cusp_points(F: HomogeneousMap, planes: int, seed: int) -> list[SectionSolution]:
     """Cusp (A_2) points of F located by plane sections of {J = 0, J_{1,i*} = 0}.
 
-    i* is the first index whose level-1 tower polynomial is not identically
-    zero; the Morin chains are pulled one at a time, stopping at i*.  The
-    variety {J = J_{1,i*} = 0} also contains fold points where the left-kernel
+    J and J_{1,i} come from F's evaluated partials (``morin._level_one``), and
+    i* is the first i whose J_{1,i} does not vanish, by the classifier's rule,
+    at one seeded random point; deg J_{1,i} = 2 deg J - d_i.  The variety
+    {J = J_{1,i*} = 0} also contains fold points where the left-kernel
     covector of dF has vanishing i*-th coordinate (there J_{1,i} vanishes for
     the wrong reason), so the polished candidates are classified, all in one
     pass over F's partials, and only genuine A_2 points (at DEFAULT_TOL) are
@@ -369,13 +355,22 @@ def cusp_points(F: HomogeneousMap, planes: int, seed: int) -> list[SectionSoluti
     if F.n != 4:
         raise ValueError("cusp hunting is implemented for n = 4")
     Fc = F.as_complex()
-    jac = jacobian(Fc)
-    J = jac.det()
-    level1 = next((L for i in range(F.n) for L in _chain(jac, J, i, 1) if not L.is_zero()),
-                  None)
-    if level1 is None:
-        return []
-    solutions = plane_section_solutions(J, level1, planes, seed)
+    rng = np.random.default_rng(seed)
+    probe = rng.standard_normal((1, F.n)) + 1j * rng.standard_normal((1, F.n))
+    differential, first, grad_norm = (a[0] for a in _level_one(Fc.components, probe))
+    adj_norm = _corank(differential, False, DEFAULT_TOL)[1]
+    live = np.flatnonzero(np.abs(first) > DEFAULT_TOL * grad_norm * adj_norm)
+    if not live.size:
+        return []           # level 1 vanishes identically, J = 0 included
+    i = int(live[0])
+
+    def values(x):
+        differentials, level, _ = _level_one(Fc.components, x)
+        return np.stack([_jacobian_dets(differentials)[0], level[:, i]], axis=-1)
+
+    deg = sum(d - 1 for d in F.degrees)
+    solutions = plane_section_solutions(values, (deg, 2 * deg - F.degrees[i]), F.n, planes,
+                                        seed)
     verdicts = _classify_at(Fc, [s.point for s in solutions], (DEFAULT_TOL,), DEFAULT_KMAX)
     return [s for s, (verdict,) in zip(solutions, verdicts) if verdict.is_morin(2)]
 
