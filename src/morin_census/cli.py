@@ -4,29 +4,27 @@ Every subcommand reads arguments (and, where applicable, a map file produced
 by ``gen``) and emits a single JSON document on stdout -- or a human-readable
 summary with ``--format text``, which carries no stability promise.  Exit
 codes: 0 success, 1 usage error (malformed degrees, unreadable map file,
-point length mismatch), 2 computation error; either failure mode prints a
-one-line diagnostic on stderr.
+point length mismatch, a count, bound or tolerance outside its range), 2
+computation error; either failure mode prints a one-line diagnostic on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import sys
 from fractions import Fraction
 
 from .census import IntegralityError, census
-from .maps import eligibility_gate, load_map, map_to_dict, random_map, validate_degrees
+from .maps import (UsageError, eligibility_gate, load_map, map_to_dict, random_map,
+                   validate_degrees)
 from .morin import DEFAULT_KMAX, DEFAULT_TOL, classify
 from .polynomials import COMPLEX, RATIONAL
 from .properness import properness_verdict
 from .sampler import survey
 
 __all__ = ["main"]
-
-
-class UsageError(ValueError):
-    """Bad invocation or bad input data: exit code 1."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -47,17 +45,17 @@ def _parse_point(text: str, n: int) -> tuple:
     if len(parts) != n:
         raise UsageError(f"point has {len(parts)} entries, map needs {n}")
     values = []
-    exact = True
     for part in parts:
         try:
             values.append(Fraction(part))
         except ValueError:
             try:
                 values.append(complex(part))
-                exact = False
             except ValueError as err:
                 raise UsageError(f"bad point entry {part!r}") from err
-    if exact:
+            if not cmath.isfinite(values[-1]):
+                raise UsageError(f"point entry {part!r} is not finite")
+    if all(isinstance(v, Fraction) for v in values):
         return tuple(values)
     return tuple(complex(v) for v in values)
 
@@ -97,7 +95,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--out", default=None, help="write output to this path")
         if "tol" in used:
             p.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                           help="relative tolerance of the float classification rule")
+                           help="relative tolerance in (0, 1) of the float classification rule")
 
     p = sub.add_parser("gen", help="generate a random homogeneous map")
     p.add_argument("--degrees", required=True)
@@ -199,10 +197,6 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    try:
         _RUNNERS[args.command](args)
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)

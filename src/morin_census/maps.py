@@ -26,6 +26,7 @@ import numpy as np
 from .polynomials import (
     COMPLEX,
     RATIONAL,
+    ROOT_TOL,
     Polynomial,
     PolyMatrix,
     format_coefficient,
@@ -40,6 +41,8 @@ __all__ = [
     "NEVER_FINITE",
     "INFINITE_RAY",
     "validate_degrees",
+    "validate_count",
+    "UsageError",
     "coefficient",
     "random_map",
     "jacobian",
@@ -71,6 +74,17 @@ def validate_degrees(degrees: Sequence[int]) -> tuple[int, ...]:
     if any(d < 1 for d in t):
         raise ValueError("degrees must be >= 1")
     return t
+
+
+class UsageError(ValueError):
+    """An argument outside its domain, or bad input data: the CLI's exit code 1."""
+
+
+def validate_count(value: int, name: str, least: int = 0) -> int:
+    """A sampling count, or with least=1 a coefficient bound: an int >= least."""
+    if value < least:
+        raise UsageError(f"{name} must be >= {least}, got {value}")
+    return value
 
 
 def rest_exponents(degree: int, n: int):
@@ -143,12 +157,13 @@ def random_map(degrees: Sequence[int], seed: int, kind: str = RATIONAL,
                bound: int = 10) -> HomogeneousMap:
     """Seeded random map with every coefficient drawn independently.
 
-    The rational kind draws integers uniformly from [-bound, bound]; the complex
-    kind draws standard complex Gaussians.  Either distribution is a stand-in
-    for "generic": the properties probed downstream hold off proper Zariski-closed
-    sets, so any atomless-enough law reaches them with probability one.
+    The rational kind draws integers uniformly from [-bound, bound], bound >= 1;
+    the complex kind draws standard complex Gaussians.  Either distribution is a
+    stand-in for "generic": the properties probed downstream hold off proper
+    Zariski-closed sets, so any atomless-enough law reaches them with probability one.
     """
     degrees = validate_degrees(degrees)
+    validate_count(bound, "bound", 1)
     n = len(degrees)
     rng = np.random.default_rng(seed)
     components = []
@@ -233,7 +248,6 @@ def eligibility_gate(degrees: Sequence[int]) -> EligibilityVerdict:
 
 # ------------------------------------------------------------------ ray counting
 INFINITE_RAY = math.inf
-_RAY_TOL = 1e-9
 
 
 def ray_multiplicity(F: HomogeneousMap, p: Sequence):
@@ -242,20 +256,20 @@ def ray_multiplicity(F: HomogeneousMap, p: Sequence):
     Scaling p by lambda multiplies f_i(p) by lambda^{d_i}, so the ray collapses
     onto F(p) exactly gcd{d_i : f_i(p) != 0} times; if every component vanishes
     the whole ray maps to 0 and the designated INFINITE_RAY marker is returned.
-    Float maps test vanishing against |f_i(p)| <= _RAY_TOL * ||p||^{d_i}.
+    At a float point f_i(p) vanishes when |f_i(p)| <= ROOT_TOL times its
+    coefficient envelope sum_e |a_e| |p^e|, so a constant factor on F changes
+    nothing.
     """
     if len(p) != F.n:
         raise ValueError(f"point length {len(p)} != n {F.n}")
     if all(v == 0 for v in p):
         raise ValueError("ray multiplicity is undefined at the origin")
-    values = F.evaluate(p)
-    exact = F.kind == RATIONAL and all(isinstance(v, (int, Fraction)) for v in p)
-    if exact:
-        surviving = [d for d, v in zip(F.degrees, values) if v != 0]
+    if F.kind == RATIONAL and all(isinstance(v, (int, Fraction)) for v in p):
+        surviving = [d for d, v in zip(F.degrees, F.evaluate(p)) if v != 0]
     else:
-        norm = math.sqrt(sum(abs(complex(v)) ** 2 for v in p))
-        surviving = [d for d, v in zip(F.degrees, values)
-                     if abs(complex(v)) > _RAY_TOL * norm ** d]
+        pairs = (f.value_and_envelope(p) for f in F.components)
+        surviving = [d for d, (value, envelope) in zip(F.degrees, pairs)
+                     if abs(value) > ROOT_TOL * envelope]
     if not surviving:
         return INFINITE_RAY
     return math.gcd(*surviving)

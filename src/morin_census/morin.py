@@ -50,7 +50,7 @@ from typing import Sequence
 import numpy as np
 
 from .linalg import exact_det, exact_rank
-from .maps import HomogeneousMap, jacobian
+from .maps import HomogeneousMap, UsageError, jacobian
 from .polynomials import RATIONAL, Polynomial, PolyMatrix
 
 __all__ = [
@@ -63,6 +63,7 @@ __all__ = [
     "jet_tower_values",
     "classify_from_values",
     "linear_conjugate",
+    "validate_tol",
 ]
 
 DEFAULT_KMAX = 4
@@ -91,6 +92,13 @@ class GeneralMap:
     @property
     def n(self) -> int:
         return len(self.components)
+
+
+def validate_tol(tol: float) -> float:
+    """A relative tolerance of the float rule: strictly inside (0, 1), so NaN fails."""
+    if not 0.0 < tol < 1.0:
+        raise UsageError(f"tol must lie in (0, 1), got {tol!r}")
+    return tol
 
 
 def _components_of(F) -> tuple[Polynomial, ...]:
@@ -279,22 +287,24 @@ def _verdict(components, p, base_value, differential, level_row, k_max,
 def corank_at(F, p, tol: float = DEFAULT_TOL) -> int:
     """n - rank(dF(p)): exact row reduction for rational data, SVD otherwise."""
     components = _components_of(F)
-    return _corank(_differential(components, p), _is_exact(components, p), tol)[0]
+    return _corank(_differential(components, p), _is_exact(components, p), validate_tol(tol))[0]
 
 
-def _classify_at(F, points, tols: Sequence[float], k_max: int) -> list[list[SingularityClass]]:
+def _classify_at(F, points, tols: Sequence[float], k_max: int,
+                 level_one=None) -> list[list[SingularityClass]]:
     """The verdicts at each point for each tolerance in `tols`.
 
     At the float points, dF(p), J(p), level 1 and ||grad J(p)|| come from
     F's first and second partials, evaluated once on all of those points
-    (``_level_one``).  An exact point reads dF(p) and level 1 off its order-2
-    jets.  Level r >= 2 and its norms come from the order-(r+1) jets at p,
-    built once, when the first verdict at p reaches it.
+    (``_level_one``; `level_one` is its result when the caller has it).  An
+    exact point reads dF(p) and level 1 off its order-2 jets.  Level r >= 2
+    and its norms come from the order-(r+1) jets at p, built once, when the
+    first verdict at p reaches it.
     """
     components = _components_of(F)
     floats = [p for p in points if not _is_exact(components, p)]
     if floats:
-        float_rows = iter(zip(*_level_one(components, floats)))
+        float_rows = iter(zip(*(level_one or _level_one(components, floats))))
 
     def verdicts(p, rows, base_value, levels, jets2=None):
         def level_row(r: int):
@@ -333,7 +343,7 @@ def classify(F, p, k_max: int = DEFAULT_KMAX, tol: float = DEFAULT_TOL) -> Singu
     level 1 come from F's evaluated partials; exact inputs read them off the
     order-2 jets and use exact rank and zero tests throughout.
     """
-    return _classify_at(F, [p], (tol,), k_max)[0][0]
+    return _classify_at(F, [p], (validate_tol(tol),), k_max)[0][0]
 
 
 def jet_tower_values(F, p, k_max: int = DEFAULT_KMAX):
@@ -351,7 +361,7 @@ def classify_from_values(F, p, base_value, level_values,
                          tol: float = DEFAULT_TOL) -> SingularityClass:
     """The ``classify`` decision on precomputed tower values (k_max = their
     depth); the norms ||grad J_{r-1,i}(p)|| come from the jets at p."""
-    components = _components_of(F)
+    components, tol = _components_of(F), validate_tol(tol)
     k = len(level_values)
     norms = _tower_values_at([f.translate_truncated(p, k + 1) for f in components], k)[2]
     return _verdict(components, p, base_value, _differential(components, p),

@@ -37,6 +37,10 @@ COMPLEX = "complex"
 
 Scalar = Union[int, Fraction, float, complex]
 
+# A float value at most ROOT_TOL times its own bound (the envelope its evaluation
+# rounds at) is zero: the one float zero test of the slicers and ray_multiplicity.
+ROOT_TOL = 1e-12
+
 
 class _AnyDegree:
     """Degree marker of the zero polynomial (homogeneous of every degree)."""
@@ -282,14 +286,24 @@ class Polynomial:
         x = np.asarray(point, dtype=complex)
         if x.ndim == 0 or x.shape[-1] != self.n_vars:
             raise ValueError(f"point shape {x.shape} does not end in n_vars {self.n_vars}")
-        try:
-            exps, coeffs = self._compiled
-        except AttributeError:      # the slot is filled on the first float call
-            exps = np.array(list(self.terms), dtype=np.int64).reshape(-1, self.n_vars)
-            coeffs = np.array([complex(c) for c in self.terms.values()], dtype=complex)
-            object.__setattr__(self, "_compiled", (exps, coeffs))
+        exps, coeffs = self._kernel()
         values = np.prod(x[..., None, :] ** exps, axis=-1) @ coeffs
         return complex(values) if x.ndim == 1 else values
+
+    def value_and_envelope(self, point) -> tuple[complex, float]:
+        """The value at one float point and its envelope sum_e |a_e| |x^e|, the
+        scale rounding in ``evaluate`` lives at, from one pass of the kernel."""
+        exps, coeffs = self._kernel()
+        monomials = np.prod(np.asarray(point, dtype=complex) ** exps, axis=-1)
+        return complex(monomials @ coeffs), float(np.abs(monomials) @ np.abs(coeffs))
+
+    def _kernel(self) -> tuple[np.ndarray, np.ndarray]:
+        """The exponent matrix and complex coefficient vector of the float kernel, kept."""
+        if not hasattr(self, "_compiled"):      # the slot is filled on first use
+            object.__setattr__(self, "_compiled", (
+                np.array(list(self.terms), dtype=np.int64).reshape(-1, self.n_vars),
+                np.array([complex(c) for c in self.terms.values()], dtype=complex)))
+        return self._compiled
 
     def substitute(self, replacements: Sequence["Polynomial"]) -> "Polynomial":
         """Composition p(q_1, ..., q_n); replacements share n_vars and kind."""

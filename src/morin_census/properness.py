@@ -97,25 +97,12 @@ def sylvester_matrix(p_coeffs: Sequence, q_coeffs: Sequence) -> list[list]:
     return rows
 
 
-def _descending_coeffs(p: Polynomial, formal_degree: int) -> list:
-    """Coefficients of a univariate polynomial, highest power first."""
-    zero = Fraction(0) if p.kind == RATIONAL else complex(0)
-    coeffs = [zero] * (formal_degree + 1)
-    for exps, c in p.terms.items():
-        e = exps[0]
-        if e > formal_degree:
-            raise ValueError(f"degree {e} exceeds formal degree {formal_degree}")
-        coeffs[formal_degree - e] = coeffs[formal_degree - e] + c
-    return coeffs
-
-
-def _dehomogenize(p: Polynomial):
-    """Binary form -> univariate polynomial in x1 with formal degree = total degree."""
-    d = p.is_homogeneous()
-    if d is None:
+def _descending_coeffs(p: Polynomial) -> list:
+    """Coefficients in x1 of a univariate polynomial or a binary form, highest power first."""
+    if p.n_vars == 2 and p.is_homogeneous() is None:
         raise ValueError("binary input to the resultant must be homogeneous")
-    terms = {(e[0],): c for e, c in p.terms.items()}
-    return Polynomial(1, terms, p.kind), p.total_degree()
+    d = p.total_degree()
+    return [p.coefficient((e, d - e)[:p.n_vars]) for e in range(d, -1, -1)]
 
 
 def sylvester_resultant(p: Polynomial, q: Polynomial):
@@ -129,17 +116,9 @@ def sylvester_resultant(p: Polynomial, q: Polynomial):
         raise ValueError("zero polynomial has no resultant")
     if p.n_vars != q.n_vars or p.kind != q.kind:
         raise ValueError("resultant operands must share n_vars and kind")
-    if p.n_vars == 1:
-        pc = _descending_coeffs(p, p.total_degree())
-        qc = _descending_coeffs(q, q.total_degree())
-    elif p.n_vars == 2:
-        p1, dp = _dehomogenize(p)
-        q1, dq = _dehomogenize(q)
-        pc = _descending_coeffs(p1, dp)
-        qc = _descending_coeffs(q1, dq)
-    else:
+    if p.n_vars > 2:
         raise ValueError("resultant needs univariate or binary inputs")
-    rows = sylvester_matrix(pc, qc)
+    rows = sylvester_matrix(_descending_coeffs(p), _descending_coeffs(q))
     if not rows:
         return Fraction(1) if p.kind == RATIONAL else complex(1)
     if p.kind == RATIONAL:

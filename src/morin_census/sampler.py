@@ -15,23 +15,27 @@ off F's evaluated partials, as the classifier reads them.
 
 All numerics are deterministic for a fixed seed: restriction to a line or a
 plane is roots-of-unity interpolation of values (an FFT, 2-D on planes), root
-finding takes the eigenvalues of the companion matrix and checks them against
-the evaluation envelope (the slicers keep estimates that miss it, and their
-residual tests decide), and the survey derives per-map sub-seeds from a
-SeedSequence and runs the maps in order.
+finding takes the eigenvalues of the companion matrix, and the survey derives
+per-map sub-seeds from a SeedSequence and runs the maps in order.  A float
+value is zero when it is at most ROOT_TOL times its own bound (a root's
+evaluation envelope, the Hadamard bound on det dF, a plane function's
+coefficient envelope), so a constant factor on F changes no answer.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .maps import HomogeneousMap, jacobian, random_map, ray_multiplicity, validate_degrees
-from .morin import DEFAULT_KMAX, DEFAULT_TOL, _classify_at, _corank, _evaluated, _level_one
-from .polynomials import COMPLEX, Polynomial
+from .maps import (HomogeneousMap, jacobian, random_map, ray_multiplicity, validate_count,
+                   validate_degrees)
+from .morin import (DEFAULT_KMAX, DEFAULT_TOL, _classify_at, _corank, _evaluated, _level_one,
+                    validate_tol)
+from .polynomials import COMPLEX, ROOT_TOL, Polynomial
 from .properness import sylvester_matrix
 
 __all__ = [
@@ -45,9 +49,6 @@ __all__ = [
     "survey",
 ]
 
-ROOT_TOL = 1e-12
-LINE_RESIDUAL_TOL = 1e-8
-CUSP_RESIDUAL_TOL = 1e-9
 MENU = ("A1", "A2", "A3")
 
 
@@ -57,20 +58,6 @@ class RootConvergenceError(RuntimeError):
     def __init__(self, message: str, roots):
         super().__init__(message)
         self.roots = tuple(complex(z) for z in roots)
-
-
-def _ascending_coeffs(p) -> np.ndarray:
-    if isinstance(p, Polynomial):
-        if p.n_vars != 1:
-            raise ValueError("univariate_roots needs a univariate polynomial")
-        degree = p.total_degree()
-        if degree is None:
-            raise ValueError("zero polynomial has no roots to find")
-        out = np.zeros(degree + 1, dtype=complex)
-        for exps, c in p.terms.items():
-            out[exps[0]] = complex(c)
-        return out
-    return np.asarray(list(p), dtype=complex)
 
 
 def univariate_roots(p) -> list[complex]:
@@ -86,12 +73,16 @@ def univariate_roots(p) -> list[complex]:
     the residual.  There is no iteration budget: the roots are accepted only
     when every residual clears the evaluation envelope,
     |p(z)| <= ROOT_TOL * sum_k |a_k| |z|^k (on the reversed polynomial at 1/z
-    where |z| > 1), the scale floating-point evaluation itself lives at --
+    where |z| > 1), the one float zero rule the slicers' points pass too --
     and otherwise RootConvergenceError carries the polished estimates, the
     roots at 0 included.  Multiple roots come back as a cluster whose radius
     grows like eps^(1/m) -- accuracy, not validity, degrades there.
     """
-    coeffs = _ascending_coeffs(p)
+    if isinstance(p, Polynomial):
+        if p.n_vars != 1:
+            raise ValueError("univariate_roots needs a univariate polynomial")
+        p = [p.coefficient((k,)) for k in range((p.total_degree() or 0) + 1)]
+    coeffs = np.asarray(list(p), dtype=complex)
     if not np.any(coeffs):
         raise ValueError("zero polynomial has no roots to find")
     coeffs = coeffs[:int(np.flatnonzero(coeffs)[-1]) + 1]
@@ -131,7 +122,7 @@ def univariate_roots(p) -> list[complex]:
 
 def _roots(coeffs) -> np.ndarray:
     """The slicers' roots of ascending `coeffs`: estimates that miss the envelope
-    are kept for the caller's residual test, and nothing left to solve gives none."""
+    are kept for the caller's test after Newton, and nothing left to solve gives none."""
     try:
         return np.asarray(univariate_roots(coeffs), dtype=complex)
     except RootConvergenceError as err:
@@ -151,14 +142,6 @@ def _interpolate(values: np.ndarray) -> np.ndarray:
     """Ascending coefficients in t from the values at ``_line_nodes``."""
     # sampling at exp(+2*pi*i*j/N) makes the forward DFT the interpolator
     return np.fft.fft(values) / len(values)
-
-
-def _restrict_coeffs(P: Polynomial, q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
-    """Coefficients of t -> P(q1 + t*q2) by interpolation at roots of unity."""
-    degree = P.total_degree()
-    if degree is None:
-        return np.zeros(1, dtype=complex)
-    return _interpolate(P.evaluate(_line_nodes(q1, q2, degree)))
 
 
 def _jacobian_dets(differentials: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -193,10 +176,12 @@ def critical_points_on_lines(F: HomogeneousMap, lines: int, seed: int) -> list[t
     n * eps times the product of the row norms of dF, the Hadamard bound on
     |det dF|.  Each root is then polished by Newton steps on det dF itself,
     each kept only where it shrinks |J|, until no root's |J| shrinks (at most
-    20 steps).  Points are returned at unit norm with
-    canonical phase (C(F) is a cone, so rays are what matter) and only when
-    they pass the residual check |J(p)| <= 1e-8 * (1 + ||p||)^deg J.
+    20 steps).  A root is a point when |J| <= ROOT_TOL times that Hadamard
+    bound there, a test no constant factor on F moves.  Points are returned
+    at unit norm with canonical phase (C(F) is a cone, so rays are what
+    matter).  `lines` < 0 is a ValueError.
     """
+    validate_count(lines, "lines")
     jac = jacobian(F)
     deg = sum(d - 1 for d in F.degrees)      # deg J, unless J is identically zero
     rng = np.random.default_rng(seed)
@@ -216,20 +201,20 @@ def critical_points_on_lines(F: HomogeneousMap, lines: int, seed: int) -> list[t
         # Newton on J itself, with the interpolant's slope: the interpolant
         # carries noise of eps * max |J| on the nodes, which near the origin
         # (where some lines pass) is far above J and moves its roots
-        j = _jacobian_dets(_evaluated(jac, a + roots[:, None] * b))[0]
+        j, hadamard = _jacobian_dets(_evaluated(jac, a + roots[:, None] * b))
         slopes = np.polyder(coeffs[::-1])
         for _ in range(20):
             slope = np.polyval(slopes, roots)
             stepped = roots - j / np.where(slope != 0, slope, 1.0)
-            j_stepped = _jacobian_dets(_evaluated(jac, a + stepped[:, None] * b))[0]
+            j_stepped, h_stepped = _jacobian_dets(_evaluated(jac, a + stepped[:, None] * b))
             better = np.abs(j_stepped) < np.abs(j)
             if not better.any():
                 break
-            roots, j = np.where(better, stepped, roots), np.where(better, j_stepped, j)
+            roots, j, hadamard = (np.where(better, new, old) for new, old in
+                                  ((stepped, roots), (j_stepped, j), (h_stepped, hadamard)))
         x = a + roots[:, None] * b
         norms = np.linalg.norm(x, axis=1)
-        # J is homogeneous: |J(x / ||x||)| = |J(x)| / ||x||^deg
-        kept = (norms >= 1e-12) & (np.abs(j) <= LINE_RESIDUAL_TOL * 2.0 ** deg * norms ** deg)
+        kept = (norms >= 1e-12) & (np.abs(j) <= ROOT_TOL * hadamard)
         points += [_phase_normalized(p) for p in x[kept]]
     return points
 
@@ -252,13 +237,18 @@ def plane_section_solutions(values, degrees: Sequence[int], n: int, planes: int,
     are evaluated once, on the grid of u, v among the (d+1)-th roots of unity
     (d = max(d1, d2)), and one 2-D FFT gives C[a, b, k], the coefficient of
     u^a v^b in function k.  Each function's C is divided by its largest
-    modulus, v is eliminated by Sylvester determinants interpolated into R(u)
+    modulus (a plane where a top-form coefficient is within ROOT_TOL of it is
+    redrawn), v is eliminated by Sylvester determinants interpolated into R(u)
     (degree <= d1 * d2 by Bezout), and v is solved at each root u.  All (u, v)
     pairs are polished by Newton on the true values with the interpolant's
     slopes, each step kept only where it shrinks max |f|, until none does (at
-    most 20 steps).  Survivors are reported at unit norm with both absolute
-    residuals; anything above 1e-9 is dropped.
+    most 20 steps).  A pair is a solution when each |f_k| is at most ROOT_TOL
+    times the plane's own evaluation envelope sum_ab |C[a, b, k]| |u|^a |v|^b
+    there, so a constant factor on either function changes nothing.
+    Solutions are reported at unit norm with both absolute residuals, one per
+    ray.  `planes` < 0 is a ValueError.
     """
+    validate_count(planes, "planes")
     d1, d2 = degrees
     if d1 < 1 or d2 < 1:
         raise ValueError("plane sections need two nonconstant polynomials")
@@ -278,14 +268,15 @@ def plane_section_solutions(values, degrees: Sequence[int], n: int, planes: int,
             coeffs = np.fft.fft2(values(x.reshape(-1, n)).reshape(d + 1, d + 1, 2),
                                  axes=(0, 1)) / (d + 1) ** 2
             coeffs = np.where(support, coeffs, 0.0)
+            # unit-scale blocks change R(u) by a constant factor, and the pivoting
+            # loses no digits to the gap between the functions' magnitudes (a
+            # function that vanishes on the grid stays 0 and fails the check below)
+            balanced = coeffs / np.max(np.abs(coeffs), axis=(0, 1), initial=np.finfo(float).tiny)
             # leading v-coefficients are the top forms at q2: constant in u
-            if np.all(np.abs(coeffs[0, [d1, d2], [0, 1]]) > 1e-8):
+            if np.all(np.abs(balanced[0, [d1, d2], [0, 1]]) > ROOT_TOL):
                 break
         else:
             continue
-        # unit-scale blocks change R(u) by a constant factor, and the pivoting
-        # loses no digits to the gap between the functions' magnitudes
-        balanced = coeffs / np.max(np.abs(coeffs), axis=(0, 1))
 
         def in_v(u):        # ascending v-coefficients of both balanced functions at each u
             return np.einsum("ua,abk->ubk", np.power.outer(u, powers), balanced)
@@ -327,11 +318,11 @@ def plane_section_solutions(values, degrees: Sequence[int], n: int, planes: int,
                 break
             uv[moving], f[moving] = stepped[better], f_stepped[better]
         x = q0 + uv @ plane
-        points = np.array([_phase_normalized(p) for p in x[np.linalg.norm(x, axis=1) >= 1e-8]],
-                          dtype=complex).reshape(-1, n)
-        residuals = np.abs(values(points))
-        small = np.max(residuals, axis=1) < CUSP_RESIDUAL_TOL
-        for p, res in zip(points[small], residuals[small]):
+        envelope = np.polynomial.polynomial.polyval2d(*np.abs(uv).T, np.abs(coeffs)).T
+        kept = (np.all(np.abs(f) <= ROOT_TOL * envelope, axis=1)
+                & (np.linalg.norm(x, axis=1) >= 1e-8))
+        points = np.array([_phase_normalized(p) for p in x[kept]], dtype=complex).reshape(-1, n)
+        for p, res in zip(points, np.abs(values(points))):
             if np.any(np.abs(1.0 - np.abs(rays.conj() @ p)) < 1e-8):
                 continue     # projective duplicate of an earlier solution
             rays = np.vstack([rays, p])
@@ -350,10 +341,13 @@ def cusp_points(F: HomogeneousMap, planes: int, seed: int) -> list[SectionSoluti
     the wrong reason), so the polished candidates are classified, all in one
     pass over F's partials, and only genuine A_2 points (at DEFAULT_TOL) are
     returned; rejects are discarded, and an all-rejected plane budget simply
-    yields an empty list.
+    yields an empty list.  The slicer's envelope test keeps no scale of F in
+    the residual cut; its Newton step test, max_k |f_k|, still mixes the
+    scales of J and J_{1,i*}.  `planes` < 0 is a ValueError.
     """
     if F.n != 4:
         raise ValueError("cusp hunting is implemented for n = 4")
+    validate_count(planes, "planes")
     Fc = F.as_complex()
     rng = np.random.default_rng(seed)
     probe = rng.standard_normal((1, F.n)) + 1j * rng.standard_normal((1, F.n))
@@ -406,26 +400,26 @@ class SurveyReport:
         }
 
 
-def _complex_pairs(p) -> list[list[float]]:
-    return [[complex(v).real, complex(v).imag] for v in p]
-
-
 def _survey_one_map(degrees, map_seed: int, line_seed: int, lines: int,
                     tol: float) -> list[dict]:
     F = random_map(degrees, seed=map_seed, kind=COMPLEX)
-    deg_j = sum(d - 1 for d in degrees)
     points = critical_points_on_lines(F, lines, line_seed)
-    verdicts = _classify_at(F, points, (tol, tol * 10.0, tol / 10.0), DEFAULT_KMAX)
+    if not points:
+        return []
+    # dF at the points, evaluated once, gives the verdicts and each point's own
+    # bound on |J|, the one the line slicer tests
+    level_one = _level_one(F.components, points)
+    bounds = ROOT_TOL * _jacobian_dets(level_one[0])[1]
+    verdicts = _classify_at(F, points, (tol, tol * 10.0, tol / 10.0), DEFAULT_KMAX, level_one)
     records = []
-    for p, (main, *others) in zip(points, verdicts):
+    for p, bound, (main, *others) in zip(points, bounds, verdicts):
         stable = all(v.label == main.label for v in others)
         mult = ray_multiplicity(F, p)
         records.append({
-            "point": _complex_pairs(p),
+            "point": [[v.real, v.imag] for v in p],
             "class": main.to_dict(),
             "ray_multiplicity": None if math.isinf(mult) else int(mult),
-            "residuals": {"jdet": main.diagnostics["abs_jdet"],
-                          "threshold": LINE_RESIDUAL_TOL * 2.0 ** deg_j},
+            "residuals": {"jdet": main.diagnostics["abs_jdet"], "threshold": float(bound)},
             "stable": stable,
         })
     return records
@@ -439,32 +433,21 @@ def survey(degrees: Sequence[int], maps: int, lines: int, seed: int,
     values (points whose verdict moves are counted as unstable), annotated
     with its ray multiplicity, and rolled into a histogram; a map's partials
     are evaluated once, on all of its points.  For n = 4 the report carries
-    the count of off-origin points outside the expected {A_1, A_2, A_3} menu;
-    all sampled points sit at unit norm, so the off-origin filter (norm >
-    1e-6) is vacuous-by-construction but kept explicit.  Identical arguments
-    give bit-identical reports: each map's sub-seeds come from a SeedSequence
-    keyed on `seed`, and the maps run in order.
+    the count of points outside the expected {A_1, A_2, A_3} menu (every
+    sampled point sits at unit norm, off the origin).  Each point records
+    |J(p)| and its threshold, the point's own bound ROOT_TOL * prod_i ||row i
+    of dF(p)||.  Identical arguments give bit-identical reports: each map's
+    sub-seeds come from a SeedSequence keyed on `seed`, and the maps run in
+    order.  Negative `maps` or `lines`, and `tol` outside (0, 1), are a
+    ValueError.
     """
-    degrees = validate_degrees(degrees)
+    degrees, tol = validate_degrees(degrees), validate_tol(tol)
+    maps, lines = validate_count(maps, "maps"), validate_count(lines, "lines")
     state = np.random.SeedSequence(seed).generate_state(2 * max(maps, 1), dtype=np.uint64)
     points = [rec for m in range(maps)
               for rec in _survey_one_map(degrees, int(state[2 * m]), int(state[2 * m + 1]),
                                          lines, tol)]
-    histogram: dict[str, int] = {}
-    unstable = 0
-    outside = 0
-    a1 = 0
-    for rec in points:
-        label = rec["class"]["class"]
-        histogram[label] = histogram.get(label, 0) + 1
-        if not rec["stable"]:
-            unstable += 1
-        norm = math.sqrt(sum(re * re + im * im for re, im in rec["point"]))
-        if norm > 1e-6 and label not in MENU:
-            outside += 1
-        if label == "A1":
-            a1 += 1
-    fraction_a1 = a1 / len(points) if points else 0.0
+    histogram = dict(Counter(rec["class"]["class"] for rec in points))
     return SurveyReport(
         degrees=degrees,
         seed=seed,
@@ -472,8 +455,9 @@ def survey(degrees: Sequence[int], maps: int, lines: int, seed: int,
         lines=lines,
         points_found=len(points),
         histogram=histogram,
-        outside_menu=outside if len(degrees) == 4 else None,
-        fraction_a1=fraction_a1,
-        unstable=unstable,
+        outside_menu=(sum(count for label, count in histogram.items() if label not in MENU)
+                      if len(degrees) == 4 else None),
+        fraction_a1=histogram.get("A1", 0) / len(points) if points else 0.0,
+        unstable=sum(not rec["stable"] for rec in points),
         points=tuple(points),
     )

@@ -178,6 +178,27 @@ def test_point_length_mismatch_is_usage_error(tmp_path, capsys):
     assert code == 1
 
 
+def test_out_of_range_arguments_are_usage_errors(tmp_path, capsys):
+    """Negative sampling counts, a tolerance outside (0, 1), a coefficient
+    bound below 1 and a non-finite point coordinate exit 1 with a message,
+    instead of an empty report, a wrong verdict or a failed SVD."""
+    path = tmp_path / "m.json"
+    run(capsys, "gen", "--degrees", "2,2,2,2", "--kind", "complex",
+        "--seed", "1", "--out", str(path))
+    classify = ("classify", "--map", str(path), "--point")
+    for argv in (("survey", "--degrees", "2,2,2,2", "--maps", "-1"),
+                 ("survey", "--degrees", "2,2,2,2", "--lines", "-3"),
+                 ("survey", "--degrees", "2,2,2,2", "--maps", "1", "--tol", "0"),
+                 (*classify, "1,0,0,0", "--tol", "-1"),
+                 (*classify, "1,0,0,0", "--tol", "nan"),
+                 (*classify, "1,nan,0,0"),
+                 (*classify, "inf,0,0,0"),
+                 ("gen", "--degrees", "2,2", "--bound", "0"),
+                 ("gen", "--degrees", "2,2", "--bound", "-1")):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and err and not out, argv
+
+
 def test_classify_kmax_below_one_is_computation_error(tmp_path, capsys):
     """--kmax 0 leaves no tower level to decide with: exit 2."""
     path = tmp_path / "m.json"

@@ -58,6 +58,14 @@ def test_random_map_respects_degrees_and_kind():
         assert f.kind == "complex"
 
 
+@pytest.mark.parametrize("bound", [0, -1])
+def test_random_map_rejects_a_bound_below_one(bound):
+    """bound = 0 would give the zero map, and a negative bound numpy's
+    "low >= high": both are a ValueError naming the bound."""
+    with pytest.raises(ValueError, match="bound must be >= 1"):
+        random_map((2, 2), seed=0, bound=bound)
+
+
 def test_validate_degrees_rejects_nonpositive():
     """Degrees must be positive integers."""
     with pytest.raises(ValueError):
@@ -158,6 +166,16 @@ def test_ray_multiplicity_coprime_degrees():
     F = random_map((2, 3, 5, 7), seed=0, kind="complex")
     p = np.array([1.0, 1.0, 1.0, 1.0])
     assert ray_multiplicity(F, p) == 1
+
+
+def test_ray_multiplicity_does_not_depend_on_the_scale_of_F():
+    """Each component is tested against its own coefficient envelope at |p|,
+    so F times 1e-12 keeps its multiplicity instead of looking like a map that
+    vanishes on the whole ray."""
+    F = random_map((2, 2, 2, 2), seed=0, kind="complex")
+    G = HomogeneousMap(F.degrees, tuple(f * 1e-12 for f in F.components))
+    for p in (np.array([1.0, 0.5, -0.25, 2.0]), np.array([1e-3, 0.0, 0.0, 0.0])):
+        assert ray_multiplicity(G, p) == ray_multiplicity(F, p) == 2
 
 
 def test_ray_multiplicity_infinite_when_all_components_vanish():

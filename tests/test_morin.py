@@ -16,6 +16,7 @@ from morin_census import (
     linear_conjugate,
     morin_tower,
     random_map,
+    survey,
 )
 from morin_census.linalg import random_unimodular_matrix
 from morin_census.morin import _level_one, _tower_values_at
@@ -222,6 +223,23 @@ def test_k_max_below_one_is_rejected():
         classify(fold_form(), np.array([0.0, 0.0, 0.0, 1.0]), k_max=-1)
     with pytest.raises(ValueError, match="k_max must be >= 1"):
         classify_from_values(fold_form(), ORIGIN, 0.0, [])
+
+
+@pytest.mark.parametrize("tol", [-1.0, 0.0, 1.0, 2.0, float("nan")])
+def test_tolerance_outside_the_unit_interval_is_rejected(tol):
+    """The float rule's tolerance lies in (0, 1): a negative one would call
+    every point regular and NaN every point corank >= 2, so every entry point
+    refuses it, survey included."""
+    p = np.array([0.0, 0.0, 0.0, 1.0])
+    with pytest.raises(ValueError, match="tol must lie in"):
+        classify(fold_form(), p, tol=tol)
+    with pytest.raises(ValueError, match="tol must lie in"):
+        corank_at(fold_form(), p, tol=tol)
+    base, levels = jet_tower_values(fold_form(), p, k_max=2)
+    with pytest.raises(ValueError, match="tol must lie in"):
+        classify_from_values(fold_form(), p, base, levels, tol=tol)
+    with pytest.raises(ValueError, match="tol must lie in"):
+        survey((2, 2, 2, 2), maps=1, lines=1, seed=0, tol=tol)
 
 
 def test_classification_scale_invariant():

@@ -23,7 +23,12 @@ from morin_census.maps import jdet
 from morin_census import morin, sampler
 from morin_census.morin import DEFAULT_TOL
 from morin_census.polynomials import PolyMatrix
-from morin_census.sampler import LINE_RESIDUAL_TOL, _restrict_coeffs
+from morin_census.sampler import _interpolate, _line_nodes
+
+
+def _restrict_coeffs(P, q1, q2):
+    """Coefficients of t -> P(q1 + t*q2), interpolated as the line slicer does."""
+    return _interpolate(P.evaluate(_line_nodes(q1, q2, P.total_degree())))
 
 
 # ------------------------------------------------------------- root finder
@@ -189,7 +194,20 @@ def test_critical_points_match_the_jdet_oracle(monkeypatch, degrees, map_seed):
         p = np.asarray(p)
         gap = min(np.linalg.norm(p - q * np.vdot(q, p)) for q in rays)
         assert gap <= 1e-9
-        assert abs(J.evaluate(p)) <= LINE_RESIDUAL_TOL * 2.0 ** J.total_degree()
+        assert abs(J.evaluate(p)) <= 1e-8 * 2.0 ** J.total_degree()
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1e3, 1e6])
+def test_line_points_do_not_depend_on_the_scale_of_F(scale):
+    """|J| is tested against its own Hadamard bound, which scales with J, so
+    c*F has F's critical rays for c from 1e-3 to 1e6."""
+    F = random_map((2, 3, 5, 7), seed=5, kind="complex")
+    G = HomogeneousMap(F.degrees, tuple(f * scale for f in F.components))
+    rays = np.array(critical_points_on_lines(F, lines=2, seed=3))
+    scaled = np.array(critical_points_on_lines(G, lines=2, seed=3))
+    assert len(rays) == len(scaled) == 26
+    for p in scaled:
+        assert np.min(np.linalg.norm(rays - p, axis=1)) <= 1e-12
 
 
 def test_critical_points_reject_identically_zero_jdet():
@@ -323,6 +341,59 @@ def test_cusp_points_on_a_high_degree_map_stay_finite():
     for s in sols:
         assert max(s.residuals) < 1e-9
         assert classify(F, np.asarray(s.point)).label == "A2"
+
+
+def _numpy_derivatives(F, p):
+    """dF(p) and D^2F(p)[i, j, k] = d^2 f_i / dx_j dx_k (p) from F's coefficients,
+    with numpy alone."""
+    eye = np.eye(F.n, dtype=np.int64)
+
+    def monomials(e):       # p^e per row of e, zero where an exponent is negative
+        return np.where((e >= 0).all(axis=1), np.prod(p ** np.maximum(e, 0), axis=1), 0.0)
+
+    first = np.zeros((F.n, F.n), dtype=complex)
+    second = np.zeros((F.n, F.n, F.n), dtype=complex)
+    for i, f in enumerate(F.components):
+        e = np.array(list(f.terms), dtype=np.int64)
+        c = np.array([complex(v) for v in f.terms.values()])
+        for j in range(F.n):
+            first[i, j] = (c * e[:, j]) @ monomials(e - eye[j])
+            for k in range(F.n):
+                second[i, j, k] = ((c * e[:, j] * (e[:, k] - eye[j, k]))
+                                   @ monomials(e - eye[j] - eye[k]))
+    return first, second
+
+
+def test_cusp_points_on_a_rational_map():
+    """On the library's default rational (3,3,3,3) map, whose |J| is ~1e4 on
+    the unit sphere, the residuals of genuine A2 rays sit far above any fixed
+    cut such as 1e-9; the plane envelope keeps them.  Each passes an
+    independent check: |det dF| within 1e-8 * 2^deg J, and a vanishing
+    cokernel pairing w^T D^2F(v, v)."""
+    F = random_map((3, 3, 3, 3), seed=2)
+    sols = cusp_points(F, planes=2, seed=9)
+    assert sols
+    for s in sols:
+        first, second = _numpy_derivatives(F, np.asarray(s.point))
+        assert abs(np.linalg.det(first)) <= 1e-8 * 2.0 ** 8
+        u, _, vh = np.linalg.svd(first)
+        v, w = vh[-1].conj(), u[:, -1].conj()
+        pairing = abs(np.einsum("i,ijk,j,k->", w, second, v, v))
+        assert pairing <= 1e-6 * np.linalg.norm(second)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: survey((2, 2, 2, 2), maps=-1, lines=2, seed=0),
+    lambda: survey((2, 2, 2, 2), maps=1, lines=-3, seed=0),
+    lambda: critical_points_on_lines(random_map((2, 2, 2, 2), seed=0, kind="complex"),
+                                     lines=-1, seed=0),
+    lambda: cusp_points(random_map((2, 2, 2, 2), seed=0, kind="complex"), planes=-1, seed=0),
+    lambda: plane_section_solutions(_pair_values, (2, 2), 3, planes=-1, seed=1),
+], ids=["survey-maps", "survey-lines", "line-lines", "cusp-planes", "plane-planes"])
+def test_negative_sampling_counts_are_rejected(call):
+    """A negative count of maps, lines or planes is a ValueError, not an empty answer."""
+    with pytest.raises(ValueError, match="must be >= 0"):
+        call()
 
 
 def test_cusp_points_requires_n4():
