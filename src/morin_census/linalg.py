@@ -1,8 +1,8 @@
-"""Exact determinants, ranks, and unimodular matrices for scalar problems.
+"""Exact determinants, ranks, unimodular matrices, and the one Newton polish.
 
-Everything here operates on plain Python numbers (int / Fraction / complex),
-not on polynomials: resultant matrices, differentials at a point, and the
-random integer coordinate changes used by the invariance tests.
+Everything here operates on numbers, not on polynomials: resultant matrices,
+differentials at a point, the random integer coordinate changes used by the
+invariance tests, and ``newton_polish``, the loop every float solver ends in.
 """
 
 from __future__ import annotations
@@ -20,7 +20,10 @@ __all__ = [
     "exact_rank",
     "det_is_nonzero",
     "random_unimodular_matrix",
+    "newton_polish",
 ]
+
+POLISH_STEPS = 20         # the slicers' and the properness witness's Newton budget
 
 
 def _eliminate(m: list[list[int]]) -> tuple[int, int]:
@@ -144,3 +147,30 @@ def random_unimodular_matrix(n: int, rng: np.random.Generator) -> list[list[int]
         else:  # negate a row
             m[i] = [-a for a in m[i]]
     return m
+
+
+def newton_polish(z, values, step, steps: int):
+    """Batched Newton: z_m moves to z_m - step(z, f)_m only where that shrinks max_k |f_k|.
+
+    f = values(z) has one row per item.  An item that does not improve stops;
+    a trial that is not finite is dropped before `values` sees it.  The loop
+    ends when no item moves, or after `steps`, all under ``np.errstate``, so
+    an overflow is a dropped trial, not a warning.  Returns (z, f)."""
+    def largest(f):
+        return np.abs(f).max(axis=tuple(range(1, f.ndim)))
+
+    with np.errstate(all="ignore"):
+        z = np.array(z, dtype=complex)
+        f = values(z)
+        moving = np.arange(len(z))
+        for _ in range(steps):
+            trial = z[moving] - step(z[moving], f[moving])
+            finite = np.isfinite(trial).all(axis=tuple(range(1, trial.ndim)))
+            moving, trial = moving[finite], trial[finite]
+            f_trial = values(trial)
+            better = largest(f_trial) < largest(f[moving])
+            if not better.any():
+                break
+            moving = moving[better]
+            z[moving], f[moving] = trial[better], f_trial[better]
+    return z, f

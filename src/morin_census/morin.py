@@ -30,8 +30,8 @@ dF(p) and the Hessians of F come from F's first and second partials, each
 evaluated once on all the points being classified.  Jacobi's formula gives
 grad J(p)_k = tr(adj dF(p) . d_k dF(p)), and expanding the replaced row gives
 the whole level J_{1,.}(p) = grad J(p) @ adj dF(p); the adjugate comes from
-the SVD, which stays accurate at J(p) ~ 0.  Exact points read dF(p) off their
-jets and keep exact arithmetic throughout.
+the SVD, which stays accurate at J(p) ~ 0 and gives every tolerance's
+corank.  Exact points read dF(p) off their jets and keep exact arithmetic.
 
 One scale-free rule decides a float point: p is regular exactly when no
 singular value of dF(p) is at or below tol * sigma_1, and J_{r,i}(p) =
@@ -214,15 +214,16 @@ def _evaluated(jac: PolyMatrix, points) -> np.ndarray:
     return values.T.reshape(len(x), jac.rows, jac.cols)
 
 
-def _differential(components: Sequence[Polynomial], p) -> list[list]:
-    """dF(p): from the order-1 jets at an exact point, else from F's evaluated partials."""
+def _spectrum(components: Sequence[Polynomial], p):
+    """What the corank rule reads at p: the rows of dF(p) from the order-1 jets at an
+    exact point, else the singular values of dF(p) from F's evaluated partials."""
     if _is_exact(components, p):
         return _linear_rows([f.translate_truncated(p, 1) for f in components])
-    return _evaluated(jacobian(GeneralMap(components)), [p])[0]
+    return np.linalg.svd(_evaluated(jacobian(GeneralMap(components)), [p])[0], compute_uv=False)
 
 
 def _level_one(components: Sequence[Polynomial], points):
-    """dF(p), the row [J_{1,i}(p)] and ||grad J(p)|| at each of the (N, n) float points.
+    """dF(p), [J_{1,i}(p)], ||grad J(p)|| and dF(p)'s singular values at (N, n) float points.
 
     dF and the Hessians of F come from F's first and second partials, each
     evaluated once on all the points.  By Jacobi's formula grad J_k =
@@ -241,22 +242,21 @@ def _level_one(components: Sequence[Polynomial], points):
     adj = (phase[:, None, None] * vh.conj().transpose(0, 2, 1) * others[:, None, :]
            @ u.conj().transpose(0, 2, 1))
     grad = np.einsum("pab,pbak->pk", adj, hessians)
-    return differentials, np.einsum("pk,pki->pi", grad, adj), np.linalg.norm(grad, axis=-1)
+    return differentials, np.einsum("pk,pki->pi", grad, adj), np.linalg.norm(grad, axis=-1), s
 
 
-def _corank(rows, exact: bool, tol: float) -> tuple[int, float | None]:
-    """n - rank of an evaluated differential, by exact row reduction or by the
-    SVD, and at a float point ||adj dF||_2 = sigma_1 ... sigma_{n-1}."""
-    n = len(rows)
+def _corank(spectrum, exact: bool, tol: float) -> tuple[int, float | None]:
+    """n - rank of dF(p), by exact row reduction of its rows or from its singular
+    values, and at a float point ||adj dF||_2 = sigma_1 ... sigma_{n-1}."""
+    n = len(spectrum)
     if exact:
-        return n - exact_rank(rows), None
-    sv = np.linalg.svd(np.array(rows, dtype=complex), compute_uv=False)
-    return n - int(np.sum(sv > tol * sv[0])), float(np.prod(sv[:-1]))
+        return n - exact_rank(spectrum), None
+    return n - int(np.sum(spectrum > tol * spectrum[0])), float(np.prod(spectrum[:-1]))
 
 
-def _verdict(components, p, base_value, differential, level_row, k_max,
+def _verdict(components, p, base_value, spectrum, level_row, k_max,
              tol) -> SingularityClass:
-    """The classification decision, given J(p), dF(p) and a level source.
+    """The classification decision, given J(p), dF(p)'s spectrum and a level source.
 
     Regular exactly at corank 0; only corank 1 climbs the tower, by the
     module's vanish rule.  ``level_row(r)`` returns [J_{r,i}(p)] and
@@ -266,7 +266,7 @@ def _verdict(components, p, base_value, differential, level_row, k_max,
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     exact = _is_exact(components, p)
-    corank, adj_norm = _corank(differential, exact, tol)
+    corank, adj_norm = _corank(spectrum, exact, tol)
     diag = {
         "abs_jdet": float(abs(complex(base_value))),
         "tol": None if exact else tol,
@@ -287,15 +287,15 @@ def _verdict(components, p, base_value, differential, level_row, k_max,
 def corank_at(F, p, tol: float = DEFAULT_TOL) -> int:
     """n - rank(dF(p)): exact row reduction for rational data, SVD otherwise."""
     components = _components_of(F)
-    return _corank(_differential(components, p), _is_exact(components, p), validate_tol(tol))[0]
+    return _corank(_spectrum(components, p), _is_exact(components, p), validate_tol(tol))[0]
 
 
 def _classify_at(F, points, tols: Sequence[float], k_max: int,
                  level_one=None) -> list[list[SingularityClass]]:
     """The verdicts at each point for each tolerance in `tols`.
 
-    At the float points, dF(p), J(p), level 1 and ||grad J(p)|| come from
-    F's first and second partials, evaluated once on all of those points
+    At the float points, dF(p) and its singular values, J(p), level 1 and
+    ||grad J(p)|| come from F's partials, evaluated once on all of them
     (``_level_one``; `level_one` is its result when the caller has it).  An
     exact point reads dF(p) and level 1 off its order-2 jets.  Level r >= 2
     and its norms come from the order-(r+1) jets at p, built once, when the
@@ -306,7 +306,7 @@ def _classify_at(F, points, tols: Sequence[float], k_max: int,
     if floats:
         float_rows = iter(zip(*(level_one or _level_one(components, floats))))
 
-    def verdicts(p, rows, base_value, levels, jets2=None):
+    def verdicts(p, spectrum, base_value, levels, jets2=None):
         def level_row(r: int):
             if r not in levels:
                 jets = jets2 if r == 1 else [f.translate_truncated(p, r + 1) for f in components]
@@ -314,7 +314,7 @@ def _classify_at(F, points, tols: Sequence[float], k_max: int,
                 levels[r] = values[r - 1], norms[r - 1]
             return levels[r]
 
-        return [_verdict(components, p, base_value, rows, level_row, k_max, tol)
+        return [_verdict(components, p, base_value, spectrum, level_row, k_max, tol)
                 for tol in tols]
 
     out = []
@@ -324,8 +324,8 @@ def _classify_at(F, points, tols: Sequence[float], k_max: int,
             rows = _linear_rows(jets2)
             out.append(verdicts(p, rows, exact_det(rows), {}, jets2))
         else:
-            rows, first, grad_norm = next(float_rows)
-            out.append(verdicts(p, rows, complex(np.linalg.det(rows)),
+            rows, first, grad_norm, sv = next(float_rows)
+            out.append(verdicts(p, sv, complex(np.linalg.det(rows)),
                                 {1: (list(first), [grad_norm] * len(first))}))
     return out
 
@@ -364,7 +364,7 @@ def classify_from_values(F, p, base_value, level_values,
     components, tol = _components_of(F), validate_tol(tol)
     k = len(level_values)
     norms = _tower_values_at([f.translate_truncated(p, k + 1) for f in components], k)[2]
-    return _verdict(components, p, base_value, _differential(components, p),
+    return _verdict(components, p, base_value, _spectrum(components, p),
                     lambda r: (level_values[r - 1], norms[r - 1]), k, tol)
 
 

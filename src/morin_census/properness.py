@@ -13,9 +13,9 @@ question reduces to whether the components share a nonzero common root.
 * ``macaulay_resultant_certificate`` -- the exact rank of that matrix decides
   rational maps both ways; a rank deficiency comes with the root read off
   the null space as a witness.
-* ``sphere_falsifier`` -- the same null-space reading in floating point,
-  polished by Newton steps to a unit-norm common root.  It gives complex maps
-  a witness; finding none certifies nothing.
+* ``sphere_falsifier`` -- the same null-space reading in floating point, all
+  estimates polished at once by ``newton_polish`` to unit-norm common roots.
+  It gives complex maps a witness; finding none certifies nothing.
 
 ``properness_verdict`` decides rational maps by the certificate and gives
 complex maps a witness or INCONCLUSIVE.
@@ -30,8 +30,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import det_is_nonzero, exact_det, integer_rows
+from .linalg import POLISH_STEPS, det_is_nonzero, exact_det, integer_rows, newton_polish
 from .maps import HomogeneousMap, jacobian, validate_degrees
+from .morin import _evaluated
 from .polynomials import COMPLEX, RATIONAL, Polynomial
 
 __all__ = [
@@ -52,7 +53,6 @@ NOT_PROPER = "not_proper"
 INCONCLUSIVE = "inconclusive"
 
 MACAULAY_SIDE_CAP = 3000  # refuse matrices with more columns than this
-NEWTON_MAX_ITERS = 20
 WITNESS_TOL = 1e-12
 NULL_TOL = 1e-9           # singular values below this share of the largest span the null space
 
@@ -196,47 +196,33 @@ def _witness_note(F: HomogeneousMap, witness: tuple | None) -> str:
     return f"nonzero common root read off the null space (residual {residual:.2e})"
 
 
-def _polished(F: HomogeneousMap, dF, start: np.ndarray):
-    """Unit-norm common root near `start` after Newton polish, or None; dF = jacobian(F)."""
+def _polished(F: HomogeneousMap, starts: np.ndarray) -> np.ndarray:
+    """The (N, n) `starts` after one batched ``newton_polish`` toward common roots of F.
+
+    Newton on the full homogeneous system is a pure rescaling (Euler's
+    identity gives dF(x) x = diag(d_i) F(x)), so each step pins the dominant
+    coordinate of its point and moves in that affine chart instead.
+    Components crossing the zero cone with even multiplicity make the plain
+    step converge only linearly; doubling it wherever that leaves the smaller
+    residual ||F|| restores fast convergence.
+    """
+    dF = jacobian(F)
+
     def evaluate(points: np.ndarray) -> np.ndarray:
         return np.stack(F.evaluate(points), axis=-1)
 
-    # Newton on the full homogeneous system is a pure rescaling (Euler's
-    # identity gives dF(x) x = diag(d_i) F(x)), so the polish pins the
-    # dominant coordinate and iterates in that affine chart instead.
-    # Components crossing the zero cone with even multiplicity make the
-    # plain step converge only linearly; trying the doubled step as well
-    # and keeping the smaller residual restores fast convergence.
-    x = start.copy()
-    resid = float(np.linalg.norm(evaluate(x)))
-    for _ in range(NEWTON_MAX_ITERS):
-        scaled = x / np.linalg.norm(x)
-        if np.linalg.norm(evaluate(scaled)) < _witness_threshold(F, scaled):
-            return scaled
-        pivot = int(np.argmax(np.abs(x)))
-        keep = [j for j in range(F.n) if j != pivot]
-        fx = evaluate(x)
-        jac = np.array([[dF.entry(i, j).evaluate(x) for j in keep]
-                        for i in range(F.n)], dtype=complex)
-        step, *_ = np.linalg.lstsq(jac, -fx, rcond=None)
-        best = None
-        for factor in (1.0, 2.0):
-            cand = x.copy()
-            cand[keep] = cand[keep] + factor * step
-            r = float(np.linalg.norm(evaluate(cand)))
-            if best is None or r < best[0]:
-                best = (r, cand)
-        if best[0] >= resid:
-            break
-        resid, x = best
-    scaled = x / np.linalg.norm(x)
-    if np.linalg.norm(evaluate(scaled)) < _witness_threshold(F, scaled):
-        return scaled
-    return None
+    def chart_step(x: np.ndarray, fx: np.ndarray) -> np.ndarray:
+        jac = _evaluated(dF, x)
+        jac[np.arange(len(x)), :, np.argmax(np.abs(x), axis=1)] = 0.0    # the pinned column
+        step = (np.linalg.pinv(jac) @ fx[..., None])[..., 0]
+        plain, doubled = np.linalg.norm(evaluate(np.stack([x - step, x - 2.0 * step])), axis=-1)
+        return np.where((doubled < plain)[:, None], 2.0 * step, step)
+
+    return newton_polish(starts, evaluate, chart_step, POLISH_STEPS)[0]
 
 
 def _null_space_witness(F: HomogeneousMap, rows, monomials, at_least: int = 0):
-    """First polished root among those read off the Macaulay matrix's null space.
+    """The first polished null-space root whose unit point clears the threshold, or None.
 
     Each root z puts (z^m) in the null space N, and the rows S_j of N at the
     monomials x_j * m (deg m = nu - 1) shift it by z_j.  So A_j = lstsq(S_k, S_j)
@@ -263,11 +249,11 @@ def _null_space_witness(F: HomogeneousMap, rows, monomials, at_least: int = 0):
     # a root of multiplicity r is a defective cluster of r eigenvalues whose
     # mean, trace(A_j) / r, stays accurate
     estimates = np.vstack([estimates, estimates.mean(axis=0)])
-    dF = jacobian(F)
-    for start in estimates[np.isfinite(estimates).all(axis=1) & estimates.any(axis=1)]:
-        root = _polished(F, dF, start)
-        if root is not None:
-            return tuple(complex(v) for v in root)
+    starts = estimates[np.isfinite(estimates).all(axis=1) & estimates.any(axis=1)]
+    for root in _polished(F, starts):
+        scaled = root / np.linalg.norm(root)
+        if np.linalg.norm(F.evaluate(scaled)) < _witness_threshold(F, scaled):
+            return tuple(complex(v) for v in scaled)
     return None
 
 

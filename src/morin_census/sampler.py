@@ -5,19 +5,20 @@ n - 2, so random affine lines hit it in deg J = sum(d_i - 1) isolated points.
 This module locates those points (interpolate J on a line from det dF at
 deg J + 1 nodes, solve one univariate polynomial), hunts the codimension-2
 cusp stratum with bivariate resultant elimination on random affine 2-planes
-(J and J_{1,i*} evaluated on one grid per plane, one batched Newton polish
-per plane, one classification pass per hunt), classifies everything with the
-Morin classifier, and aggregates survey statistics: the expected picture for
-a generic map is that every off-origin singular point is A_1, A_2 or A_3,
-with random line samples almost surely landing on the A_1 stratum.  No path
+(J and J_{1,i*} evaluated on one grid per plane, one classification pass per
+hunt), classifies everything with the Morin classifier, and aggregates survey
+statistics: the expected picture for a generic map is that every off-origin
+singular point is A_1, A_2 or A_3, with random line samples almost surely
+landing on the A_1 stratum.  No path
 here builds a determinant polynomial: J and the first tower level are read
 off F's evaluated partials, as the classifier reads them.
 
 All numerics are deterministic for a fixed seed: restriction to a line or a
 plane is roots-of-unity interpolation of values (an FFT, 2-D on planes), root
 finding takes the eigenvalues of the companion matrix, and the survey derives
-per-map sub-seeds from a SeedSequence and runs the maps in order.  A float
-value is zero when it is at most ROOT_TOL times its own bound (a root's
+per-map sub-seeds from a SeedSequence and runs the maps in order.  Roots,
+line points and plane pairs are all polished by ``linalg.newton_polish``.  A
+float value is zero when it is at most ROOT_TOL times its own bound (a root's
 evaluation envelope, the Hadamard bound on det dF, a plane function's
 coefficient envelope), so a constant factor on F changes no answer.
 """
@@ -31,10 +32,10 @@ from typing import Sequence
 
 import numpy as np
 
+from .linalg import POLISH_STEPS, newton_polish
 from .maps import (HomogeneousMap, jacobian, random_map, ray_multiplicity, validate_count,
                    validate_degrees)
-from .morin import (DEFAULT_KMAX, DEFAULT_TOL, _classify_at, _corank, _evaluated, _level_one,
-                    validate_tol)
+from .morin import DEFAULT_KMAX, DEFAULT_TOL, _classify_at, _evaluated, _level_one, validate_tol
 from .polynomials import COMPLEX, ROOT_TOL, Polynomial
 from .properness import sylvester_matrix
 
@@ -69,9 +70,9 @@ def univariate_roots(p) -> list[complex]:
     Low-order coefficients that are exactly zero are stripped and come back
     as roots at 0, first in the list.  The other roots are the eigenvalues
     of the companion matrix of the monic polynomial (``np.roots``, backward
-    stable), polished by three Newton steps each kept only when it shrinks
-    the residual.  There is no iteration budget: the roots are accepted only
-    when every residual clears the evaluation envelope,
+    stable), polished by three steps of ``newton_polish`` (a start at a zero
+    slope gets a non-finite step and stays).  The step count decides nothing:
+    the roots are accepted only when every residual clears the envelope
     |p(z)| <= ROOT_TOL * sum_k |a_k| |z|^k (on the reversed polynomial at 1/z
     where |z| > 1), the one float zero rule the slicers' points pass too --
     and otherwise RootConvergenceError carries the polished estimates, the
@@ -94,18 +95,9 @@ def univariate_roots(p) -> list[complex]:
     if degree == 0:
         return at_origin
     desc = (coeffs / coeffs[-1])[::-1]       # monic, descending for np.polyval
-    z = np.roots(desc)
     dp = np.polyder(desc)
-    # far out a slope or a stepped value may overflow to inf/nan: no step then
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(3):
-            vals = np.polyval(desc, z)
-            slopes = np.polyval(dp, z)
-            safe = np.abs(slopes) > 1e-30
-            step = np.where(safe, vals / np.where(safe, slopes, 1.0), 0.0)
-            candidate = z - step
-            better = np.abs(np.polyval(desc, candidate)) < np.abs(vals)
-            z = np.where(better, candidate, z)
+    z, _ = newton_polish(np.roots(desc), lambda z: np.polyval(desc, z),
+                         lambda z, vals: vals / np.polyval(dp, z), steps=3)
     # where |z| > 1 test the reversed polynomial at 1/z: both sides shrink by
     # |z|^degree, so nothing overflows; a NaN counts as outside (negated <=)
     inner = np.abs(z) <= 1.0
@@ -174,12 +166,12 @@ def critical_points_on_lines(F: HomogeneousMap, lines: int, seed: int) -> list[t
     ``jdet(F)`` is never built.  J counts as identically zero, a ValueError,
     when every node value on a line is within rounding of zero: at most
     n * eps times the product of the row norms of dF, the Hadamard bound on
-    |det dF|.  Each root is then polished by Newton steps on det dF itself,
-    each kept only where it shrinks |J|, until no root's |J| shrinks (at most
-    20 steps).  A root is a point when |J| <= ROOT_TOL times that Hadamard
-    bound there, a test no constant factor on F moves.  Points are returned
-    at unit norm with canonical phase (C(F) is a cone, so rays are what
-    matter).  `lines` < 0 is a ValueError.
+    |det dF|.  The roots are polished by ``newton_polish`` on det dF itself
+    with the interpolant's slope (at most POLISH_STEPS = 20 steps), and a
+    root is a point when |J| <= ROOT_TOL times the Hadamard bound there, a
+    test no constant factor on F moves.  Points are returned at unit norm
+    with canonical phase (C(F) is a cone, so rays are what matter).
+    `lines` < 0 is a ValueError.
     """
     validate_count(lines, "lines")
     jac = jacobian(F)
@@ -197,22 +189,15 @@ def critical_points_on_lines(F: HomogeneousMap, lines: int, seed: int) -> list[t
         if np.all(np.abs(values) <= F.n * np.finfo(float).eps * hadamard):
             raise ValueError("jdet(F) is identically zero; no critical cone to sample")
         coeffs = _interpolate(values)
-        roots = _roots(coeffs)
         # Newton on J itself, with the interpolant's slope: the interpolant
         # carries noise of eps * max |J| on the nodes, which near the origin
         # (where some lines pass) is far above J and moves its roots
-        j, hadamard = _jacobian_dets(_evaluated(jac, a + roots[:, None] * b))
         slopes = np.polyder(coeffs[::-1])
-        for _ in range(20):
-            slope = np.polyval(slopes, roots)
-            stepped = roots - j / np.where(slope != 0, slope, 1.0)
-            j_stepped, h_stepped = _jacobian_dets(_evaluated(jac, a + stepped[:, None] * b))
-            better = np.abs(j_stepped) < np.abs(j)
-            if not better.any():
-                break
-            roots, j, hadamard = (np.where(better, new, old) for new, old in
-                                  ((stepped, roots), (j_stepped, j), (h_stepped, hadamard)))
+        roots, _ = newton_polish(
+            _roots(coeffs), lambda t: _jacobian_dets(_evaluated(jac, a + t[:, None] * b))[0],
+            lambda t, j: j / np.polyval(slopes, t), POLISH_STEPS)
         x = a + roots[:, None] * b
+        j, hadamard = _jacobian_dets(_evaluated(jac, x))
         norms = np.linalg.norm(x, axis=1)
         kept = (norms >= 1e-12) & (np.abs(j) <= ROOT_TOL * hadamard)
         points += [_phase_normalized(p) for p in x[kept]]
@@ -240,13 +225,13 @@ def plane_section_solutions(values, degrees: Sequence[int], n: int, planes: int,
     modulus (a plane where a top-form coefficient is within ROOT_TOL of it is
     redrawn), v is eliminated by Sylvester determinants interpolated into R(u)
     (degree <= d1 * d2 by Bezout), and v is solved at each root u.  All (u, v)
-    pairs are polished by Newton on the true values with the interpolant's
-    slopes, each step kept only where it shrinks max |f|, until none does (at
-    most 20 steps).  A pair is a solution when each |f_k| is at most ROOT_TOL
-    times the plane's own evaluation envelope sum_ab |C[a, b, k]| |u|^a |v|^b
-    there, so a constant factor on either function changes nothing.
-    Solutions are reported at unit norm with both absolute residuals, one per
-    ray.  `planes` < 0 is a ValueError.
+    pairs are polished by ``newton_polish`` on the true values with the
+    interpolant's slopes (a singular 2x2 system gives a NaN step; at most
+    POLISH_STEPS = 20 steps).  A pair is a solution when each |f_k| is at
+    most ROOT_TOL times the plane's own evaluation envelope
+    sum_ab |C[a, b, k]| |u|^a |v|^b there, so a constant factor on either
+    function changes nothing.  Solutions are reported at unit norm with both
+    absolute residuals, one per ray.  `planes` < 0 is a ValueError.
     """
     validate_count(planes, "planes")
     d1, d2 = degrees
@@ -298,25 +283,19 @@ def plane_section_solutions(values, degrees: Sequence[int], n: int, planes: int,
             first = c[d1::-1, 0]
             paired = np.abs(np.polyval(first, v)) <= 1e-4 * np.polyval(np.abs(first), np.abs(v))
             pairs += [(u, root) for root in v[paired]]
-        uv = np.array(pairs, dtype=complex).reshape(-1, 2)
         plane = np.array([q1, q2])                    # dx / d(u, v)
         slopes = [np.polynomial.polynomial.polyder(coeffs, axis=axis) for axis in (0, 1)]
-        f = values(q0 + uv @ plane)
-        # an unimproved pair would repeat its step: only improved pairs step on
-        moving = np.arange(len(uv))
-        for _ in range(20):
-            # jac[m, k, j]: d f_k / d(u, v)_j from the interpolant
-            jac = np.stack([np.polynomial.polynomial.polyval2d(*uv[moving].T, s)
-                            for s in slopes], axis=-1).transpose(1, 0, 2)
-            solvable = np.linalg.det(jac) != 0.0      # a singular system takes no step
-            moving, jac = moving[solvable], jac[solvable]
-            stepped = uv[moving] - np.linalg.solve(jac, f[moving][..., None])[..., 0]
-            f_stepped = values(q0 + stepped @ plane)
-            better = np.max(np.abs(f_stepped), axis=1) < np.max(np.abs(f[moving]), axis=1)
-            moving = moving[better]
-            if not moving.size:
-                break
-            uv[moving], f[moving] = stepped[better], f_stepped[better]
+
+        def newton_step(uv, f):
+            # jac[m, k, j]: d f_k / d(u, v)_j from the interpolant; a singular
+            # system gives a NaN step, which the polish does not take
+            jac = np.stack([np.polynomial.polynomial.polyval2d(*uv.T, s) for s in slopes],
+                           axis=-1).transpose(1, 0, 2)
+            jac[np.linalg.det(jac) == 0.0] = np.nan
+            return np.linalg.solve(jac, f[..., None])[..., 0]
+
+        uv, f = newton_polish(np.array(pairs, dtype=complex).reshape(-1, 2),
+                              lambda uv: values(q0 + uv @ plane), newton_step, POLISH_STEPS)
         x = q0 + uv @ plane
         envelope = np.polynomial.polynomial.polyval2d(*np.abs(uv).T, np.abs(coeffs)).T
         kept = (np.all(np.abs(f) <= ROOT_TOL * envelope, axis=1)
@@ -342,8 +321,8 @@ def cusp_points(F: HomogeneousMap, planes: int, seed: int) -> list[SectionSoluti
     pass over F's partials, and only genuine A_2 points (at DEFAULT_TOL) are
     returned; rejects are discarded, and an all-rejected plane budget simply
     yields an empty list.  The slicer's envelope test keeps no scale of F in
-    the residual cut; its Newton step test, max_k |f_k|, still mixes the
-    scales of J and J_{1,i*}.  `planes` < 0 is a ValueError.
+    the residual cut; the step test of ``newton_polish``, max_k |f_k|, still
+    mixes the scales of J and J_{1,i*}.  `planes` < 0 is a ValueError.
     """
     if F.n != 4:
         raise ValueError("cusp hunting is implemented for n = 4")
@@ -351,15 +330,15 @@ def cusp_points(F: HomogeneousMap, planes: int, seed: int) -> list[SectionSoluti
     Fc = F.as_complex()
     rng = np.random.default_rng(seed)
     probe = rng.standard_normal((1, F.n)) + 1j * rng.standard_normal((1, F.n))
-    differential, first, grad_norm = (a[0] for a in _level_one(Fc.components, probe))
-    adj_norm = _corank(differential, False, DEFAULT_TOL)[1]
-    live = np.flatnonzero(np.abs(first) > DEFAULT_TOL * grad_norm * adj_norm)
+    _, first, grad_norm, sv = (a[0] for a in _level_one(Fc.components, probe))
+    # the classifier's bound on J_{1,i}: ||grad J|| ||adj dF||_2, ||adj dF||_2 = s_1 ... s_{n-1}
+    live = np.flatnonzero(np.abs(first) > DEFAULT_TOL * grad_norm * np.prod(sv[:-1]))
     if not live.size:
         return []           # level 1 vanishes identically, J = 0 included
     i = int(live[0])
 
     def values(x):
-        differentials, level, _ = _level_one(Fc.components, x)
+        differentials, level, *_ = _level_one(Fc.components, x)
         return np.stack([_jacobian_dets(differentials)[0], level[:, i]], axis=-1)
 
     deg = sum(d - 1 for d in F.degrees)

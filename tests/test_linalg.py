@@ -1,9 +1,13 @@
-"""Exact determinants and denominator clearing on scalar matrices."""
+"""Exact determinants and denominator clearing on scalar matrices, and the Newton polish."""
 
+import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from morin_census import (critical_points_on_lines, cusp_points, linalg, properness,
+                          properness_verdict, random_map, sampler, univariate_roots)
 from morin_census.linalg import (
     _CERTIFICATE_PRIMES,
     bareiss_det,
@@ -11,6 +15,7 @@ from morin_census.linalg import (
     exact_det,
     exact_rank,
     integer_rows,
+    newton_polish,
 )
 
 
@@ -54,3 +59,54 @@ def test_bareiss_det_and_exact_rank_share_one_elimination():
     assert bareiss_det([]) == 1
     with pytest.raises(ValueError):
         bareiss_det([[1, 2]])
+
+
+@pytest.mark.filterwarnings("error")
+def test_newton_polish_keeps_only_shrinking_finite_steps():
+    """Three items: 1 halves at every step, 8 would step to 16 (a larger
+    |f|), and 3 gets a NaN step.  Only the first moves, the other two stop at
+    once, `values` never sees a non-finite trial, and the halving stops at the
+    budget of 4 steps."""
+    seen, stepped = [], []
+
+    def values(z):
+        seen.append(z.copy())
+        return z
+
+    def step(z, f):
+        stepped.append(len(z))
+        return np.where(np.abs(z) <= 1.0, z / 2.0, np.where(z.real > 5.0, -z, np.nan))
+
+    z, f = newton_polish(np.array([1.0, 8.0, 3.0]), values, step, steps=4)
+    assert np.array_equal(z, [1 / 16, 8.0, 3.0]) and np.array_equal(f, z)
+    assert stepped == [3, 1, 1, 1]
+    assert all(np.isfinite(batch).all() for batch in seen)
+    assert np.array_equal(seen[1], [0.5, 16.0])     # the NaN trial is dropped first
+
+
+def test_every_float_solver_polishes_through_newton_polish(monkeypatch):
+    """The root finder, both slicers and the properness witness each call
+    ``newton_polish``, seen through a counter at each module's import binding."""
+    callers = []
+
+    def counted(*args, **kwargs):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return linalg.newton_polish(*args, **kwargs)
+
+    for module in (sampler, properness):
+        monkeypatch.setattr(module, "newton_polish", counted)
+
+    def through(call) -> set:
+        callers.clear()
+        call()
+        return set(callers)
+
+    F = random_map((2, 2, 2, 2), seed=1, kind="complex")
+    assert through(lambda: univariate_roots([-6, 11, -6, 1])) == {"univariate_roots"}
+    assert through(lambda: critical_points_on_lines(F, lines=1, seed=11)) == {
+        "univariate_roots", "critical_points_on_lines"}
+    assert through(lambda: cusp_points(F, planes=1, seed=6)) == {
+        "univariate_roots", "plane_section_solutions"}
+    # (3,3,3), seed 1000016: no component has an x1^3 term, so (1,0,0) is a common zero
+    planted = random_map((3, 3, 3), seed=1000016)
+    assert through(lambda: properness_verdict(planted).witness) == {"_polished"}

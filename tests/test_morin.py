@@ -19,7 +19,7 @@ from morin_census import (
     survey,
 )
 from morin_census.linalg import random_unimodular_matrix
-from morin_census.morin import _level_one, _tower_values_at
+from morin_census.morin import _level_one, _linear_rows, _tower_values_at
 
 X1, X2, X3, X4 = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 ORIGIN = np.zeros(4)
@@ -166,7 +166,8 @@ def test_float_level_one_matches_the_jet_tower():
     map.  The scale is the row's size, or 1 where the jet row is exactly 0
     (integer germs whose level 1 vanishes).  The kernel's ||grad J(p)|| must
     match the jet tower's level-1 norms, read off the linear terms of J in
-    all n variables, to 1e-12 of the larger of that norm and 1."""
+    all n variables, to 1e-12 of the larger of that norm and 1, and its
+    singular values those of the jets' dF(p) to 1e-12 of the largest."""
     rng = np.random.default_rng(2024)
     cases = []
     for form in (fold_form(), cusp_form(), swallowtail_form(), corank2_form()):
@@ -181,9 +182,11 @@ def test_float_level_one_matches_the_jet_tower():
     cases.append((F.components, points))
     checked = 0
     for components, pts in cases:
-        _, rows, grad_norms = _level_one(components, pts)
-        for p, row, grad_norm in zip(pts, rows, grad_norms):
+        _, rows, grad_norms, spectra = _level_one(components, pts)
+        for p, row, grad_norm, sv in zip(pts, rows, grad_norms, spectra):
             jets = [f.translate_truncated(p, 2) for f in components]
+            ref_sv = np.linalg.svd(np.array(_linear_rows(jets), dtype=complex), compute_uv=False)
+            assert np.max(np.abs(sv - ref_sv)) <= 1e-12 * max(ref_sv[0], 1.0), (p, sv, ref_sv)
             _, values, norms = _tower_values_at(jets, 1)
             ref = np.array(values[0], dtype=complex)
             scale = max(float(np.max(np.abs(ref))), 1.0)

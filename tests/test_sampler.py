@@ -123,6 +123,17 @@ def test_nonconvergence_carries_partial_roots(monkeypatch):
 
 
 @pytest.mark.filterwarnings("error")
+def test_start_at_a_zero_slope_takes_no_step(monkeypatch):
+    """z^2 - 1 started twice at 0, where its slope is exactly 0: the Newton
+    step there is not finite, so neither start moves, both miss the envelope,
+    and the error carries them unchanged, with no floating-point warning."""
+    monkeypatch.setattr(np, "roots", lambda desc: np.array([0j, 0j]))
+    with pytest.raises(RootConvergenceError, match="2 of 2") as exc:
+        univariate_roots([-1.0, 0.0, 1.0])
+    assert exc.value.roots == (0j, 0j)
+
+
+@pytest.mark.filterwarnings("error")
 def test_envelope_of_a_huge_root_does_not_overflow():
     """1 + z^103 + 1.01e-12 z^104 has a root near -1/1.01e-12: |z|^104
     overflows a double, so the envelope is tested on the reversed polynomial
