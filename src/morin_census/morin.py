@@ -25,13 +25,18 @@ dF; ``_chain`` builds one, a level at a time as it is pulled, for both paths:
   point is decided at.
   Both paths agree (this is tested), they just price the work differently.
 
-At a float point the first level needs no determinant polynomial at all.
+At a float point the first two levels need no determinant polynomial and no
+jet at all (``Partials`` holds F's partials, each distinct one built once).
 dF(p) and the Hessians of F come from F's first and second partials, each
 evaluated once on all the points being classified.  Jacobi's formula gives
 grad J(p)_k = tr(adj dF(p) . d_k dF(p)), and expanding the replaced row gives
 the whole level J_{1,.}(p) = grad J(p) @ adj dF(p); the adjugate comes from
 the SVD, which stays accurate at J(p) ~ 0 and gives every tolerance's
-corank.  Exact points read dF(p) off their jets and keep exact arithmetic.
+corank.  Level 2 differentiates that once more, in one batch over the points
+that reach it: F's third partials give d_m grad J, the SVD gives the
+adjugate's derivative, and J_{2,i}(p) = grad J_{1,i}(p) . adj dF(p)[:, i].
+Float levels r >= 3 come from the jets.  Exact points read dF(p) off their
+jets and keep exact arithmetic.
 
 One scale-free rule decides a float point: p is regular exactly when no
 singular value of dF(p) is at or below tol * sigma_1, and J_{r,i}(p) =
@@ -42,10 +47,11 @@ Cauchy-Schwarz bound ||grad J_{r-1,i}(p)|| * ||adj dF(p)||_2, where
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -204,14 +210,49 @@ def _linear_rows(jets: Sequence[Polynomial]) -> list[list]:
     return [[g.coefficient(u) for u in units] for g in jets]
 
 
-def _evaluated(jac: PolyMatrix, points) -> np.ndarray:
-    """A polynomial matrix at each of the (N, n) float points: an (N, rows, cols) array.
+class Partials:
+    """The partial derivatives of a square map's components, each distinct one built once.
 
-    Each entry goes through one ``Polynomial.evaluate`` over all the points.
+    Order 1 is dF from ``maps.jacobian``; order r + 1 differentiates order r,
+    one polynomial per component and sorted multi-index (partials commute),
+    and every other entry is read off its sorted twin.  An order is built the
+    first time ``at`` asks for it and kept with the instance, so whoever
+    holds one -- a survey map, a cusp hunt -- builds and compiles each
+    partial once for all its evaluations.
     """
-    x = np.asarray(points, dtype=complex)
-    values = np.array([e.evaluate(x) for e in jac.entries])
-    return values.T.reshape(len(x), jac.rows, jac.cols)
+
+    def __init__(self, components: Sequence[Polynomial]):
+        self.components = tuple(components)
+        # _orders[r - 1]: the order-r partials by (i, sorted multi-index), and for
+        # each dense index (i, j, k, ...) the position of its partial among them
+        self._orders: list[tuple[dict, np.ndarray]] = []
+
+    def _order(self, r: int) -> tuple[dict, np.ndarray]:
+        n = len(self.components)
+        while len(self._orders) < r:
+            if not self._orders:
+                jac = jacobian(GeneralMap(self.components))
+                level = {(i, (j,)): jac.entry(i, j) for i in range(n) for j in range(n)}
+            else:
+                level = {(i, a + (m,)): f.partial(m) for (i, a), f in self._orders[-1][0].items()
+                         for m in range(a[-1], n)}
+            position = {key: k for k, key in enumerate(level)}
+            gather = [position[i, tuple(sorted(a))]
+                      for i, *a in itertools.product(range(n), repeat=len(self._orders) + 2)]
+            self._orders.append((level, np.array(gather)))
+        return self._orders[r - 1]
+
+    def at(self, points, r: int) -> np.ndarray:
+        """d^r F at the (N, n) float points: entry [p, i, j, k, ...] is
+        d^r f_i / dx_j dx_k ... at point p, each distinct partial evaluated once."""
+        x = np.asarray(points, dtype=complex)
+        level, gather = self._order(r)
+        values = np.array([f.evaluate(x) for f in level.values()]).reshape(len(level), len(x))
+        n = len(self.components)
+        # one block per component, stacked: einsum's summation order follows
+        # the memory layout, and the cusp hunt's plane solutions move with it
+        return np.stack([block.T.reshape(len(x), *(n,) * r)
+                         for block in np.split(values[gather], n)], axis=1)
 
 
 def _spectrum(components: Sequence[Polynomial], p):
@@ -219,30 +260,84 @@ def _spectrum(components: Sequence[Polynomial], p):
     exact point, else the singular values of dF(p) from F's evaluated partials."""
     if _is_exact(components, p):
         return _linear_rows([f.translate_truncated(p, 1) for f in components])
-    return np.linalg.svd(_evaluated(jacobian(GeneralMap(components)), [p])[0], compute_uv=False)
+    return np.linalg.svd(Partials(components).at([p], 1)[0], compute_uv=False)
 
 
-def _level_one(components: Sequence[Polynomial], points):
-    """dF(p), [J_{1,i}(p)], ||grad J(p)|| and dF(p)'s singular values at (N, n) float points.
+class _LevelOne(NamedTuple):
+    """What level 1 at (N, n) float points reads and gives, one row per point."""
 
-    dF and the Hessians of F come from F's first and second partials, each
-    evaluated once on all the points.  By Jacobi's formula grad J_k =
+    differentials: np.ndarray       # dF(p)
+    hessians: np.ndarray            # [p, i, j, k] = d^2 f_i / dx_j dx_k at p
+    u: np.ndarray                   # dF(p) = U diag(s) V^H
+    s: np.ndarray
+    vh: np.ndarray
+    adj: np.ndarray                 # adj dF(p)
+    grad: np.ndarray                # grad J(p)
+    values: np.ndarray              # [J_{1,i}(p)]
+
+
+def _level_one(partials: Partials, points) -> _LevelOne:
+    """dF(p), its SVD and adjugate, grad J(p) and [J_{1,i}(p)] at (N, n) float points.
+
+    dF and the Hessians of F are F's first and second partials, each distinct
+    one evaluated once on all the points.  By Jacobi's formula grad J_k =
     tr(adj dF . d_k dF), and replacing row i of dF by grad J makes
     J_{1,i} = (grad J @ adj dF)_i.  With dF = U diag(s) V^H the adjugate is
     det(U) det(V^H) V diag(prod_{k != j} s_k) U^H, which needs no inverse.
     """
-    jac = jacobian(GeneralMap(components))
-    differentials = _evaluated(jac, points)
-    # hessians[p, i, j, k] = d^2 f_i / dx_j dx_k at point p
-    hessians = np.stack([_evaluated(jacobian(GeneralMap(jac.row(i))), points)
-                         for i in range(jac.rows)], axis=1)
+    differentials = partials.at(points, 1)
+    hessians = partials.at(points, 2)
     u, s, vh = np.linalg.svd(differentials)
-    others = np.prod(np.where(np.eye(jac.rows, dtype=bool), 1.0, s[:, None, :]), axis=-1)
+    n = s.shape[-1]
+    others = np.prod(np.where(np.eye(n, dtype=bool), 1.0, s[:, None, :]), axis=-1)
     phase = np.linalg.det(u) * np.linalg.det(vh)
     adj = (phase[:, None, None] * vh.conj().transpose(0, 2, 1) * others[:, None, :]
            @ u.conj().transpose(0, 2, 1))
     grad = np.einsum("pab,pbak->pk", adj, hessians)
-    return differentials, np.einsum("pk,pki->pi", grad, adj), np.linalg.norm(grad, axis=-1), s
+    return _LevelOne(differentials, hessians, u, s, vh, adj, grad,
+                     np.einsum("pk,pki->pi", grad, adj))
+
+
+def _adjugate_derivative(u, s, vh, directions) -> np.ndarray:
+    """D adj(A)[E] at A = U diag(s) V^H for the (N, M, n, n) directions E of each point.
+
+    With G = U^H E V, adj(A + tE) = det(U) det(V^H) V adj(diag(s) + tG) U^H,
+    and the derivative D of adj at diag(s) along G has off-diagonal entries
+    -G_ki prod_{l != k, i} s_l and diagonal entries sum_{l != k} G_ll
+    prod_{j != k, l} s_j: products of singular values and no inverse, so it
+    stays accurate at corank 1.
+    """
+    n = s.shape[-1]
+    eye = np.eye(n, dtype=bool)
+    # pair[p, k, i] = prod of s_l over l not in {k, i}, zero on the diagonal
+    pair = np.prod(np.where(eye[:, None, :] | eye, 1.0, s[:, None, None, :]), axis=-1)
+    pair = np.where(eye, 0.0, pair)
+    uh, v = u.conj().transpose(0, 2, 1)[:, None], vh.conj().transpose(0, 2, 1)[:, None]
+    g = uh @ directions @ v
+    d = -g * pair[:, None]
+    d[..., eye] = np.einsum("pkl,pml->pmk", pair, np.diagonal(g, axis1=-2, axis2=-1))
+    phase = np.linalg.det(u) * np.linalg.det(vh)
+    return phase[:, None, None, None] * (v @ d @ uh)
+
+
+def _level_two(partials: Partials, points, one: _LevelOne):
+    """[J_{2,i}(p)] and [||grad J_{1,i}(p)||] at (N, n) float points, given their level 1.
+
+    F's third partials are evaluated once on the points; dF, the Hessians,
+    the SVD and the adjugate are `one`'s.  Differentiating J_{1,i} =
+    sum_k g_k adj_{k,i} (g = grad J) gives d_m J_{1,i} = sum_k d_m g_k
+    adj_{k,i} + g_k (d_m adj)_{k,i}, where d_m g_k = tr(d_m adj . d_k dF) +
+    tr(adj . d_m d_k dF) and d_m adj = D adj(dF)[d_m dF] comes from the SVD
+    (``_adjugate_derivative``).  Replacing row i of dF by grad J_{1,i} makes
+    J_{2,i} = grad J_{1,i} . adj dF[:, i].
+    """
+    third = partials.at(points, 3)
+    d_adj = _adjugate_derivative(one.u, one.s, one.vh, np.moveaxis(one.hessians, -1, 1))
+    d_grad = (np.einsum("pmab,pbak->pmk", d_adj, one.hessians)
+              + np.einsum("pab,pbakm->pmk", one.adj, third))
+    d_level = (np.einsum("pmk,pki->pmi", d_grad, one.adj)
+               + np.einsum("pk,pmki->pmi", one.grad, d_adj))
+    return np.einsum("pmi,pmi->pi", d_level, one.adj), np.linalg.norm(d_level, axis=1)
 
 
 def _corank(spectrum, exact: bool, tol: float) -> tuple[int, float | None]:
@@ -252,6 +347,12 @@ def _corank(spectrum, exact: bool, tol: float) -> tuple[int, float | None]:
     if exact:
         return n - exact_rank(spectrum), None
     return n - int(np.sum(spectrum > tol * spectrum[0])), float(np.prod(spectrum[:-1]))
+
+
+def _survives(values, norms, exact: bool, tol: float, adj_norm) -> bool:
+    """Whether some value of a tower level is nonzero by the module's vanish rule."""
+    return any(v != 0 if exact else abs(complex(v)) > tol * g * adj_norm
+               for v, g in zip(values, norms))
 
 
 def _verdict(components, p, base_value, spectrum, level_row, k_max,
@@ -278,8 +379,7 @@ def _verdict(components, p, base_value, spectrum, level_row, k_max,
     for r in range(1, k_max + 1):
         values, norms = level_row(r)
         diag["levels"][str(r)] = float(max(abs(complex(v)) for v in values))
-        if any(v != 0 if exact else abs(complex(v)) > tol * g * adj_norm
-               for v, g in zip(values, norms)):
+        if _survives(values, norms, exact, tol, adj_norm):
             return SingularityClass("morin", k=r, diagnostics=diag)
     return SingularityClass("indeterminate", diagnostics=diag)
 
@@ -290,21 +390,41 @@ def corank_at(F, p, tol: float = DEFAULT_TOL) -> int:
     return _corank(_spectrum(components, p), _is_exact(components, p), validate_tol(tol))[0]
 
 
-def _classify_at(F, points, tols: Sequence[float], k_max: int,
-                 level_one=None) -> list[list[SingularityClass]]:
+def _classify_at(F, points, tols: Sequence[float], k_max: int, partials: Partials | None = None,
+                 level_one: _LevelOne | None = None) -> list[list[SingularityClass]]:
     """The verdicts at each point for each tolerance in `tols`.
 
     At the float points, dF(p) and its singular values, J(p), level 1 and
-    ||grad J(p)|| come from F's partials, evaluated once on all of them
-    (``_level_one``; `level_one` is its result when the caller has it).  An
-    exact point reads dF(p) and level 1 off its order-2 jets.  Level r >= 2
-    and its norms come from the order-(r+1) jets at p, built once, when the
-    first verdict at p reaches it.
+    ||grad J(p)|| come from F's partials (`partials` when the caller holds
+    them), evaluated once on all of them (``_level_one``; `level_one` is its
+    result when the caller has it).  The float points whose verdict at some
+    tolerance reaches level 2 -- corank 1 and level 1 vanishing -- get
+    level 2 and its norms from one ``_level_two`` call on F's third partials,
+    and when no point reaches it there is no call.  An exact point reads
+    dF(p) and level 1 off its order-2 jets; exact levels r >= 2, and float
+    levels r >= 3, come from the order-(r+1) jets at p, built once, when the
+    first verdict at p reaches them.
     """
     components = _components_of(F)
     floats = [p for p in points if not _is_exact(components, p)]
     if floats:
-        float_rows = iter(zip(*(level_one or _level_one(components, floats))))
+        partials = partials or Partials(components)
+        one = level_one or _level_one(partials, floats)
+        float_levels = [{1: (list(row), [g] * len(row))}
+                        for row, g in zip(one.values, np.linalg.norm(one.grad, axis=-1))]
+
+        def passes_one(sv, level, tol) -> bool:     # ``_verdict``'s rule, at level 1
+            corank, adj_norm = _corank(sv, False, tol)
+            return corank == 1 and not _survives(*level, False, tol, adj_norm)
+
+        climbing = [m for m, (sv, levels) in enumerate(zip(one.s, float_levels))
+                    if k_max >= 2 and any(passes_one(sv, levels[1], tol) for tol in tols)]
+        if climbing:
+            values, norms = _level_two(partials, np.asarray(floats, dtype=complex)[climbing],
+                                       _LevelOne(*(a[climbing] for a in one)))
+            for m, row, norm in zip(climbing, values, norms):
+                float_levels[m][2] = list(row), list(norm)
+        float_rows = iter(zip(one.differentials, one.s, float_levels))
 
     def verdicts(p, spectrum, base_value, levels, jets2=None):
         def level_row(r: int):
@@ -324,9 +444,8 @@ def _classify_at(F, points, tols: Sequence[float], k_max: int,
             rows = _linear_rows(jets2)
             out.append(verdicts(p, rows, exact_det(rows), {}, jets2))
         else:
-            rows, first, grad_norm, sv = next(float_rows)
-            out.append(verdicts(p, sv, complex(np.linalg.det(rows)),
-                                {1: (list(first), [grad_norm] * len(first))}))
+            differential, sv, levels = next(float_rows)
+            out.append(verdicts(p, sv, complex(np.linalg.det(differential)), levels))
     return out
 
 
@@ -338,10 +457,11 @@ def classify(F, p, k_max: int = DEFAULT_KMAX, tol: float = DEFAULT_TOL) -> Singu
     some J_{k,i}(p) above tol times its bound ||grad J_{k-1,i}(p)|| *
     ||adj dF(p)||_2, Indeterminate if none is.  The rank counts singular
     values above tol * sigma_1, so multiplying F by a constant keeps the
-    verdict.  Level r >= 2 comes from order-(r+1) Taylor jets at p, built
-    only when the decision gets that far.  At a float point dF(p), J(p) and
-    level 1 come from F's evaluated partials; exact inputs read them off the
-    order-2 jets and use exact rank and zero tests throughout.
+    verdict.  At a float point dF(p), J(p), level 1 and, when the decision
+    gets that far, level 2 come from F's evaluated partials, with no jet and
+    no determinant polynomial; deeper float levels, and every exact level,
+    come from order-(r+1) Taylor jets at p, built only when the decision gets
+    that far.  Exact inputs use exact rank and zero tests throughout.
     """
     return _classify_at(F, [p], (validate_tol(tol),), k_max)[0][0]
 

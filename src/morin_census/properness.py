@@ -31,8 +31,8 @@ from typing import Sequence
 import numpy as np
 
 from .linalg import POLISH_STEPS, det_is_nonzero, exact_det, integer_rows, newton_polish
-from .maps import HomogeneousMap, jacobian, validate_degrees
-from .morin import _evaluated
+from .maps import HomogeneousMap, validate_degrees
+from .morin import Partials
 from .polynomials import COMPLEX, RATIONAL, Polynomial
 
 __all__ = [
@@ -206,13 +206,13 @@ def _polished(F: HomogeneousMap, starts: np.ndarray) -> np.ndarray:
     step converge only linearly; doubling it wherever that leaves the smaller
     residual ||F|| restores fast convergence.
     """
-    dF = jacobian(F)
+    partials = Partials(F.components)
 
     def evaluate(points: np.ndarray) -> np.ndarray:
         return np.stack(F.evaluate(points), axis=-1)
 
     def chart_step(x: np.ndarray, fx: np.ndarray) -> np.ndarray:
-        jac = _evaluated(dF, x)
+        jac = partials.at(x, 1)
         jac[np.arange(len(x)), :, np.argmax(np.abs(x), axis=1)] = 0.0    # the pinned column
         step = (np.linalg.pinv(jac) @ fx[..., None])[..., 0]
         plain, doubled = np.linalg.norm(evaluate(np.stack([x - step, x - 2.0 * step])), axis=-1)

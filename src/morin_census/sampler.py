@@ -10,8 +10,9 @@ hunt), classifies everything with the Morin classifier, and aggregates survey
 statistics: the expected picture for a generic map is that every off-origin
 singular point is A_1, A_2 or A_3, with random line samples almost surely
 landing on the A_1 stratum.  No path
-here builds a determinant polynomial: J and the first tower level are read
-off F's evaluated partials, as the classifier reads them.
+here builds a determinant polynomial: J, the first tower level and the cusp
+candidates' second are read off F's evaluated partials (one
+``morin.Partials`` per survey map or hunt), as the classifier reads them.
 
 All numerics are deterministic for a fixed seed: restriction to a line or a
 plane is roots-of-unity interpolation of values (an FFT, 2-D on planes), root
@@ -33,9 +34,8 @@ from typing import Sequence
 import numpy as np
 
 from .linalg import POLISH_STEPS, newton_polish
-from .maps import (HomogeneousMap, jacobian, random_map, ray_multiplicity, validate_count,
-                   validate_degrees)
-from .morin import DEFAULT_KMAX, DEFAULT_TOL, _classify_at, _evaluated, _level_one, validate_tol
+from .maps import HomogeneousMap, random_map, ray_multiplicity, validate_count, validate_degrees
+from .morin import DEFAULT_KMAX, DEFAULT_TOL, Partials, _classify_at, _level_one, validate_tol
 from .polynomials import COMPLEX, ROOT_TOL, Polynomial
 from .properness import sylvester_matrix
 
@@ -156,14 +156,16 @@ def _phase_normalized(p: np.ndarray) -> tuple:
     return tuple(complex(v) for v in p)
 
 
-def critical_points_on_lines(F: HomogeneousMap, lines: int, seed: int) -> list[tuple]:
+def critical_points_on_lines(F: HomogeneousMap, lines: int, seed: int,
+                             partials: Partials | None = None) -> list[tuple]:
     """Critical points of F found by slicing C(F) = {J = 0} with random lines.
 
     Each line contributes the roots of J restricted to it -- generically
     deg J = sum(d_i - 1) points, with multiplicity.  J on the line is
     interpolated from its values det dF at deg J + 1 nodes, with each entry
-    of ``jacobian(F)`` evaluated on all the nodes at once; the symbolic
-    ``jdet(F)`` is never built.  J counts as identically zero, a ValueError,
+    of dF evaluated on all the nodes at once (from `partials`, F's
+    ``morin.Partials``, when the caller holds them); the symbolic ``jdet(F)``
+    is never built.  J counts as identically zero, a ValueError,
     when every node value on a line is within rounding of zero: at most
     n * eps times the product of the row norms of dF, the Hadamard bound on
     |det dF|.  The roots are polished by ``newton_polish`` on det dF itself
@@ -174,7 +176,7 @@ def critical_points_on_lines(F: HomogeneousMap, lines: int, seed: int) -> list[t
     `lines` < 0 is a ValueError.
     """
     validate_count(lines, "lines")
-    jac = jacobian(F)
+    partials = partials or Partials(F.components)
     deg = sum(d - 1 for d in F.degrees)      # deg J, unless J is identically zero
     rng = np.random.default_rng(seed)
     points: list[tuple] = []
@@ -185,7 +187,7 @@ def critical_points_on_lines(F: HomogeneousMap, lines: int, seed: int) -> list[t
             cross = abs(complex(a @ b.conj())) / (np.linalg.norm(a) * np.linalg.norm(b))
             if cross < 1.0 - 1e-12:
                 break
-        values, hadamard = _jacobian_dets(_evaluated(jac, _line_nodes(a, b, deg)))
+        values, hadamard = _jacobian_dets(partials.at(_line_nodes(a, b, deg), 1))
         if np.all(np.abs(values) <= F.n * np.finfo(float).eps * hadamard):
             raise ValueError("jdet(F) is identically zero; no critical cone to sample")
         coeffs = _interpolate(values)
@@ -194,10 +196,10 @@ def critical_points_on_lines(F: HomogeneousMap, lines: int, seed: int) -> list[t
         # (where some lines pass) is far above J and moves its roots
         slopes = np.polyder(coeffs[::-1])
         roots, _ = newton_polish(
-            _roots(coeffs), lambda t: _jacobian_dets(_evaluated(jac, a + t[:, None] * b))[0],
+            _roots(coeffs), lambda t: _jacobian_dets(partials.at(a + t[:, None] * b, 1))[0],
             lambda t, j: j / np.polyval(slopes, t), POLISH_STEPS)
         x = a + roots[:, None] * b
-        j, hadamard = _jacobian_dets(_evaluated(jac, x))
+        j, hadamard = _jacobian_dets(partials.at(x, 1))
         norms = np.linalg.norm(x, axis=1)
         kept = (norms >= 1e-12) & (np.abs(j) <= ROOT_TOL * hadamard)
         points += [_phase_normalized(p) for p in x[kept]]
@@ -312,39 +314,45 @@ def plane_section_solutions(values, degrees: Sequence[int], n: int, planes: int,
 def cusp_points(F: HomogeneousMap, planes: int, seed: int) -> list[SectionSolution]:
     """Cusp (A_2) points of F located by plane sections of {J = 0, J_{1,i*} = 0}.
 
-    J and J_{1,i} come from F's evaluated partials (``morin._level_one``), and
-    i* is the first i whose J_{1,i} does not vanish, by the classifier's rule,
-    at one seeded random point; deg J_{1,i} = 2 deg J - d_i.  The variety
-    {J = J_{1,i*} = 0} also contains fold points where the left-kernel
-    covector of dF has vanishing i*-th coordinate (there J_{1,i} vanishes for
-    the wrong reason), so the polished candidates are classified, all in one
-    pass over F's partials, and only genuine A_2 points (at DEFAULT_TOL) are
-    returned; rejects are discarded, and an all-rejected plane budget simply
-    yields an empty list.  The slicer's envelope test keeps no scale of F in
-    the residual cut; the step test of ``newton_polish``, max_k |f_k|, still
-    mixes the scales of J and J_{1,i*}.  `planes` < 0 is a ValueError.
+    J and J_{1,i} come from F's evaluated partials (``morin._level_one``; one
+    ``morin.Partials`` per hunt serves the probe, the planes and the
+    classifier), and i* is the first i whose J_{1,i} does not vanish, by the
+    classifier's rule, at one seeded random point; deg J_{1,i} = 2 deg J -
+    d_i.  The variety {J = J_{1,i*} = 0} also contains fold points where the
+    left-kernel covector of dF has vanishing i*-th coordinate (there J_{1,i}
+    vanishes for the wrong reason), so the polished candidates are classified,
+    all in one pass over F's partials (level 2 too: the hunt builds no jet and
+    no determinant polynomial), and only genuine A_2 points (at DEFAULT_TOL)
+    are returned; rejects are discarded, and an all-rejected plane budget
+    simply yields an empty list.  The slicer's envelope test keeps no scale of
+    F in the residual cut; the step test of ``newton_polish``, max_k |f_k|,
+    still mixes the scales of J and J_{1,i*}.  `planes` < 0 is a ValueError.
     """
     if F.n != 4:
         raise ValueError("cusp hunting is implemented for n = 4")
     validate_count(planes, "planes")
     Fc = F.as_complex()
+    partials = Partials(Fc.components)
     rng = np.random.default_rng(seed)
-    probe = rng.standard_normal((1, F.n)) + 1j * rng.standard_normal((1, F.n))
-    _, first, grad_norm, sv = (a[0] for a in _level_one(Fc.components, probe))
+    point = rng.standard_normal((1, F.n)) + 1j * rng.standard_normal((1, F.n))
+    probe = _level_one(partials, point)
+    first, sv = probe.values[0], probe.s[0]
     # the classifier's bound on J_{1,i}: ||grad J|| ||adj dF||_2, ||adj dF||_2 = s_1 ... s_{n-1}
-    live = np.flatnonzero(np.abs(first) > DEFAULT_TOL * grad_norm * np.prod(sv[:-1]))
+    bound = DEFAULT_TOL * np.linalg.norm(probe.grad, axis=-1)[0] * np.prod(sv[:-1])
+    live = np.flatnonzero(np.abs(first) > bound)
     if not live.size:
         return []           # level 1 vanishes identically, J = 0 included
     i = int(live[0])
 
     def values(x):
-        differentials, level, *_ = _level_one(Fc.components, x)
-        return np.stack([_jacobian_dets(differentials)[0], level[:, i]], axis=-1)
+        one = _level_one(partials, x)
+        return np.stack([_jacobian_dets(one.differentials)[0], one.values[:, i]], axis=-1)
 
     deg = sum(d - 1 for d in F.degrees)
     solutions = plane_section_solutions(values, (deg, 2 * deg - F.degrees[i]), F.n, planes,
                                         seed)
-    verdicts = _classify_at(Fc, [s.point for s in solutions], (DEFAULT_TOL,), DEFAULT_KMAX)
+    verdicts = _classify_at(Fc, [s.point for s in solutions], (DEFAULT_TOL,), DEFAULT_KMAX,
+                            partials)
     return [s for s, (verdict,) in zip(solutions, verdicts) if verdict.is_morin(2)]
 
 
@@ -382,14 +390,16 @@ class SurveyReport:
 def _survey_one_map(degrees, map_seed: int, line_seed: int, lines: int,
                     tol: float) -> list[dict]:
     F = random_map(degrees, seed=map_seed, kind=COMPLEX)
-    points = critical_points_on_lines(F, lines, line_seed)
+    partials = Partials(F.components)       # dF built once for the lines and the verdicts
+    points = critical_points_on_lines(F, lines, line_seed, partials)
     if not points:
         return []
     # dF at the points, evaluated once, gives the verdicts and each point's own
     # bound on |J|, the one the line slicer tests
-    level_one = _level_one(F.components, points)
-    bounds = ROOT_TOL * _jacobian_dets(level_one[0])[1]
-    verdicts = _classify_at(F, points, (tol, tol * 10.0, tol / 10.0), DEFAULT_KMAX, level_one)
+    level_one = _level_one(partials, points)
+    bounds = ROOT_TOL * _jacobian_dets(level_one.differentials)[1]
+    verdicts = _classify_at(F, points, (tol, tol * 10.0, tol / 10.0), DEFAULT_KMAX, partials,
+                            level_one)
     records = []
     for p, bound, (main, *others) in zip(points, bounds, verdicts):
         stable = all(v.label == main.label for v in others)

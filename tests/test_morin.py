@@ -12,6 +12,7 @@ from morin_census import (
     classify_from_values,
     corank_at,
     critical_points_on_lines,
+    cusp_points,
     jet_tower_values,
     linear_conjugate,
     morin_tower,
@@ -19,7 +20,9 @@ from morin_census import (
     survey,
 )
 from morin_census.linalg import random_unimodular_matrix
-from morin_census.morin import _level_one, _linear_rows, _tower_values_at
+from morin_census import morin
+from morin_census.morin import (Partials, _adjugate_derivative, _level_one, _level_two,
+                                 _linear_rows, _tower_values_at)
 
 X1, X2, X3, X4 = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 ORIGIN = np.zeros(4)
@@ -182,8 +185,9 @@ def test_float_level_one_matches_the_jet_tower():
     cases.append((F.components, points))
     checked = 0
     for components, pts in cases:
-        _, rows, grad_norms, spectra = _level_one(components, pts)
-        for p, row, grad_norm, sv in zip(pts, rows, grad_norms, spectra):
+        one = _level_one(Partials(components), pts)
+        grad_norms = np.linalg.norm(one.grad, axis=-1)
+        for p, row, grad_norm, sv in zip(pts, one.values, grad_norms, one.s):
             jets = [f.translate_truncated(p, 2) for f in components]
             ref_sv = np.linalg.svd(np.array(_linear_rows(jets), dtype=complex), compute_uv=False)
             assert np.max(np.abs(sv - ref_sv)) <= 1e-12 * max(ref_sv[0], 1.0), (p, sv, ref_sv)
@@ -195,6 +199,80 @@ def test_float_level_one_matches_the_jet_tower():
             assert abs(grad_norm - norms[0][0]) <= 1e-12 * max(norms[0][0], 1.0), (p, grad_norm)
             checked += 1
     assert checked == 24 + 20
+
+
+def _jet_level_two(components, p):
+    """[J_{2,i}(p)] and [||grad J_{1,i}(p)||] from the order-3 jets at p."""
+    _, values, norms = _tower_values_at([f.translate_truncated(p, 3) for f in components], 2)
+    return np.array(values[1], dtype=complex), np.array(norms[1])
+
+
+def test_float_level_two_matches_the_jet_tower():
+    """``_level_two`` (third partials, the SVD adjugate and its derivative)
+    gives the jet tower's level 2 and its norms ||grad J_{1,i}(p)|| to 1e-10
+    of the row's largest: at 5 random complex points each of a (3,3,3,3) and
+    a (2,3,5,7) map, and at the cusp hunt's candidates on the (3,3,3,3) map,
+    where level 1 vanishes and level 2 does not."""
+    rng = np.random.default_rng(19)
+    cases = []
+    for degrees, seed in (((3, 3, 3, 3), 2), ((2, 3, 5, 7), 5)):
+        F = random_map(degrees, seed=seed, kind="complex")
+        cases.append((F, rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4))))
+    cusps = cusp_points(cases[0][0], planes=2, seed=9)
+    assert cusps
+    cases.append((cases[0][0], np.array([s.point for s in cusps])))
+    checked = 0
+    for F, points in cases:
+        partials = Partials(F.components)
+        values, norms = _level_two(partials, points, _level_one(partials, points))
+        for p, row, norm in zip(points, values, norms):
+            ref, ref_norm = _jet_level_two(F.components, p)
+            assert np.max(np.abs(row - ref)) <= 1e-10 * np.max(np.abs(ref)), (p, row, ref)
+            assert np.max(np.abs(norm - ref_norm)) <= 1e-10 * np.max(ref_norm), (p, norm)
+            checked += 1
+    assert checked == 10 + len(cusps)
+
+
+def test_adjugate_derivative_matches_the_inverse_formula():
+    """At invertible A, D adj(A)[E] = (tr(adj A E) adj A - adj A E adj A) / det A;
+    the SVD form gives it to 1e-12 of its largest entry with no inverse."""
+    rng = np.random.default_rng(7)
+    a = rng.standard_normal((6, 4, 4)) + 1j * rng.standard_normal((6, 4, 4))
+    e = rng.standard_normal((6, 3, 4, 4)) + 1j * rng.standard_normal((6, 3, 4, 4))
+    det = np.linalg.det(a)[:, None, None, None]
+    adj = (det[:, 0] * np.linalg.inv(a))[:, None]
+    ref = (np.trace(adj @ e, axis1=-2, axis2=-1)[..., None, None] * adj - adj @ e @ adj) / det
+    got = _adjugate_derivative(*np.linalg.svd(a), e)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_float_normal_forms_keep_their_class(monkeypatch):
+    """Criterion 04's germs as complex maps, each under 5 unimodular changes,
+    keep their class at the float origin.  Level 2 comes from one
+    ``_level_two`` call exactly where level 1 vanishes at corank 1 (A2, A3);
+    the A3 germs' level 2 vanishes there and level 3 comes from the jets."""
+    calls = []
+    original = morin._level_two
+
+    def counted(partials, points, one):
+        calls.append(len(points))
+        return original(partials, points, one)
+
+    monkeypatch.setattr(morin, "_level_two", counted)
+    rng = np.random.default_rng(2024)
+    forms = ((fold_form(), "A1"), (cusp_form(), "A2"), (swallowtail_form(), "A3"),
+             (corank2_form(), "corank_ge_2"))
+    for form, label in forms:
+        for _ in range(5):
+            M = random_unimodular_matrix(4, rng)
+            L = random_unimodular_matrix(4, rng)
+            G = GeneralMap(tuple(f.as_complex() for f in linear_conjugate(form.components, M, L)))
+            calls.clear()
+            verdict = classify(G, ORIGIN)
+            assert verdict.label == label, (label, M, L)
+            assert calls == ([1] if label in ("A2", "A3") else []), (label, calls)
+            if label == "A3":
+                assert set(verdict.diagnostics["levels"]) == {"1", "2", "3"}
 
 
 def test_classify_from_values_round_trip():

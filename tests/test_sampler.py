@@ -306,21 +306,42 @@ def test_cusp_points_all_classify_a2(monkeypatch):
 
 def test_cusp_points_builds_level_one_lazily(monkeypatch):
     """J and J_{1,i*} come from F's evaluated partials, on the planes' grids
-    and at the Newton iterates: the hunt builds no uncapped determinant
-    polynomial, with no plane or with two (only the classifier's level-2
-    jets take capped ones)."""
+    and at the Newton iterates, and the candidates' level 2 from the third
+    partials: the hunt builds no determinant polynomial and no Taylor jet,
+    with no plane or with two."""
     calls = []
-    original = PolyMatrix.det
+    det, translate = PolyMatrix.det, Polynomial.translate_truncated
 
-    def counted(self, max_degree=None):
-        calls.append(max_degree)
-        return original(self, max_degree)
+    def counted_det(self, max_degree=None):
+        calls.append("det")
+        return det(self, max_degree)
 
-    monkeypatch.setattr(PolyMatrix, "det", counted)
+    def counted_translate(self, point, max_degree):
+        calls.append("translate_truncated")
+        return translate(self, point, max_degree)
+
+    monkeypatch.setattr(PolyMatrix, "det", counted_det)
+    monkeypatch.setattr(Polynomial, "translate_truncated", counted_translate)
     F = random_map((3, 3, 3, 3), seed=2, kind="complex")
     assert cusp_points(F, planes=0, seed=9) == []
     assert cusp_points(F, planes=2, seed=9)
-    assert None not in calls
+    assert calls == []
+
+
+def test_survey_folds_make_no_level_two_call(monkeypatch):
+    """Survey points are folds: level 1 survives at every tolerance, so the
+    classifier makes no ``_level_two`` call on them."""
+    calls = []
+    original = morin._level_two
+
+    def counted(partials, points, one):
+        calls.append(len(points))
+        return original(partials, points, one)
+
+    monkeypatch.setattr(morin, "_level_two", counted)
+    rep = survey((2, 3, 5, 7), maps=1, lines=1, seed=1)
+    assert rep.histogram == {"A1": 13}
+    assert calls == []
 
 
 @pytest.mark.parametrize("map_seed", [1, 2])
