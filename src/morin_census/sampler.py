@@ -16,12 +16,14 @@ candidates' second are read off F's evaluated partials (one
 
 All numerics are deterministic for a fixed seed: restriction to a line or a
 plane is roots-of-unity interpolation of values (an FFT, 2-D on planes), root
-finding takes the eigenvalues of the companion matrix, and the survey derives
-per-map sub-seeds from a SeedSequence and runs the maps in order.  Roots,
-line points and plane pairs are all polished by ``linalg.newton_polish``.  A
-float value is zero when it is at most ROOT_TOL times its own bound (a root's
-evaluation envelope, the Hadamard bound on det dF, a plane function's
-coefficient envelope), so a constant factor on F changes no answer.
+finding takes the eigenvalues of stacked companion matrices (one row for a
+line's J or a plane's R(u), every v-polynomial of a plane at once), and the
+survey derives per-map sub-seeds from a SeedSequence and runs the maps in
+order.  Roots, line points and plane pairs are all polished by
+``linalg.newton_polish``.  A float value is zero when it is at most ROOT_TOL
+times its own bound (a root's evaluation envelope, the Hadamard bound on
+det dF, a plane function's coefficient envelope), so a constant factor on F
+changes no answer.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from .linalg import POLISH_STEPS, newton_polish
 from .maps import HomogeneousMap, random_map, ray_multiplicity, validate_count, validate_degrees
 from .morin import DEFAULT_KMAX, DEFAULT_TOL, Partials, _classify_at, _level_one, validate_tol
 from .polynomials import COMPLEX, ROOT_TOL, Polynomial
-from .properness import sylvester_matrix
 
 __all__ = [
     "RootConvergenceError",
@@ -64,26 +65,30 @@ class RootConvergenceError(RuntimeError):
 def univariate_roots(p) -> list[complex]:
     """All complex roots of a univariate polynomial, with multiplicity.
 
-    Accepts a univariate Polynomial or an ascending coefficient sequence.
-    Only leading coefficients that are exactly zero are trimmed: a tiny
-    nonzero one stands for huge roots, and they come back like the others.
+    Accepts a univariate Polynomial or an ascending coefficient sequence; a
+    coefficient that is not finite is a ValueError that names it.  Only
+    leading coefficients that are exactly zero are trimmed: a tiny nonzero
+    one stands for huge roots, and they come back like the others.
     Low-order coefficients that are exactly zero are stripped and come back
-    as roots at 0, first in the list.  The other roots are the eigenvalues
-    of the companion matrix of the monic polynomial (``np.roots``, backward
-    stable), polished by three steps of ``newton_polish`` (a start at a zero
-    slope gets a non-finite step and stays).  The step count decides nothing:
-    the roots are accepted only when every residual clears the envelope
-    |p(z)| <= ROOT_TOL * sum_k |a_k| |z|^k (on the reversed polynomial at 1/z
-    where |z| > 1), the one float zero rule the slicers' points pass too --
-    and otherwise RootConvergenceError carries the polished estimates, the
-    roots at 0 included.  Multiple roots come back as a cluster whose radius
-    grows like eps^(1/m) -- accuracy, not validity, degrades there.
+    as roots at 0, first in the list.  The other roots come from
+    ``_companion_roots`` on the one monic row.  The Newton step count decides
+    nothing: the roots are accepted only when every residual clears the
+    envelope |p(z)| <= ROOT_TOL * sum_k |a_k| |z|^k (on the reversed
+    polynomial at 1/z where |z| > 1), the one float zero rule the slicers'
+    points pass too -- and otherwise RootConvergenceError carries the
+    polished estimates, the roots at 0 included.  Multiple roots come back as
+    a cluster whose radius grows like eps^(1/m) -- accuracy, not validity,
+    degrades there.
     """
     if isinstance(p, Polynomial):
         if p.n_vars != 1:
             raise ValueError("univariate_roots needs a univariate polynomial")
         p = [p.coefficient((k,)) for k in range((p.total_degree() or 0) + 1)]
     coeffs = np.asarray(list(p), dtype=complex)
+    bad = np.flatnonzero(~np.isfinite(coeffs))
+    if bad.size:
+        raise ValueError(f"coefficients of degree {bad.tolist()} are not finite: "
+                         f"{coeffs[bad].tolist()}")
     if not np.any(coeffs):
         raise ValueError("zero polynomial has no roots to find")
     coeffs = coeffs[:int(np.flatnonzero(coeffs)[-1]) + 1]
@@ -95,9 +100,7 @@ def univariate_roots(p) -> list[complex]:
     if degree == 0:
         return at_origin
     desc = (coeffs / coeffs[-1])[::-1]       # monic, descending for np.polyval
-    dp = np.polyder(desc)
-    z, _ = newton_polish(np.roots(desc), lambda z: np.polyval(desc, z),
-                         lambda z, vals: vals / np.polyval(dp, z), steps=3)
+    z = _companion_roots(desc[None])[0]
     # where |z| > 1 test the reversed polynomial at 1/z: both sides shrink by
     # |z|^degree, so nothing overflows; a NaN counts as outside (negated <=)
     inner = np.abs(z) <= 1.0
@@ -110,6 +113,43 @@ def univariate_roots(p) -> list[complex]:
             f"{int(np.sum(outside))} of {degree} roots miss the evaluation envelope",
             at_origin + list(z))
     return at_origin + [complex(v) for v in z]
+
+
+def _horner(desc: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """``np.polyval``'s Horner order, y = y*z + a_k, over the last axis of `desc`
+    (descending), each leading row against its entries of `z`."""
+    y = np.zeros_like(z)
+    for k in range(desc.shape[-1]):
+        y = y * z + desc[..., k]
+    return y
+
+
+def _companion_roots(desc: np.ndarray) -> np.ndarray:
+    """The (R, d) roots of the R monic descending rows of `desc`, shape (R, d + 1).
+
+    One ``np.linalg.eigvals`` call on the stacked companion matrices, laid out
+    as ``np.roots`` lays them out (first row -desc[1:] / desc[0], ones on the
+    sub-diagonal), then three steps of ``newton_polish`` with ``np.polyder``'s
+    slope (a start at a zero slope gets a non-finite step and stays).  Each
+    root is its own item, carrying its row number as a second coordinate the
+    step leaves alone, so a row whose constant is 0 has a root at 0.
+    """
+    rows, degree = desc.shape[0], desc.shape[1] - 1
+    companion = np.zeros((rows, degree, degree), dtype=complex)
+    companion[:, 0] = -desc[:, 1:] / desc[:, :1]
+    companion[:, np.arange(1, degree), np.arange(degree - 1)] = 1.0
+    slope = desc[:, :-1] * np.arange(degree, 0, -1)
+
+    def row(z):
+        return z[:, 1].real.astype(int)
+
+    def step(z, vals):
+        return np.stack([vals / _horner(slope[row(z)], z[:, 0]), np.zeros_like(vals)], axis=-1)
+
+    start = np.stack([np.linalg.eigvals(companion).ravel(),
+                      np.repeat(np.arange(rows), degree)], axis=-1)
+    z, _ = newton_polish(start, lambda z: _horner(desc[row(z)], z[:, 0]), step, steps=3)
+    return z[:, 0].reshape(rows, degree)
 
 
 def _roots(coeffs) -> np.ndarray:
@@ -225,8 +265,11 @@ def plane_section_solutions(values, degrees: Sequence[int], n: int, planes: int,
     (d = max(d1, d2)), and one 2-D FFT gives C[a, b, k], the coefficient of
     u^a v^b in function k.  Each function's C is divided by its largest
     modulus (a plane where a top-form coefficient is within ROOT_TOL of it is
-    redrawn), v is eliminated by Sylvester determinants interpolated into R(u)
-    (degree <= d1 * d2 by Bezout), and v is solved at each root u.  All (u, v)
+    redrawn), and v is eliminated by the Sylvester determinants at d1*d2 + 1
+    u-nodes, built as one stack and interpolated into R(u) (degree <= d1 * d2
+    by Bezout).  The v-polynomials at all roots u are solved in one stacked
+    companion eigensolve, and a pair (u, v) is kept when the first function
+    nearly vanishes there, |f_1| <= 1e-4 times its v-envelope.  All (u, v)
     pairs are polished by ``newton_polish`` on the true values with the
     interpolant's slopes (a singular 2x2 system gives a NaN step; at most
     POLISH_STEPS = 20 steps).  A pair is a solution when each |f_k| is at
@@ -268,23 +311,34 @@ def plane_section_solutions(values, degrees: Sequence[int], n: int, planes: int,
         def in_v(u):        # ascending v-coefficients of both balanced functions at each u
             return np.einsum("ua,abk->ubk", np.power.outer(u, powers), balanced)
 
-        dets = np.linalg.det(np.array([sylvester_matrix(list(c[d1::-1, 0]), list(c[d2::-1, 1]))
-                                       for c in in_v(u_nodes)], dtype=complex))
+        # Sylvester matrices in v at every u-node, q's rows on top (the layout of
+        # ``properness.sylvester_matrix``), and their determinants in one call
+        nodes = in_v(u_nodes)
+        first, second = nodes[:, d1::-1, 0], nodes[:, d2::-1, 1]
+        sylvester = np.zeros((u_nodes.size, d1 + d2, d1 + d2), dtype=complex)
+        for shift in range(d1):
+            sylvester[:, shift, shift:shift + d2 + 1] = second
+        for shift in range(d2):
+            sylvester[:, d1 + shift, shift:shift + d1 + 1] = first
+        dets = np.linalg.det(sylvester)
         det_scale = float(np.max(np.abs(dets)))
         if det_scale == 0.0:
             continue        # the two curves look non-transverse on this plane
         # constant rescaling keeps the roots and tames the huge determinant
         # magnitudes a product of d1 + d2 coefficients can reach
-        u_roots = _roots(_interpolate(dets / det_scale))
-        pairs = []
-        for u, c in zip(u_roots, in_v(u_roots)):
-            v = _roots(c[:d2 + 1, 1])
-            # spurious pairings from the elimination fail this test by a wide
-            # relative margin; true pairs sit near the rounding floor of the
-            # evaluation envelope sum_k |c_k| |v|^k, or within Newton's reach
-            first = c[d1::-1, 0]
-            paired = np.abs(np.polyval(first, v)) <= 1e-4 * np.polyval(np.abs(first), np.abs(v))
-            pairs += [(u, root) for root in v[paired]]
+        u = _roots(_interpolate(dets / det_scale))
+        c = in_v(u)
+        # every v-polynomial has degree d2 (its leading coefficient is the top
+        # form checked above); one whose coefficients overflowed gives no roots
+        solvable = np.all(np.isfinite(c[:, :d2 + 1, 1]), axis=1)
+        u, c = u[solvable], c[solvable]
+        v = _companion_roots((c[:, :d2 + 1, 1] / c[:, d2:d2 + 1, 1])[:, ::-1])
+        # spurious pairings from the elimination fail this test by a wide
+        # relative margin; true pairs sit near the rounding floor of the
+        # evaluation envelope sum_k |c_k| |v|^k, or within Newton's reach
+        first = c[:, d1::-1, 0][:, None]
+        paired = np.abs(_horner(first, v)) <= 1e-4 * _horner(np.abs(first), np.abs(v))
+        pairs = np.stack([np.broadcast_to(u[:, None], v.shape)[paired], v[paired]], axis=-1)
         plane = np.array([q1, q2])                    # dx / d(u, v)
         slopes = [np.polynomial.polynomial.polyder(coeffs, axis=axis) for axis in (0, 1)]
 
@@ -296,8 +350,8 @@ def plane_section_solutions(values, degrees: Sequence[int], n: int, planes: int,
             jac[np.linalg.det(jac) == 0.0] = np.nan
             return np.linalg.solve(jac, f[..., None])[..., 0]
 
-        uv, f = newton_polish(np.array(pairs, dtype=complex).reshape(-1, 2),
-                              lambda uv: values(q0 + uv @ plane), newton_step, POLISH_STEPS)
+        uv, f = newton_polish(pairs, lambda uv: values(q0 + uv @ plane), newton_step,
+                              POLISH_STEPS)
         x = q0 + uv @ plane
         envelope = np.polynomial.polynomial.polyval2d(*np.abs(uv).T, np.abs(coeffs)).T
         kept = (np.all(np.abs(f) <= ROOT_TOL * envelope, axis=1)

@@ -85,8 +85,9 @@ def test_newton_polish_keeps_only_shrinking_finite_steps():
 
 
 def test_every_float_solver_polishes_through_newton_polish(monkeypatch):
-    """The root finder, both slicers and the properness witness each call
-    ``newton_polish``, seen through a counter at each module's import binding."""
+    """The root finder's stacked kernel ``_companion_roots``, both slicers and
+    the properness witness each call ``newton_polish``, seen through a counter
+    at each module's import binding."""
     callers = []
 
     def counted(*args, **kwargs):
@@ -102,11 +103,11 @@ def test_every_float_solver_polishes_through_newton_polish(monkeypatch):
         return set(callers)
 
     F = random_map((2, 2, 2, 2), seed=1, kind="complex")
-    assert through(lambda: univariate_roots([-6, 11, -6, 1])) == {"univariate_roots"}
+    assert through(lambda: univariate_roots([-6, 11, -6, 1])) == {"_companion_roots"}
     assert through(lambda: critical_points_on_lines(F, lines=1, seed=11)) == {
-        "univariate_roots", "critical_points_on_lines"}
+        "_companion_roots", "critical_points_on_lines"}
     assert through(lambda: cusp_points(F, planes=1, seed=6)) == {
-        "univariate_roots", "plane_section_solutions"}
+        "_companion_roots", "plane_section_solutions"}
     # (3,3,3), seed 1000016: no component has an x1^3 term, so (1,0,0) is a common zero
     planted = random_map((3, 3, 3), seed=1000016)
     assert through(lambda: properness_verdict(planted).witness) == {"_polished"}

@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from morin_census import (
     univariate_roots,
 )
 from morin_census.maps import jdet
-from morin_census import morin, sampler
+from morin_census import morin, properness, sampler
 from morin_census.morin import DEFAULT_TOL
 from morin_census.polynomials import PolyMatrix
 from morin_census.sampler import _interpolate, _line_nodes
@@ -115,8 +116,8 @@ def test_nonconvergence_carries_partial_roots(monkeypatch):
     """Eigenvalues all 10 off the roots 1..8 stay off them after three Newton
     steps, so every root misses the envelope; the error still exposes every
     estimate, the two exact zeros at the origin included."""
-    original = np.roots
-    monkeypatch.setattr(np, "roots", lambda desc: original(desc) + 10.0)
+    original = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: original(a) + 10.0)
     with pytest.raises(RootConvergenceError, match="8 of 8") as exc:
         univariate_roots([0.0, 0.0, *np.poly(range(1, 9))[::-1]])
     assert len(exc.value.roots) == 10 and exc.value.roots[:2] == (0j, 0j)
@@ -127,7 +128,7 @@ def test_start_at_a_zero_slope_takes_no_step(monkeypatch):
     """z^2 - 1 started twice at 0, where its slope is exactly 0: the Newton
     step there is not finite, so neither start moves, both miss the envelope,
     and the error carries them unchanged, with no floating-point warning."""
-    monkeypatch.setattr(np, "roots", lambda desc: np.array([0j, 0j]))
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: np.zeros(a.shape[:-1], dtype=complex))
     with pytest.raises(RootConvergenceError, match="2 of 2") as exc:
         univariate_roots([-1.0, 0.0, 1.0])
     assert exc.value.roots == (0j, 0j)
@@ -162,6 +163,66 @@ def test_tiny_leading_coefficient_keeps_its_huge_roots():
     c = _random_coeffs(104, 3)
     c[-1] = 1e-16
     assert len(univariate_roots(c)) == 104
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_roots_name_non_finite_coefficients(bad):
+    """A NaN or infinite coefficient is a ValueError that names it, raised
+    before any arithmetic, so no floating-point warning escapes; the slicers'
+    ``_roots`` turns it into no roots."""
+    with pytest.raises(ValueError, match=r"degree \[1\] are not finite"):
+        univariate_roots([1.0, bad, 1.0])
+    assert sampler._roots([1.0, bad, 1.0]).size == 0
+
+
+def test_stacked_kernel_matches_univariate_roots_row_by_row():
+    """One ``_companion_roots`` call on 104 random degree-13 rows gives, row
+    by row, the very bits ``univariate_roots`` gives on each row alone."""
+    rng = np.random.default_rng(20)
+    coeffs = rng.standard_normal((104, 14)) + 1j * rng.standard_normal((104, 14))
+    stacked = sampler._companion_roots((coeffs / coeffs[:, -1:])[:, ::-1])
+    assert stacked.shape == (104, 13)
+    for row, roots in zip(coeffs, stacked):
+        assert np.array_equal(roots, univariate_roots(row))
+
+
+def test_stacked_kernel_keeps_a_root_at_zero():
+    """A row whose constant coefficient is exactly 0 gets a root at 0 from
+    the stacked kernel itself, and its other roots match the deflated row's."""
+    coeffs = np.array([_random_coeffs(6, 4), _random_coeffs(6, 5)])
+    coeffs[1, 0] = 0.0
+    roots = sampler._companion_roots((coeffs / coeffs[:, -1:])[:, ::-1])
+    at_zero = np.abs(roots[1]) < 1e-30      # exactly 0 here; Newton squares any eps start
+    assert np.count_nonzero(at_zero) == 1
+    others = np.sort_complex(roots[1][~at_zero])
+    assert np.allclose(others, np.sort_complex(univariate_roots(coeffs[1, 1:])), atol=1e-12)
+
+
+def test_plane_slicer_solves_each_plane_in_one_stacked_call(monkeypatch):
+    """One cusp-hunt plane makes one ``univariate_roots`` call, for R(u), and
+    one stacked v-solve, and builds no Sylvester matrix through
+    ``properness``: the slicer no longer imports ``sylvester_matrix``."""
+    calls = []
+
+    def counting(name, original):
+        def counted(*args):
+            calls.append((name, sys._getframe(1).f_code.co_name))
+            return original(*args)
+        return counted
+
+    monkeypatch.setattr(sampler, "univariate_roots",
+                        counting("univariate_roots", sampler.univariate_roots))
+    monkeypatch.setattr(sampler, "_companion_roots",
+                        counting("_companion_roots", sampler._companion_roots))
+    monkeypatch.setattr(properness, "sylvester_matrix",
+                        counting("sylvester_matrix", properness.sylvester_matrix))
+    F = random_map((2, 2, 2, 2), seed=1, kind="complex")
+    assert len(cusp_points(F, planes=1, seed=6)) == 18
+    assert calls == [("univariate_roots", "_roots"),
+                     ("_companion_roots", "univariate_roots"),
+                     ("_companion_roots", "plane_section_solutions")]
+    assert not hasattr(sampler, "sylvester_matrix")
 
 
 # ------------------------------------------------------------- line slicing
@@ -268,8 +329,9 @@ def test_plane_sections_recover_known_projective_zeros():
 
 def test_plane_sections_keep_roots_that_miss_the_envelope(monkeypatch):
     """A root solve that raises RootConvergenceError still hands its estimates
-    on, and the residual test decides: with every u- and v-solve raising on
-    the true roots, the four rays are still found."""
+    on, and the residual test decides: with the u-solve raising on the true
+    roots, the four rays are still found.  (The stacked v-solve keeps its
+    estimates without an envelope test of its own.)"""
     original = sampler.univariate_roots
 
     def raising(coeffs):
@@ -279,6 +341,17 @@ def test_plane_sections_keep_roots_that_miss_the_envelope(monkeypatch):
     sols = plane_section_solutions(_pair_values, (2, 2), 3, planes=3, seed=1)
     assert _four_known_rays_found(sols) == 4
     assert all(max(s.residuals) < 1e-9 for s in sols)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_plane_sections_skip_a_root_u_whose_v_polynomial_overflows(monkeypatch):
+    """A root u of R(u) so large that u^d overflows leaves its v-polynomial
+    non-finite: that row gives no roots, and the stacked solve of the others
+    still finds the four rays."""
+    original = sampler._roots
+    monkeypatch.setattr(sampler, "_roots", lambda coeffs: np.append(original(coeffs), 1e300))
+    sols = plane_section_solutions(_pair_values, (2, 2), 3, planes=3, seed=1)
+    assert _four_known_rays_found(sols) == 4
 
 
 def test_cusp_points_all_classify_a2(monkeypatch):
