@@ -26,8 +26,8 @@ dF; ``_chain`` builds one, a level at a time as it is pulled, for both paths:
   Both paths agree (this is tested), they just price the work differently.
 
 At a float point the first two levels need no determinant polynomial and no
-jet at all (``Partials`` holds F's partials, each distinct one built once).
-dF(p) and the Hessians of F come from F's first and second partials, each
+jet at all (``Partials`` holds F's partials, one coefficient table per
+order).  dF(p) and the Hessians of F come from F's first and second partials,
 evaluated once on all the points being classified.  Jacobi's formula gives
 grad J(p)_k = tr(adj dF(p) . d_k dF(p)), and expanding the replaced row gives
 the whole level J_{1,.}(p) = grad J(p) @ adj dF(p); the adjugate comes from
@@ -211,48 +211,55 @@ def _linear_rows(jets: Sequence[Polynomial]) -> list[list]:
 
 
 class Partials:
-    """The partial derivatives of a square map's components, each distinct one built once.
+    """The partial derivatives of a square map's components, one coefficient table per order.
 
-    Order 1 is dF from ``maps.jacobian``; order r + 1 differentiates order r,
-    one polynomial per component and sorted multi-index (partials commute),
-    and every other entry is read off its sorted twin.  An order is built the
-    first time ``at`` asks for it and kept with the instance, so whoever
-    holds one -- a survey map, a cusp hunt -- builds and compiles each
-    partial once for all its evaluations.
+    By d^a f_i = sum_e c_ie e!/(e - a)! x^(e - a), the order-r partials are
+    linear in the lowered monomials x^(e - a).  Order r keeps the distinct
+    ones and a table with one column per component i and sorted multi-index
+    a of size r (partials commute, so every other entry is read off its
+    sorted twin).  A table is built the first time ``at`` asks for its order
+    and kept with the instance, so whoever holds one -- a survey map, a cusp
+    hunt -- builds it once for all its evaluations.
     """
 
     def __init__(self, components: Sequence[Polynomial]):
         self.components = tuple(components)
-        # _orders[r - 1]: the order-r partials by (i, sorted multi-index), and for
-        # each dense index (i, j, k, ...) the position of its partial among them
-        self._orders: list[tuple[dict, np.ndarray]] = []
+        # _orders[r]: the lowered exponents, the table, and for each dense index
+        # (i, j, k, ...) the table column of its sorted twin
+        self._orders: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
-    def _order(self, r: int) -> tuple[dict, np.ndarray]:
-        n = len(self.components)
-        while len(self._orders) < r:
-            if not self._orders:
-                jac = jacobian(GeneralMap(self.components))
-                level = {(i, (j,)): jac.entry(i, j) for i in range(n) for j in range(n)}
-            else:
-                level = {(i, a + (m,)): f.partial(m) for (i, a), f in self._orders[-1][0].items()
-                         for m in range(a[-1], n)}
-            position = {key: k for k, key in enumerate(level)}
-            gather = [position[i, tuple(sorted(a))]
-                      for i, *a in itertools.product(range(n), repeat=len(self._orders) + 2)]
-            self._orders.append((level, np.array(gather)))
-        return self._orders[r - 1]
+    def _order(self, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        if r not in self._orders:
+            n = len(self.components)
+            kernels = [f._kernel() for f in self.components]
+            exps, coeffs = (np.concatenate(k) for k in zip(*kernels))
+            owner = np.repeat(np.arange(n), [len(c) for _, c in kernels])
+            sorted_a = list(itertools.combinations_with_replacement(range(n), r))
+            counts = np.array([np.bincount(a, minlength=n) for a in sorted_a])
+            # e!/(e - a)! = prod_j prod_{t < a_j} (e_j - t), which is 0 unless e >= a
+            t = np.arange(r)
+            falling = np.prod(np.where(t < counts[:, None, :, None], exps[..., None] - t, 1),
+                              axis=(2, 3))
+            kept = falling != 0
+            monomials, rows = np.unique((exps - counts[:, None])[kept], axis=0,
+                                        return_inverse=True)
+            table = np.zeros((len(monomials), n * len(sorted_a)), dtype=complex)
+            columns = owner * len(sorted_a) + np.arange(len(sorted_a))[:, None]
+            table[rows.ravel(), columns[kept]] = (coeffs * falling)[kept]
+            position = {a: k for k, a in enumerate(sorted_a)}
+            gather = [i * len(sorted_a) + position[tuple(sorted(a))]
+                      for i, *a in itertools.product(range(n), repeat=r + 1)]
+            self._orders[r] = monomials, table, np.array(gather)
+        return self._orders[r]
 
     def at(self, points, r: int) -> np.ndarray:
         """d^r F at the (N, n) float points: entry [p, i, j, k, ...] is
-        d^r f_i / dx_j dx_k ... at point p, each distinct partial evaluated once."""
+        d^r f_i / dx_j dx_k ... at point p, from one evaluation of the order's
+        monomials and one product with its table."""
         x = np.asarray(points, dtype=complex)
-        level, gather = self._order(r)
-        values = np.array([f.evaluate(x) for f in level.values()]).reshape(len(level), len(x))
-        n = len(self.components)
-        # one block per component, stacked: einsum's summation order follows
-        # the memory layout, and the cusp hunt's plane solutions move with it
-        return np.stack([block.T.reshape(len(x), *(n,) * r)
-                         for block in np.split(values[gather], n)], axis=1)
+        monomials, table, gather = self._order(r)
+        values = np.prod(x[:, None, :] ** monomials, axis=-1) @ table
+        return values[:, gather].reshape(len(x), *(len(self.components),) * (r + 1))
 
 
 def _spectrum(components: Sequence[Polynomial], p):
@@ -279,8 +286,8 @@ class _LevelOne(NamedTuple):
 def _level_one(partials: Partials, points) -> _LevelOne:
     """dF(p), its SVD and adjugate, grad J(p) and [J_{1,i}(p)] at (N, n) float points.
 
-    dF and the Hessians of F are F's first and second partials, each distinct
-    one evaluated once on all the points.  By Jacobi's formula grad J_k =
+    dF and the Hessians of F are F's first and second partials, evaluated
+    once on all the points.  By Jacobi's formula grad J_k =
     tr(adj dF . d_k dF), and replacing row i of dF by grad J makes
     J_{1,i} = (grad J @ adj dF)_i.  With dF = U diag(s) V^H the adjugate is
     det(U) det(V^H) V diag(prod_{k != j} s_k) U^H, which needs no inverse.

@@ -4,22 +4,23 @@ The critical set of a homogeneous map is a cone of (projective) dimension
 n - 2, so random affine lines hit it in deg J = sum(d_i - 1) isolated points.
 This module locates those points (interpolate J on a line from det dF at
 deg J + 1 nodes, solve one univariate polynomial), hunts the codimension-2
-cusp stratum with bivariate resultant elimination on random affine 2-planes
-(J and J_{1,i*} evaluated on one grid per plane, one classification pass per
-hunt), classifies everything with the Morin classifier, and aggregates survey
-statistics: the expected picture for a generic map is that every off-origin
-singular point is A_1, A_2 or A_3, with random line samples almost surely
-landing on the A_1 stratum.  No path
-here builds a determinant polynomial: J, the first tower level and the cusp
+cusp stratum on random affine 2-planes with orthonormal frames (J and
+J_{1,i*} evaluated on one grid per plane, v eliminated into the resultant
+R(u), v read off the kernel of the Sylvester matrix at each root u, one
+classification pass per hunt), classifies everything with the Morin
+classifier, and aggregates survey statistics: the expected picture for a
+generic map is that every off-origin singular point is A_1, A_2 or A_3, with
+random line samples almost surely landing on the A_1 stratum.  No path here
+builds a determinant polynomial: J, the first tower level and the cusp
 candidates' second are read off F's evaluated partials (one
 ``morin.Partials`` per survey map or hunt), as the classifier reads them.
 
 All numerics are deterministic for a fixed seed: restriction to a line or a
 plane is roots-of-unity interpolation of values (an FFT, 2-D on planes), root
-finding takes the eigenvalues of stacked companion matrices (one row for a
-line's J or a plane's R(u), every v-polynomial of a plane at once), and the
-survey derives per-map sub-seeds from a SeedSequence and runs the maps in
-order.  Roots, line points and plane pairs are all polished by
+finding takes the eigenvalues of one companion matrix (a line's J, a plane's
+R(u)), a plane's v-values come from one batched linear solve, and the survey
+derives per-map sub-seeds from a SeedSequence and runs the maps in order.
+Roots, line points and plane pairs are all polished by
 ``linalg.newton_polish``.  A float value is zero when it is at most ROOT_TOL
 times its own bound (a root's evaluation envelope, the Hadamard bound on
 det dF, a plane function's coefficient envelope), so a constant factor on F
@@ -70,15 +71,17 @@ def univariate_roots(p) -> list[complex]:
     leading coefficients that are exactly zero are trimmed: a tiny nonzero
     one stands for huge roots, and they come back like the others.
     Low-order coefficients that are exactly zero are stripped and come back
-    as roots at 0, first in the list.  The other roots come from
-    ``_companion_roots`` on the one monic row.  The Newton step count decides
-    nothing: the roots are accepted only when every residual clears the
-    envelope |p(z)| <= ROOT_TOL * sum_k |a_k| |z|^k (on the reversed
-    polynomial at 1/z where |z| > 1), the one float zero rule the slicers'
-    points pass too -- and otherwise RootConvergenceError carries the
-    polished estimates, the roots at 0 included.  Multiple roots come back as
-    a cluster whose radius grows like eps^(1/m) -- accuracy, not validity,
-    degrades there.
+    as roots at 0, first in the list.  The other roots are the eigenvalues
+    of the monic polynomial's companion matrix, laid out as ``np.roots``
+    lays it out (one ``np.linalg.eigvals`` call, backward stable), polished
+    by three steps of ``newton_polish`` (a start at a zero slope gets a
+    non-finite step and stays).  The step count decides nothing: the roots
+    are accepted only when every residual clears the envelope
+    |p(z)| <= ROOT_TOL * sum_k |a_k| |z|^k (on the reversed polynomial at 1/z
+    where |z| > 1), the one float zero rule the slicers' points pass too --
+    and otherwise RootConvergenceError carries the polished estimates, the
+    roots at 0 included.  Multiple roots come back as a cluster whose radius
+    grows like eps^(1/m) -- accuracy, not validity, degrades there.
     """
     if isinstance(p, Polynomial):
         if p.n_vars != 1:
@@ -100,7 +103,11 @@ def univariate_roots(p) -> list[complex]:
     if degree == 0:
         return at_origin
     desc = (coeffs / coeffs[-1])[::-1]       # monic, descending for np.polyval
-    z = _companion_roots(desc[None])[0]
+    companion = np.diag(np.ones(degree - 1, dtype=complex), -1)
+    companion[0] = -desc[1:]                 # ``np.roots``' layout
+    slope = np.polyder(desc)
+    z, _ = newton_polish(np.linalg.eigvals(companion), lambda z: np.polyval(desc, z),
+                         lambda z, vals: vals / np.polyval(slope, z), steps=3)
     # where |z| > 1 test the reversed polynomial at 1/z: both sides shrink by
     # |z|^degree, so nothing overflows; a NaN counts as outside (negated <=)
     inner = np.abs(z) <= 1.0
@@ -113,43 +120,6 @@ def univariate_roots(p) -> list[complex]:
             f"{int(np.sum(outside))} of {degree} roots miss the evaluation envelope",
             at_origin + list(z))
     return at_origin + [complex(v) for v in z]
-
-
-def _horner(desc: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """``np.polyval``'s Horner order, y = y*z + a_k, over the last axis of `desc`
-    (descending), each leading row against its entries of `z`."""
-    y = np.zeros_like(z)
-    for k in range(desc.shape[-1]):
-        y = y * z + desc[..., k]
-    return y
-
-
-def _companion_roots(desc: np.ndarray) -> np.ndarray:
-    """The (R, d) roots of the R monic descending rows of `desc`, shape (R, d + 1).
-
-    One ``np.linalg.eigvals`` call on the stacked companion matrices, laid out
-    as ``np.roots`` lays them out (first row -desc[1:] / desc[0], ones on the
-    sub-diagonal), then three steps of ``newton_polish`` with ``np.polyder``'s
-    slope (a start at a zero slope gets a non-finite step and stays).  Each
-    root is its own item, carrying its row number as a second coordinate the
-    step leaves alone, so a row whose constant is 0 has a root at 0.
-    """
-    rows, degree = desc.shape[0], desc.shape[1] - 1
-    companion = np.zeros((rows, degree, degree), dtype=complex)
-    companion[:, 0] = -desc[:, 1:] / desc[:, :1]
-    companion[:, np.arange(1, degree), np.arange(degree - 1)] = 1.0
-    slope = desc[:, :-1] * np.arange(degree, 0, -1)
-
-    def row(z):
-        return z[:, 1].real.astype(int)
-
-    def step(z, vals):
-        return np.stack([vals / _horner(slope[row(z)], z[:, 0]), np.zeros_like(vals)], axis=-1)
-
-    start = np.stack([np.linalg.eigvals(companion).ravel(),
-                      np.repeat(np.arange(rows), degree)], axis=-1)
-    z, _ = newton_polish(start, lambda z: _horner(desc[row(z)], z[:, 0]), step, steps=3)
-    return z[:, 0].reshape(rows, degree)
 
 
 def _roots(coeffs) -> np.ndarray:
@@ -255,28 +225,42 @@ class SectionSolution:
     residuals: tuple              # |values(point)|: the two functions' moduli there
 
 
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with a x = b for a stack of square `a` and vectors `b`, NaN where a member's
+    determinant is 0 or NaN: one exactly singular member would make
+    ``np.linalg.solve`` raise for the whole stack."""
+    with np.errstate(invalid="ignore"):         # a non-finite member has a NaN det
+        singular = ~(np.abs(np.linalg.det(a)) > 0.0)
+    a = np.where(singular[..., None, None], np.nan, a)
+    return np.linalg.solve(a, b[..., None])[..., 0]
+
+
 def plane_section_solutions(values, degrees: Sequence[int], n: int, planes: int,
                             seed: int) -> list[SectionSolution]:
     """Common zeros of two functions on random affine 2-planes, polished by Newton.
 
     `values` maps (N, n) points to (N, 2) values of two polynomials of total
-    degrees at most `degrees` = (d1, d2).  Per plane x = q0 + u*q1 + v*q2 they
-    are evaluated once, on the grid of u, v among the (d+1)-th roots of unity
-    (d = max(d1, d2)), and one 2-D FFT gives C[a, b, k], the coefficient of
-    u^a v^b in function k.  Each function's C is divided by its largest
-    modulus (a plane where a top-form coefficient is within ROOT_TOL of it is
-    redrawn), and v is eliminated by the Sylvester determinants at d1*d2 + 1
-    u-nodes, built as one stack and interpolated into R(u) (degree <= d1 * d2
-    by Bezout).  The v-polynomials at all roots u are solved in one stacked
-    companion eigensolve, and a pair (u, v) is kept when the first function
-    nearly vanishes there, |f_1| <= 1e-4 times its v-envelope.  All (u, v)
-    pairs are polished by ``newton_polish`` on the true values with the
+    degrees at most `degrees` = (d1, d2).  Each plane x = q0 + u*q1 + v*q2
+    has an orthonormal frame (the QR of a Gaussian n x 3 frame).  The
+    functions are evaluated once, on the grid of u, v among the (d+1)-th
+    roots of unity (d = max(d1, d2)), and one 2-D FFT gives C[a, b, k], the
+    coefficient of u^a v^b in function k.  Each function's C is divided by
+    its largest modulus (a plane where a top-form coefficient is within
+    ROOT_TOL of it is redrawn), and v is eliminated by the Sylvester
+    matrices S(u) in v: their determinants at d1*d2 + 1 u-nodes interpolate
+    R(u) (degree <= d1 * d2 by Bezout).  At a root u, S(u) w = 0 for the
+    descending Vandermonde vector w = (..., v, 1) of the common root v, so v
+    is read off S(u)'s kernel: S(u) without its first row is square in w's
+    other entries, and one batched linear solve per plane gives every v (a
+    root u whose system is singular or not finite gives none).  Every pair
+    (u, v) is polished by ``newton_polish`` on the true values with the
     interpolant's slopes (a singular 2x2 system gives a NaN step; at most
-    POLISH_STEPS = 20 steps).  A pair is a solution when each |f_k| is at
-    most ROOT_TOL times the plane's own evaluation envelope
-    sum_ab |C[a, b, k]| |u|^a |v|^b there, so a constant factor on either
-    function changes nothing.  Solutions are reported at unit norm with both
-    absolute residuals, one per ray.  `planes` < 0 is a ValueError.
+    POLISH_STEPS = 20 steps); no cut pairs the roots before that.  A pair is
+    a solution when each |f_k| is at most ROOT_TOL times the plane's own
+    evaluation envelope sum_ab |C[a, b, k]| |u|^a |v|^b there, so a constant
+    factor on either function changes nothing.  Solutions are reported at
+    unit norm with both absolute residuals, one per ray.  `planes` < 0 is a
+    ValueError.
     """
     validate_count(planes, "planes")
     d1, d2 = degrees
@@ -293,7 +277,8 @@ def plane_section_solutions(values, degrees: Sequence[int], n: int, planes: int,
     rays = np.empty((0, n), dtype=complex)
     for _ in range(planes):
         for _attempt in range(20):
-            q0, q1, q2 = (rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(3))
+            frame = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+            q0, q1, q2 = np.linalg.qr(frame)[0].T
             x = q0 + grid[:, None, None] * q1 + grid[:, None] * q2
             coeffs = np.fft.fft2(values(x.reshape(-1, n)).reshape(d + 1, d + 1, 2),
                                  axes=(0, 1)) / (d + 1) ** 2
@@ -308,47 +293,34 @@ def plane_section_solutions(values, degrees: Sequence[int], n: int, planes: int,
         else:
             continue
 
-        def in_v(u):        # ascending v-coefficients of both balanced functions at each u
-            return np.einsum("ua,abk->ubk", np.power.outer(u, powers), balanced)
+        def sylvester(u):
+            """S(u) in v at each u, the second function's d1 rows on top, descending in v."""
+            c = np.einsum("ua,abk->ubk", np.power.outer(u, powers), balanced)
+            s = np.zeros((u.size, d1 + d2, d1 + d2), dtype=complex)
+            for shift in range(d1):
+                s[:, shift, shift:shift + d2 + 1] = c[:, d2::-1, 1]
+            for shift in range(d2):
+                s[:, d1 + shift, shift:shift + d1 + 1] = c[:, d1::-1, 0]
+            return s
 
-        # Sylvester matrices in v at every u-node, q's rows on top (the layout of
-        # ``properness.sylvester_matrix``), and their determinants in one call
-        nodes = in_v(u_nodes)
-        first, second = nodes[:, d1::-1, 0], nodes[:, d2::-1, 1]
-        sylvester = np.zeros((u_nodes.size, d1 + d2, d1 + d2), dtype=complex)
-        for shift in range(d1):
-            sylvester[:, shift, shift:shift + d2 + 1] = second
-        for shift in range(d2):
-            sylvester[:, d1 + shift, shift:shift + d1 + 1] = first
-        dets = np.linalg.det(sylvester)
+        dets = np.linalg.det(sylvester(u_nodes))
         det_scale = float(np.max(np.abs(dets)))
         if det_scale == 0.0:
             continue        # the two curves look non-transverse on this plane
         # constant rescaling keeps the roots and tames the huge determinant
         # magnitudes a product of d1 + d2 coefficients can reach
         u = _roots(_interpolate(dets / det_scale))
-        c = in_v(u)
-        # every v-polynomial has degree d2 (its leading coefficient is the top
-        # form checked above); one whose coefficients overflowed gives no roots
-        solvable = np.all(np.isfinite(c[:, :d2 + 1, 1]), axis=1)
-        u, c = u[solvable], c[solvable]
-        v = _companion_roots((c[:, :d2 + 1, 1] / c[:, d2:d2 + 1, 1])[:, ::-1])
-        # spurious pairings from the elimination fail this test by a wide
-        # relative margin; true pairs sit near the rounding floor of the
-        # evaluation envelope sum_k |c_k| |v|^k, or within Newton's reach
-        first = c[:, d1::-1, 0][:, None]
-        paired = np.abs(_horner(first, v)) <= 1e-4 * _horner(np.abs(first), np.abs(v))
-        pairs = np.stack([np.broadcast_to(u[:, None], v.shape)[paired], v[paired]], axis=-1)
+        kernel = sylvester(u)[:, 1:]
+        v = _solve(kernel[..., :-1], -kernel[..., -1])[:, -1]
+        pairs = np.stack([u, v], axis=-1)[np.isfinite(v)]
         plane = np.array([q1, q2])                    # dx / d(u, v)
         slopes = [np.polynomial.polynomial.polyder(coeffs, axis=axis) for axis in (0, 1)]
 
         def newton_step(uv, f):
-            # jac[m, k, j]: d f_k / d(u, v)_j from the interpolant; a singular
-            # system gives a NaN step, which the polish does not take
+            # jac[m, k, j]: d f_k / d(u, v)_j from the interpolant
             jac = np.stack([np.polynomial.polynomial.polyval2d(*uv.T, s) for s in slopes],
                            axis=-1).transpose(1, 0, 2)
-            jac[np.linalg.det(jac) == 0.0] = np.nan
-            return np.linalg.solve(jac, f[..., None])[..., 0]
+            return _solve(jac, f)
 
         uv, f = newton_polish(pairs, lambda uv: values(q0 + uv @ plane), newton_step,
                               POLISH_STEPS)
@@ -372,15 +344,20 @@ def cusp_points(F: HomogeneousMap, planes: int, seed: int) -> list[SectionSoluti
     ``morin.Partials`` per hunt serves the probe, the planes and the
     classifier), and i* is the first i whose J_{1,i} does not vanish, by the
     classifier's rule, at one seeded random point; deg J_{1,i} = 2 deg J -
-    d_i.  The variety {J = J_{1,i*} = 0} also contains fold points where the
-    left-kernel covector of dF has vanishing i*-th coordinate (there J_{1,i}
-    vanishes for the wrong reason), so the polished candidates are classified,
-    all in one pass over F's partials (level 2 too: the hunt builds no jet and
-    no determinant polynomial), and only genuine A_2 points (at DEFAULT_TOL)
-    are returned; rejects are discarded, and an all-rejected plane budget
-    simply yields an empty list.  The slicer's envelope test keeps no scale of
-    F in the residual cut; the step test of ``newton_polish``, max_k |f_k|,
-    still mixes the scales of J and J_{1,i*}.  `planes` < 0 is a ValueError.
+    d_i.  A generic plane meets the cusp curve in Tp(A_2) = c1^2 + c2 points
+    (Ronga), and the plane system has d1 * d2 solutions in all: the rest are
+    fold points where the left-kernel covector of dF has vanishing i*-th
+    coordinate (there J_{1,i} vanishes for the wrong reason).  Every pair the
+    slicer reads off its Sylvester kernels is polished, and the polished
+    candidates are classified, all in one pass over F's partials (level 2
+    too: the hunt builds no jet and no determinant polynomial); only genuine
+    A_2 points (at DEFAULT_TOL) are returned.  A plane can give fewer than
+    Tp(A_2) of them, where Newton does not reach a solution from its start;
+    rejects are discarded, and an all-rejected plane budget simply yields an
+    empty list.  The slicer's envelope test keeps no scale
+    of F in the residual cut; the step test of ``newton_polish``, max_k
+    |f_k|, still mixes the scales of J and J_{1,i*}.  `planes` < 0 is a
+    ValueError.
     """
     if F.n != 4:
         raise ValueError("cusp hunting is implemented for n = 4")

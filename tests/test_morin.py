@@ -1,5 +1,6 @@
 """Iterated-determinant tower and singularity classification."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -159,6 +160,70 @@ def test_jet_values_match_symbolic_tower():
         for i in range(4):
             ref = t.level(k, i).evaluate(p)
             assert abs(levels[k - 1][i] - ref) < 1e-6 * (1 + abs(ref))
+
+
+def _chained_partials(components, points, r: int) -> np.ndarray:
+    """d^r F at the points, dense, each entry a chain of ``Polynomial.partial`` calls."""
+    n = len(components)
+    out = np.empty((len(points),) + (n,) * (r + 1), dtype=complex)
+    for i, *a in itertools.product(range(n), repeat=r + 1):
+        f = components[i]
+        for j in a:
+            f = f.partial(j)
+        out[(slice(None), i, *a)] = f.evaluate(points)
+    return out
+
+
+def _mixed_degree_map(seed: int) -> GeneralMap:
+    """A rational square map whose components mix degrees 0 to 4."""
+    rng = np.random.default_rng(seed)
+    exponents = [e for e in itertools.product(range(5), repeat=4) if sum(e) <= 4]
+    return GeneralMap(tuple(
+        _poly4({exponents[k]: int(rng.integers(-9, 10)) or 1
+                for k in rng.choice(len(exponents), size=12, replace=False)})
+        for _ in range(4)))
+
+
+@pytest.mark.parametrize("components", [
+    random_map((2, 3, 5, 7), seed=5, kind="complex").components,
+    _mixed_degree_map(3).components,
+], ids=["homogeneous_2357", "mixed_degree"])
+def test_partials_match_the_chain_of_polynomial_partials(components):
+    """For r = 1, 2, 3 the coefficient table gives d^r F within 1e-12 of the
+    largest entry of the chained ``Polynomial.partial`` values, on a
+    (2,3,5,7) map and on a non-homogeneous rational map."""
+    rng = np.random.default_rng(21)
+    points = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
+    partials = Partials(components)
+    for r in (1, 2, 3):
+        got, want = partials.at(points, r), _chained_partials(components, points, r)
+        assert got.shape == (6,) + (4,) * (r + 1)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), r
+
+
+def test_third_partials_of_a_quadratic_map_are_zero():
+    """Every third partial of a quadratic map vanishes: the order-3 table is
+    empty, and ``at`` still gives zeros of the dense shape (N, n, n, n, n)."""
+    points = np.random.default_rng(4).standard_normal((3, 4)) + 0j
+    third = Partials(random_map((2, 2, 2, 2), seed=1, kind="complex").components).at(points, 3)
+    assert third.shape == (3, 4, 4, 4, 4) and not np.any(third)
+
+
+def test_survey_and_cusp_hunt_differentiate_no_polynomial(monkeypatch):
+    """F's partials come from the coefficient tables alone: a survey map and
+    a cusp hunt make no ``Polynomial.partial`` call."""
+    F = random_map((3, 3, 3, 3), seed=2, kind="complex")
+    calls = []
+    partial = Polynomial.partial
+
+    def counted(self, i):
+        calls.append(i)
+        return partial(self, i)
+
+    monkeypatch.setattr(Polynomial, "partial", counted)
+    assert survey((2, 3, 5, 7), maps=1, lines=1, seed=1).points_found
+    assert cusp_points(F, planes=1, seed=9)
+    assert calls == []
 
 
 def test_float_level_one_matches_the_jet_tower():

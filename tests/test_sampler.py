@@ -176,33 +176,10 @@ def test_roots_name_non_finite_coefficients(bad):
     assert sampler._roots([1.0, bad, 1.0]).size == 0
 
 
-def test_stacked_kernel_matches_univariate_roots_row_by_row():
-    """One ``_companion_roots`` call on 104 random degree-13 rows gives, row
-    by row, the very bits ``univariate_roots`` gives on each row alone."""
-    rng = np.random.default_rng(20)
-    coeffs = rng.standard_normal((104, 14)) + 1j * rng.standard_normal((104, 14))
-    stacked = sampler._companion_roots((coeffs / coeffs[:, -1:])[:, ::-1])
-    assert stacked.shape == (104, 13)
-    for row, roots in zip(coeffs, stacked):
-        assert np.array_equal(roots, univariate_roots(row))
-
-
-def test_stacked_kernel_keeps_a_root_at_zero():
-    """A row whose constant coefficient is exactly 0 gets a root at 0 from
-    the stacked kernel itself, and its other roots match the deflated row's."""
-    coeffs = np.array([_random_coeffs(6, 4), _random_coeffs(6, 5)])
-    coeffs[1, 0] = 0.0
-    roots = sampler._companion_roots((coeffs / coeffs[:, -1:])[:, ::-1])
-    at_zero = np.abs(roots[1]) < 1e-30      # exactly 0 here; Newton squares any eps start
-    assert np.count_nonzero(at_zero) == 1
-    others = np.sort_complex(roots[1][~at_zero])
-    assert np.allclose(others, np.sort_complex(univariate_roots(coeffs[1, 1:])), atol=1e-12)
-
-
 def test_plane_slicer_solves_each_plane_in_one_stacked_call(monkeypatch):
     """One cusp-hunt plane makes one ``univariate_roots`` call, for R(u), and
-    one stacked v-solve, and builds no Sylvester matrix through
-    ``properness``: the slicer no longer imports ``sylvester_matrix``."""
+    no other root solve: the one eigensolve is R(u)'s companion matrix, and
+    every v is read off the Sylvester kernels by one batched linear solve."""
     calls = []
 
     def counting(name, original):
@@ -213,16 +190,11 @@ def test_plane_slicer_solves_each_plane_in_one_stacked_call(monkeypatch):
 
     monkeypatch.setattr(sampler, "univariate_roots",
                         counting("univariate_roots", sampler.univariate_roots))
-    monkeypatch.setattr(sampler, "_companion_roots",
-                        counting("_companion_roots", sampler._companion_roots))
-    monkeypatch.setattr(properness, "sylvester_matrix",
-                        counting("sylvester_matrix", properness.sylvester_matrix))
+    monkeypatch.setattr(np.linalg, "eigvals", counting("eigvals", np.linalg.eigvals))
+    monkeypatch.setattr(np, "roots", counting("roots", np.roots))
     F = random_map((2, 2, 2, 2), seed=1, kind="complex")
-    assert len(cusp_points(F, planes=1, seed=6)) == 18
-    assert calls == [("univariate_roots", "_roots"),
-                     ("_companion_roots", "univariate_roots"),
-                     ("_companion_roots", "plane_section_solutions")]
-    assert not hasattr(sampler, "sylvester_matrix")
+    assert len(cusp_points(F, planes=2, seed=6)) == 2 * 18
+    assert calls == 2 * [("univariate_roots", "_roots"), ("eigvals", "univariate_roots")]
 
 
 # ------------------------------------------------------------- line slicing
@@ -330,8 +302,8 @@ def test_plane_sections_recover_known_projective_zeros():
 def test_plane_sections_keep_roots_that_miss_the_envelope(monkeypatch):
     """A root solve that raises RootConvergenceError still hands its estimates
     on, and the residual test decides: with the u-solve raising on the true
-    roots, the four rays are still found.  (The stacked v-solve keeps its
-    estimates without an envelope test of its own.)"""
+    roots, the four rays are still found.  (The u-solve is the slicer's only
+    root solve: every v is read off a Sylvester kernel by a linear solve.)"""
     original = sampler.univariate_roots
 
     def raising(coeffs):
@@ -345,12 +317,34 @@ def test_plane_sections_keep_roots_that_miss_the_envelope(monkeypatch):
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_plane_sections_skip_a_root_u_whose_v_polynomial_overflows(monkeypatch):
-    """A root u of R(u) so large that u^d overflows leaves its v-polynomial
-    non-finite: that row gives no roots, and the stacked solve of the others
-    still finds the four rays."""
+    """A root u of R(u) so large that u^d overflows leaves its Sylvester
+    matrix S(u) non-finite: that root gives no v, and the batched kernel
+    solve of the others still finds the four rays."""
     original = sampler._roots
     monkeypatch.setattr(sampler, "_roots", lambda coeffs: np.append(original(coeffs), 1e300))
     sols = plane_section_solutions(_pair_values, (2, 2), 3, planes=3, seed=1)
+    assert _four_known_rays_found(sols) == 4
+
+
+def test_plane_sections_drop_only_the_root_whose_kernel_is_singular(monkeypatch):
+    """An exactly singular member of the stacked kernel solve would make
+    ``np.linalg.solve`` raise for the whole stack: with the first root's
+    S(u) system zeroed, that root alone gets a NaN v and is dropped, every
+    other root keeps its v, and the four rays are still found."""
+    original, solved = sampler._solve, []
+
+    def singular_first(a, b):
+        if not solved:                  # the first call is the plane's kernel solve
+            a = a.copy()
+            a[0] = 0.0
+            solved.append(original(a, b))
+            return solved[-1]
+        return original(a, b)
+
+    monkeypatch.setattr(sampler, "_solve", singular_first)
+    sols = plane_section_solutions(_pair_values, (2, 2), 3, planes=3, seed=1)
+    v = solved[0][:, -1]
+    assert np.isnan(v[0]) and np.all(np.isfinite(v[1:]))
     assert _four_known_rays_found(sols) == 4
 
 
@@ -420,19 +414,43 @@ def test_survey_folds_make_no_level_two_call(monkeypatch):
 @pytest.mark.parametrize("map_seed", [1, 2])
 def test_cusp_recall_meets_the_census_count(map_seed):
     """A generic 2-plane meets the cusp cone of a (2,2,2,2) map in
-    Tp(A2) = c1^2 + c2 = 18 rays.  Plane seed 6 finds every one of them on
-    map seeds 1 and 2, all distinct and all A2, and no plane of seeds 6-7
-    finds more than the census allows."""
+    Tp(A2) = c1^2 + c2 = 18 rays.  Plane seeds 6 and 7 each find every one
+    of them on map seeds 1 and 2, all distinct and all A2."""
     c1, c2 = chern_values((2, 2, 2, 2))[:2]
     assert c1 ** 2 + c2 == 18
     F = random_map((2, 2, 2, 2), seed=map_seed, kind="complex")
-    found = {seed: cusp_points(F, planes=1, seed=seed) for seed in (6, 7)}
-    assert len(found[6]) == c1 ** 2 + c2
-    for sols in found.values():
-        assert len(sols) <= c1 ** 2 + c2
+    for seed in (6, 7):
+        sols = cusp_points(F, planes=1, seed=seed)
+        assert len(sols) == c1 ** 2 + c2
         rays = np.array([s.point for s in sols])
         assert np.all(np.abs(np.abs(rays.conj() @ rays.T) - np.eye(len(rays))) < 1 - 1e-8)
         assert all(classify(F, np.asarray(s.point)).label == "A2" for s in sols)
+
+
+def _cusps_per_plane(F, planes: int, seed: int) -> np.ndarray:
+    """The cusps each plane of a hunt adds: a hunt of k planes draws the
+    first k planes of a longer one with the same seed."""
+    return np.diff([len(cusp_points(F, planes=k, seed=seed)) for k in range(planes + 1)])
+
+
+def test_cusp_hunt_meets_the_census_count_on_every_plane():
+    """On a (2,2,2,3) map every plane of plane seed 5 meets the cusp curve in
+    exactly Tp(A2) = c1^2 + c2 = 29 distinct A2 rays."""
+    c1, c2 = chern_values((2, 2, 2, 3))[:2]
+    assert c1 ** 2 + c2 == 29
+    F = random_map((2, 2, 2, 3), seed=3, kind="complex")
+    assert list(_cusps_per_plane(F, 4, 5)) == [29] * 4
+    sols = cusp_points(F, planes=4, seed=5)
+    assert all(classify(F, np.asarray(s.point)).label == "A2" for s in sols)
+
+
+@pytest.mark.parametrize("degrees, map_seed", [((3, 3, 3, 3), 2), ((2, 3, 3, 3), 4)])
+def test_no_plane_finds_more_cusps_than_the_census_allows(degrees, map_seed):
+    """Tp(A2) = c1^2 + c2 bounds the cusp rays of one plane: 80 on (3,3,3,3)
+    and 60 on (2,3,3,3); each plane finds some and none finds more."""
+    c1, c2 = chern_values(degrees)[:2]
+    counts = _cusps_per_plane(random_map(degrees, seed=map_seed, kind="complex"), 2, 9)
+    assert np.all(counts > 0) and np.all(counts <= c1 ** 2 + c2)
 
 
 def test_cusp_points_on_a_high_degree_map_stay_finite():
