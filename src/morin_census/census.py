@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .maps import EligibilityVerdict, eligibility_gate, validate_degrees
+from .maps import EligibilityVerdict, _gate, validate_degrees
 from .polynomials import RATIONAL, Polynomial
 
 __all__ = [
@@ -98,6 +98,10 @@ class TruncatedSeries:
         return TruncatedSeries(tuple(out))
 
 
+# (1 + a)^-4 = sum_m (-1)^m C(m+3, 3) a^m, to order 4
+_INVERSE_SERIES = tuple((-1) ** m * math.comb(m + 3, 3) for m in range(ORDER + 1))
+
+
 def _chern_classes(degrees: Sequence, one, zero) -> tuple:
     """c1..c4 of prod(1 + d_i a) / (1 + a)^4 from the elementary symmetric sums.
 
@@ -108,7 +112,7 @@ def _chern_classes(degrees: Sequence, one, zero) -> tuple:
     for d in degrees:
         for j in range(ORDER, 0, -1):
             e[j] = e[j] + d * e[j - 1]
-    return tuple(sum((-1) ** (k - j) * math.comb(k - j + 3, 3) * e[j] for j in range(k + 1))
+    return tuple(sum(_INVERSE_SERIES[k - j] * e[j] for j in range(k + 1))
                  for k in range(1, ORDER + 1))
 
 
@@ -150,7 +154,7 @@ def s_classes_symbolic() -> dict[str, Polynomial]:
 def s_classes(degrees: Sequence[int]) -> dict[str, int]:
     """The seven s-classes at a concrete degree tuple (exact integers)."""
     degrees = _require_four(degrees)
-    return _s_values(degrees, chern_values(degrees))
+    return _s_values(degrees, _chern_classes(degrees, 1, 0))
 
 
 def _s_values(degrees: Sequence, c: Sequence) -> dict:
@@ -239,7 +243,7 @@ def census(degrees: Sequence[int]) -> CensusReport:
     Raises IntegralityError when a prefactor fails to divide.
     """
     degrees = _require_four(degrees)
-    c = chern_values(degrees)
+    c = _chern_classes(degrees, 1, 0)
     s = _s_values(degrees, c)
     raw = _raw_counts(c, s)
     counts = {}
@@ -253,4 +257,4 @@ def census(degrees: Sequence[int]) -> CensusReport:
             logger.warning("count %s at degrees %s is negative (%s); the closed "
                            "forms are only meaningful for eligible tuples",
                            name, degrees, value)
-    return CensusReport(degrees, eligibility_gate(degrees), c, s, counts)
+    return CensusReport(degrees, _gate(degrees), c, s, counts)

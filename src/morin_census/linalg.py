@@ -97,7 +97,7 @@ _CERTIFICATE_PRIMES = (33_554_467, 33_554_473, 33_554_503)  # ~2^25, products fi
 
 
 def _rank_mod_p(matrix: np.ndarray, p: int) -> int:
-    """Rank mod p by elimination; entries and p must keep products inside int64."""
+    """Rank mod p by elimination on int64 residues; p < 2^31 keeps products inside int64."""
     m = np.mod(matrix, p).astype(np.int64)
     rank = 0
     for k in range(m.shape[1]):
@@ -116,21 +116,26 @@ def _rank_mod_p(matrix: np.ndarray, p: int) -> int:
     return rank
 
 
-def det_is_nonzero(rows: Sequence[Sequence[int]]) -> bool:
-    """Exact test that an integer matrix has full column rank.
+def det_is_nonzero(rows: Sequence[Sequence[int]] | np.ndarray) -> str | None:
+    """Exact test that an integer matrix has full column rank, naming what proved it.
 
     For a square or tall matrix that is a nonzero maximal minor, and on a
-    square one det != 0.  Full rank mod any prime certifies full rank over the
-    integers, so modular elimination (fast, numpy) is tried first; only when
-    every prime loses rank does the exact rank decide.
+    square one det != 0.  `rows` is a list of rows or an integer ndarray
+    (``int64``, or ``object`` for entries past it), ranked as it is.  Full
+    rank mod any prime certifies full rank over the integers, so modular
+    elimination (fast, numpy) is tried first and the result is "mod p" for
+    the first prime that shows it; only when every prime loses rank does
+    fraction-free elimination decide, and a full rank there gives "exact
+    rank".  A deficient rank gives None.
     """
     if len(rows) == 0:
-        return True
-    ints = np.array([[int(v) for v in r] for r in rows], dtype=object)
+        return "exact rank"
+    ints = rows if isinstance(rows, np.ndarray) else \
+        np.array([[int(v) for v in r] for r in rows], dtype=object)
     for p in _CERTIFICATE_PRIMES:
         if _rank_mod_p(ints, p) == ints.shape[1]:
-            return True
-    return exact_rank(ints.tolist()) == ints.shape[1]
+            return f"mod {p}"
+    return "exact rank" if _eliminate(ints.tolist())[0] == ints.shape[1] else None
 
 
 def random_unimodular_matrix(n: int, rng: np.random.Generator) -> list[list[int]]:

@@ -228,6 +228,11 @@ def eligibility_gate(degrees: Sequence[int]) -> EligibilityVerdict:
     d = validate_degrees(degrees)
     if len(d) != 4:
         raise ValueError("the eligibility gate is specific to n = 4")
+    return _gate(d)
+
+
+def _gate(d: tuple[int, ...]) -> EligibilityVerdict:
+    """``eligibility_gate`` on a degree 4-tuple that is already validated."""
     g_all = math.gcd(*d)
     if g_all > 1:
         return EligibilityVerdict(NEVER_FINITE, f"gcd(d1..d4)={g_all}")

@@ -9,13 +9,16 @@ question reduces to whether the components share a nonzero common root.
   nu - d_i.  It has full column rank exactly when F^{-1}(0) = {0} (Macaulay,
   1902): a regular sequence's ideal contains every monomial of degree nu,
   and a nonzero common root z puts its monomial vector (z^m) in the null
-  space.
+  space.  Every caller builds it from one index layout per map
+  (``_MacaulayLayout``), scattering coefficients into an ndarray.
 * ``macaulay_resultant_certificate`` -- the exact rank of that matrix decides
-  rational maps both ways; a rank deficiency comes with the root read off
-  the null space as a witness.
-* ``sphere_falsifier`` -- the same null-space reading in floating point, all
-  estimates polished at once by ``newton_polish`` to unit-norm common roots.
-  It gives complex maps a witness; finding none certifies nothing.
+  rational maps both ways: denominators cleared once per component into an
+  int64 array, ranked mod a prime first.  A rank deficiency comes with the
+  root read off the null space as a witness.
+* ``sphere_falsifier`` -- the same null-space reading in floating point.  A
+  root estimate that is already a unit-norm common root is kept; only when
+  none is are all of them polished at once by ``newton_polish``.  It gives
+  complex maps a witness; finding none certifies nothing.
 
 ``properness_verdict`` decides rational maps by the certificate and gives
 complex maps a witness or INCONCLUSIVE.
@@ -23,6 +26,7 @@ complex maps a witness or INCONCLUSIVE.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -30,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import POLISH_STEPS, det_is_nonzero, exact_det, integer_rows, newton_polish
+from .linalg import POLISH_STEPS, det_is_nonzero, exact_det, newton_polish
 from .maps import HomogeneousMap, validate_degrees
 from .morin import Partials
 from .polynomials import COMPLEX, RATIONAL, Polynomial
@@ -139,6 +143,50 @@ def _monomials_of_degree(n: int, degree: int) -> list[tuple[int, ...]]:
     return out
 
 
+class _MacaulayLayout:
+    """Where every coefficient of every f_i sits in F's Macaulay matrix.
+
+    Built once per call from exponents alone.  blocks[i] = (rows, cols):
+    rows[r, 0] is the row of s_r * f_i and cols[r, t] the column of s_r + e_t,
+    e_t being the t-th exponent of f_i.terms (the order of ``_kernel`` too).
+    A degree-nu monomial has every exponent at most nu, so its mixed-radix
+    key in base nu + 1 orders the columns, and one ``searchsorted`` over the
+    keys finds every column.
+    """
+
+    def __init__(self, F: HomogeneousMap):
+        n = F.n
+        nu = sum(d - 1 for d in F.degrees) + 1
+        self.monomials = _monomials_of_degree(n, nu)
+        if len(self.monomials) > MACAULAY_SIDE_CAP:
+            raise ValueError(
+                f"Macaulay matrix side {len(self.monomials)} exceeds the cap {MACAULAY_SIDE_CAP}")
+        # descending lex is descending key order; keys past int64 stay Python ints
+        self._weights = np.array([(nu + 1) ** k for k in range(n - 1, -1, -1)],
+                                 dtype=np.int64 if (nu + 1) ** n < 2 ** 63 else object)
+        self._keys = (np.array(self.monomials) @ self._weights)[::-1]
+        self.blocks = []
+        top = 0
+        for d, f in zip(F.degrees, F.components):
+            shifts = np.array(_monomials_of_degree(n, nu - d))
+            exps = np.array(list(f.terms), dtype=np.int64).reshape(-1, n)
+            self.blocks.append((top + np.arange(len(shifts))[:, None],
+                                self.columns(shifts[:, None, :] + exps[None, :, :])))
+            top += len(shifts)
+        self.n_rows = top
+
+    def columns(self, exps: np.ndarray) -> np.ndarray:
+        """The column of each degree-nu exponent vector along the last axis of `exps`."""
+        return len(self.monomials) - 1 - np.searchsorted(self._keys, exps @ self._weights)
+
+    def scatter(self, values, fill, dtype) -> np.ndarray:
+        """The matrix with values[i] (f_i's coefficients in term order) in every row of f_i."""
+        m = np.full((self.n_rows, len(self.monomials)), fill, dtype=dtype)
+        for (rows, cols), v in zip(self.blocks, values):
+            m[rows, cols] = v
+        return m
+
+
 def macaulay_matrix(F: HomogeneousMap):
     """Full Macaulay matrix in degree nu = sum(d_i - 1) + 1, plus its row bookkeeping.
 
@@ -147,39 +195,45 @@ def macaulay_matrix(F: HomogeneousMap):
     the degree-nu monomial basis `monomials`; assignment[r] = i.  For n = 2
     this is the Sylvester matrix.
     """
-    n = F.n
-    nu = sum(d - 1 for d in F.degrees) + 1
-    monomials = _monomials_of_degree(n, nu)
-    if len(monomials) > MACAULAY_SIDE_CAP:
-        raise ValueError(
-            f"Macaulay matrix side {len(monomials)} exceeds the cap {MACAULAY_SIDE_CAP}")
-    col = {m: j for j, m in enumerate(monomials)}
+    layout = _MacaulayLayout(F)
     zero = Fraction(0) if F.kind == RATIONAL else complex(0)
-    rows = []
-    assignment = []
-    for i, (d, f) in enumerate(zip(F.degrees, F.components)):
-        for shift in _monomials_of_degree(n, nu - d):
-            row = [zero] * len(monomials)
-            for exps, c in f.terms.items():
-                row[col[tuple(e + s for e, s in zip(exps, shift))]] = c
-            rows.append(row)
-            assignment.append(i)
-    return rows, monomials, assignment
+    coeffs = [np.array(list(f.terms.values()), dtype=object) for f in F.components]
+    assignment = [i for i, (rows, _) in enumerate(layout.blocks) for _ in rows]
+    return layout.scatter(coeffs, zero, object).tolist(), layout.monomials, assignment
+
+
+def _integer_matrix(F: HomogeneousMap, layout: _MacaulayLayout) -> np.ndarray:
+    """F's Macaulay matrix with each f_i's denominators cleared, as an integer ndarray.
+
+    Every row of f_i carries all of f_i's coefficients, so one lcm per
+    component is the per-row lcm; row scaling keeps the rank.  The array is
+    ``int64``, or ``object`` when a cleared coefficient does not fit.
+    """
+    ints = []
+    for f in F.components:
+        lcm = math.lcm(*(c.denominator for c in f.terms.values()))
+        ints.append([c.numerator * (lcm // c.denominator) for c in f.terms.values()])
+    dtype = np.int64 if all(abs(v) < 2 ** 63 for row in ints for v in row) else object
+    return layout.scatter([np.array(row, dtype=dtype) for row in ints], 0, dtype)
 
 
 def macaulay_resultant_certificate(F: HomogeneousMap) -> PropernessVerdict:
     """PROPER iff the Macaulay matrix has full column rank, else NOT_PROPER.
 
-    The exact rank decides both ways.  A NOT_PROPER verdict carries the
-    common root read off the null space, or no witness if the polish misses it.
+    The exact rank decides both ways, and the certificate names what decided
+    it: the prime that showed full rank, or the exact rank.  A NOT_PROPER
+    verdict carries the common root read off the null space, or no witness
+    if the polish misses it.
     """
     if F.kind != RATIONAL:
         raise ValueError("the Macaulay certificate needs the exact rational kind")
-    rows, monomials, _ = macaulay_matrix(F)
-    where = f"Macaulay matrix in degree {sum(monomials[0])}"
-    if det_is_nonzero(integer_rows(rows)[0]):
-        return PropernessVerdict(PROPER, f"{where} has full rank {len(monomials)}")
-    witness = _null_space_witness(F, rows, monomials, at_least=1)
+    layout = _MacaulayLayout(F)
+    where = f"Macaulay matrix in degree {sum(layout.monomials[0])}"
+    proof = det_is_nonzero(_integer_matrix(F, layout))
+    if proof:
+        return PropernessVerdict(
+            PROPER, f"{where} has full rank {len(layout.monomials)} ({proof})")
+    witness = _null_space_witness(F, layout, at_least=1)
     return PropernessVerdict(
         NOT_PROPER, f"{where} is rank-deficient: {_witness_note(F, witness)}", witness)
 
@@ -221,26 +275,36 @@ def _polished(F: HomogeneousMap, starts: np.ndarray) -> np.ndarray:
     return newton_polish(starts, evaluate, chart_step, POLISH_STEPS)[0]
 
 
-def _null_space_witness(F: HomogeneousMap, rows, monomials, at_least: int = 0):
-    """The first polished null-space root whose unit point clears the threshold, or None.
+def _first_witness(F: HomogeneousMap, points: np.ndarray):
+    """The first of `points` whose unit rescaling clears the witness threshold, or None."""
+    for root in points:
+        scaled = root / np.linalg.norm(root)
+        if np.linalg.norm(F.evaluate(scaled)) < _witness_threshold(F, scaled):
+            return tuple(complex(v) for v in scaled)
+    return None
+
+
+def _null_space_witness(F: HomogeneousMap, layout: _MacaulayLayout, at_least: int = 0):
+    """A null-space root estimate, polished only if none clears the threshold, or None.
 
     Each root z puts (z^m) in the null space N, and the rows S_j of N at the
     monomials x_j * m (deg m = nu - 1) shift it by z_j.  So A_j = lstsq(S_k, S_j)
     share eigenvectors W with eigenvalues z_j / z_k (Dreesen, Batselier and
     De Moor, 2012).  `at_least` keeps that many vectors in N when the exact
-    rank is known to be deficient.
+    rank is known to be deficient.  The estimates are tried as they are
+    first; ``_polished`` runs only when none of them is a witness yet.
     """
-    _, sigma, vh = np.linalg.svd(np.array(rows, dtype=complex), full_matrices=False)
+    matrix = layout.scatter([f._kernel()[1] for f in F.components], 0, complex)
+    _, sigma, vh = np.linalg.svd(matrix, full_matrices=False)
     nullity = max(at_least, int(np.count_nonzero(sigma <= NULL_TOL * sigma[0])))
     if nullity == 0:
         return None
     null = vh[len(sigma) - nullity:].conj().T
-    n, nu = F.n, sum(monomials[0])
-    col = {m: j for j, m in enumerate(monomials)}
-    lower = _monomials_of_degree(n, nu - 1)
-    shifted = [null[[col[m[:j] + (m[j] + 1,) + m[j + 1:]] for m in lower]]
-               for j in range(n)]
-    pure = [col[tuple(nu * int(i == j) for i in range(n))] for j in range(n)]
+    n, nu = F.n, sum(layout.monomials[0])
+    lower = np.array(_monomials_of_degree(n, nu - 1))
+    unit = np.eye(n, dtype=np.int64)
+    shifted = [null[layout.columns(lower + unit[j])] for j in range(n)]
+    pure = layout.columns(nu * unit)
     k = max(range(n), key=lambda j: np.linalg.norm(null[pure[j]]))
     mults = [np.linalg.lstsq(shifted[k], s, rcond=None)[0] for s in shifted]
     _, vecs = np.linalg.eig(sum(w * a for w, a in zip(np.sqrt(np.arange(2, n + 2)), mults)))
@@ -250,11 +314,7 @@ def _null_space_witness(F: HomogeneousMap, rows, monomials, at_least: int = 0):
     # mean, trace(A_j) / r, stays accurate
     estimates = np.vstack([estimates, estimates.mean(axis=0)])
     starts = estimates[np.isfinite(estimates).all(axis=1) & estimates.any(axis=1)]
-    for root in _polished(F, starts):
-        scaled = root / np.linalg.norm(root)
-        if np.linalg.norm(F.evaluate(scaled)) < _witness_threshold(F, scaled):
-            return tuple(complex(v) for v in scaled)
-    return None
+    return _first_witness(F, starts) or _first_witness(F, _polished(F, starts))
 
 
 def sphere_falsifier(F: HomogeneousMap) -> tuple | None:
@@ -263,8 +323,7 @@ def sphere_falsifier(F: HomogeneousMap) -> tuple | None:
     None is NOT a certificate: it only reports that the float null space,
     cut at NULL_TOL, gave no root that the Newton polish could confirm.
     """
-    rows, monomials, _ = macaulay_matrix(F)
-    return _null_space_witness(F, rows, monomials)
+    return _null_space_witness(F, _MacaulayLayout(F))
 
 
 # ---------------------------------------------------------------- combined driver

@@ -6,8 +6,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from morin_census import (critical_points_on_lines, cusp_points, linalg, properness,
-                          properness_verdict, random_map, sampler, univariate_roots)
+from morin_census import (HomogeneousMap, Polynomial, critical_points_on_lines, cusp_points,
+                          linalg, properness, properness_verdict, random_map, sampler,
+                          univariate_roots)
 from morin_census.linalg import (
     _CERTIFICATE_PRIMES,
     bareiss_det,
@@ -45,7 +46,15 @@ def test_det_is_nonzero_tests_full_column_rank():
 def test_det_is_nonzero_falls_back_to_exact_rank():
     """diag(p1 p2 p3, 1) loses rank mod every certificate prime, but not over Q."""
     p1, p2, p3 = _CERTIFICATE_PRIMES
-    assert det_is_nonzero([[p1 * p2 * p3, 0], [0, 1]])
+    assert det_is_nonzero([[p1 * p2 * p3, 0], [0, 1]]) == "exact rank"
+
+
+def test_det_is_nonzero_ranks_int64_arrays_and_names_the_prime():
+    """An int64 ndarray is ranked as it is; the first prime showing full rank is named."""
+    p1, p2, _ = _CERTIFICATE_PRIMES
+    assert det_is_nonzero(np.array([[1, 2], [2, 4], [0, 1]], dtype=np.int64)) == f"mod {p1}"
+    assert det_is_nonzero(np.array([[p1, 0], [0, 1]], dtype=np.int64)) == f"mod {p2}"
+    assert det_is_nonzero(np.array([[1, 2], [2, 4], [3, 6]], dtype=np.int64)) is None
 
 
 def test_bareiss_det_and_exact_rank_share_one_elimination():
@@ -85,9 +94,9 @@ def test_newton_polish_keeps_only_shrinking_finite_steps():
 
 
 def test_every_float_solver_polishes_through_newton_polish(monkeypatch):
-    """The root finder ``univariate_roots``, both slicers and
-    the properness witness each call ``newton_polish``, seen through a counter
-    at each module's import binding."""
+    """The root finder ``univariate_roots``, both slicers and the properness
+    witness, when no null-space estimate is a witness unpolished, each call
+    ``newton_polish``, seen through a counter at each module's import binding."""
     callers = []
 
     def counted(*args, **kwargs):
@@ -108,6 +117,15 @@ def test_every_float_solver_polishes_through_newton_polish(monkeypatch):
         "univariate_roots", "critical_points_on_lines"}
     assert through(lambda: cusp_points(F, planes=1, seed=6)) == {
         "univariate_roots", "plane_section_solutions"}
-    # (3,3,3), seed 1000016: no component has an x1^3 term, so (1,0,0) is a common zero
+    # (3,3,3), seed 1000016: no component has an x1^3 term, so (1,0,0) is a common
+    # zero, and its null-space estimate is a witness before any polish
     planted = random_map((3, 3, 3), seed=1000016)
-    assert through(lambda: properness_verdict(planted).witness) == {"_polished"}
+    assert through(lambda: properness_verdict(planted).witness) == set()
+    # a fourfold root at (0,1,0,0): no estimate clears the threshold unpolished
+    fourfold = HomogeneousMap((3, 2, 2, 3), (
+        Polynomial(4, {(1, 0, 0, 2): -1, (0, 0, 3, 0): 1}),
+        Polynomial(4, {(2, 0, 0, 0): 1, (0, 1, 0, 1): -2}),
+        Polynomial(4, {(2, 0, 0, 0): 2, (1, 0, 0, 1): 1, (0, 1, 1, 0): -2}),
+        Polynomial(4, {(2, 0, 1, 0): -1, (0, 0, 0, 3): 2}),
+    ))
+    assert through(lambda: properness_verdict(fourfold).witness) == {"_polished"}

@@ -1,7 +1,7 @@
 """Resultant-based properness certificates and the sphere falsifier."""
 
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 import numpy as np
 import pytest
@@ -12,14 +12,17 @@ from morin_census import (
     PROPER,
     HomogeneousMap,
     Polynomial,
+    linalg,
     macaulay_matrix,
     macaulay_resultant_certificate,
+    properness,
     properness_verdict,
     random_map,
     sphere_falsifier,
     sylvester_matrix,
     sylvester_resultant,
 )
+from morin_census.linalg import _CERTIFICATE_PRIMES, exact_rank
 
 
 def _uni(coeffs_ascending):
@@ -207,6 +210,111 @@ def test_complex_map_past_the_cap_is_rejected():
     F = random_map((5, 5, 5, 5, 5), seed=0, kind="complex")
     with pytest.raises(ValueError, match="exceeds the cap"):
         properness_verdict(F)
+
+
+def _seeded_rational_map(seed, degrees):
+    """A random map of `degrees`: integer coefficients, Fractions on odd seeds,
+    and on every third seed a planted common zero at a small integer point."""
+    rng = np.random.default_rng(seed)
+    F = random_map(degrees, seed=seed, bound=5)
+    n = len(degrees)
+    comps = list(F.components)
+    if seed % 2:
+        comps = [Polynomial(n, {e: c / int(rng.integers(1, 8)) for e, c in f.terms.items()})
+                 for f in comps]
+    if seed % 3 == 0:
+        zero = [0] * n
+        while not any(zero):
+            zero = [int(v) for v in rng.integers(-2, 3, size=n)]
+        k = max(range(n), key=lambda i: abs(zero[i]))
+        comps = [f - Polynomial(n, {tuple(d * int(j == k) for j in range(n)):
+                                    Fraction(f.evaluate(zero)) / zero[k] ** d})
+                 for d, f in zip(degrees, comps)]
+    return HomogeneousMap(degrees, tuple(comps))
+
+
+def test_certificate_agrees_with_exact_rank_of_macaulay_matrix():
+    """On 100 seeded maps the verdict is full exact rank of ``macaulay_matrix``."""
+    verdicts = []
+    for degrees in ((2, 2, 2), (2, 3, 4), (3, 3, 3), (2, 2, 2, 2)):
+        for seed in range(25):
+            F = _seeded_rational_map(seed, degrees)
+            rows, monomials, _ = macaulay_matrix(F)
+            v = macaulay_resultant_certificate(F)
+            assert v.is_proper == (exact_rank(rows) == len(monomials)), (degrees, seed)
+            verdicts.append(v.verdict)
+    assert verdicts.count(NOT_PROPER) >= 30 and verdicts.count(PROPER) >= 30
+
+
+def test_macaulay_matrix_entries_are_shifted_coefficients():
+    """Row (i, s) holds f_i's coefficient of m - s at column m, and 0 elsewhere."""
+    F = _seeded_rational_map(1, (2, 3, 4))
+    rows, monomials, assignment = macaulay_matrix(F)
+    nu = sum(monomials[0])
+    shifts = [sorted((m for m in _exponents(F.n, nu - d)), reverse=True) for d in F.degrees]
+    row_shifts = [s for block in shifts for s in block]
+    assert len(row_shifts) == len(rows)
+    for row, i, s in zip(rows, assignment, row_shifts):
+        for value, m in zip(row, monomials):
+            e = tuple(a - b for a, b in zip(m, s))
+            expected = F.components[i].terms.get(e, 0) if min(e) >= 0 else 0
+            assert value == expected and isinstance(value, Fraction)
+
+
+def _exponents(n, degree):
+    if n == 1:
+        return [(degree,)]
+    return [(a,) + rest for a in range(degree + 1) for rest in _exponents(n - 1, degree - a)]
+
+
+def test_certificate_names_the_prime_or_the_exact_rank():
+    """A generic map is full rank mod the first prime; a component that is a
+    multiple of every prime leaves the decision to the exact rank."""
+    v = macaulay_resultant_certificate(random_map((2, 2, 2), seed=0))
+    assert v.certificate.endswith(f"has full rank 15 (mod {_CERTIFICATE_PRIMES[0]})")
+    scaled = prod(_CERTIFICATE_PRIMES)
+    comps = tuple(Polynomial(3, {tuple(2 * int(i == k) for i in range(3)): scaled if k else 1})
+                  for k in range(3))
+    v = macaulay_resultant_certificate(HomogeneousMap((2, 2, 2), comps))
+    assert v.verdict == PROPER and v.certificate.endswith("(exact rank)")
+
+
+def test_coefficients_past_int64_are_decided_exactly():
+    """Cleared coefficients above 2^63 go to an object array and keep the verdict."""
+    big = 2 ** 70 + 1
+    F = _seeded_rational_map(2, (2, 2, 2))
+    huge = HomogeneousMap(F.degrees, tuple(f * Fraction(big, 3) + f * Fraction(1, 7)
+                                           for f in F.components))
+    layout = properness._MacaulayLayout(huge)
+    assert properness._integer_matrix(huge, layout).dtype == object
+    assert macaulay_resultant_certificate(huge).verdict == PROPER
+    planted = _seeded_rational_map(3, (2, 2, 2))
+    huge = HomogeneousMap(planted.degrees, tuple(f * big for f in planted.components))
+    assert macaulay_resultant_certificate(huge).verdict == NOT_PROPER
+
+
+def test_linear_map_in_many_variables_is_its_coefficient_matrix():
+    """n = 70 linear forms: column keys past int64 still find every column."""
+    n = 70
+    rng = np.random.default_rng(5)
+    a = rng.integers(-1, 2, size=(n, n)) + 3 * np.eye(n, dtype=int)
+    comps = tuple(Polynomial(n, {tuple(int(i == j) for i in range(n)): int(a[k, j])
+                                 for j in range(n)}) for k in range(n))
+    F = HomogeneousMap((1,) * n, comps)
+    rows, monomials, _ = macaulay_matrix(F)
+    assert rows == [[Fraction(int(v)) for v in r] for r in a]
+    assert monomials[0] == (1,) + (0,) * (n - 1)
+    assert macaulay_resultant_certificate(F).is_proper == (exact_rank(a.tolist()) == n)
+
+
+def test_certificate_makes_no_integer_rows_call(monkeypatch):
+    """The certificate clears denominators itself, both ways."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("integer_rows called")
+
+    monkeypatch.setattr(linalg, "integer_rows", refuse)
+    assert macaulay_resultant_certificate(_seeded_rational_map(1, (2, 2, 2, 2))).is_proper
+    assert macaulay_resultant_certificate(_planted_zero_map(97)).verdict == NOT_PROPER
 
 
 # ------------------------------------------------------------- falsifier
