@@ -12,37 +12,33 @@ d^{r+1} g / d x_n^{r+1}, which the symbolic tower reproduces exactly.  Points
 of corank >= 2 kill every level, so the classifier reports them separately.
 
 J_{k,i} depends only on J_{k-1,i}, so the tower is n chains, one per row i of
-dF; ``_chain`` builds one, a level at a time as it is pulled, for both paths:
+dF; ``_chain`` builds one, a level at a time as it is pulled.  ``morin_tower``
+builds every J_{k,i} symbolically -- exact and cacheable, but level-k degrees
+grow like k * sum(d_i - 1), which is ruinous for one-point queries on larger
+maps.  The classifier reads values at points instead; both agree (tested).
 
-* ``morin_tower`` builds every J_{k,i} symbolically -- exact, cacheable, and
-  cheap while component degrees are small, but level-k degrees grow like
-  k * sum(d_i - 1), which is ruinous for one-point queries on larger maps.
-* ``classify`` instead works with truncated Taylor jets at the query point:
-  polynomials mod (x - p)^{m+1} form a ring, and J_{r,i} computed from an
-  order-(k+1) jet of F is still correct to order k - r, so every value
-  J_{r,i}(p) comes out exact at a tiny fraction of the symbolic cost.
-  One point's jets and levels, each built once, serve every tolerance the
-  point is decided at.
-  Both paths agree (this is tested), they just price the work differently.
+Every verdict comes from one level-by-level loop, ``_decide``: it sets each
+(point, tolerance) corank once, then climbs r = 1, 2, ... asking its level
+source, ``_classify_at``, for [J_{r,i}(p)] only at the points still open.
+At the float points dF(p), J(p) and level 1 come from F's first and second
+partials (``Partials``), evaluated once on all of them by ``_level_one``:
+Jacobi's formula gives grad J(p)_k = tr(adj dF(p) . d_k dF(p)), expanding
+the replaced row gives J_{1,.}(p) = grad J(p) @ adj dF(p), and the adjugate
+comes from the SVD, which stays accurate at J(p) ~ 0 and gives every
+tolerance's corank.  ``_level_two`` differentiates that once more, in one
+batch over the points open at level 2: F's third partials give d_m grad J,
+the SVD gives the adjugate's derivative, and J_{2,i}(p) = grad J_{1,i}(p) .
+adj dF(p)[:, i].  Exact points, and float levels r >= 3, use truncated
+Taylor jets at p: polynomials mod (x - p)^{m+1} form a ring, and J_{r,i}
+computed from an order-(r+1) jet of F is still correct at p, at a tiny
+fraction of the symbolic cost.  Exact points keep exact arithmetic.
 
-At a float point the first two levels need no determinant polynomial and no
-jet at all (``Partials`` holds F's partials, one coefficient table per
-order).  dF(p) and the Hessians of F come from F's first and second partials,
-evaluated once on all the points being classified.  Jacobi's formula gives
-grad J(p)_k = tr(adj dF(p) . d_k dF(p)), and expanding the replaced row gives
-the whole level J_{1,.}(p) = grad J(p) @ adj dF(p); the adjugate comes from
-the SVD, which stays accurate at J(p) ~ 0 and gives every tolerance's
-corank.  Level 2 differentiates that once more, in one batch over the points
-that reach it: F's third partials give d_m grad J, the SVD gives the
-adjugate's derivative, and J_{2,i}(p) = grad J_{1,i}(p) . adj dF(p)[:, i].
-Float levels r >= 3 come from the jets.  Exact points read dF(p) off their
-jets and keep exact arithmetic.
-
-One scale-free rule decides a float point: p is regular exactly when no
-singular value of dF(p) is at or below tol * sigma_1, and J_{r,i}(p) =
-grad J_{r-1,i}(p) . adj dF(p)[:, i] vanishes when it is at most tol times its
-Cauchy-Schwarz bound ||grad J_{r-1,i}(p)|| * ||adj dF(p)||_2, where
-||adj dF(p)||_2 = sigma_1 ... sigma_{n-1}.  Exact points use exact rank and 0.
+One scale-free rule decides a float point (``_corank`` and ``_survives``):
+p is regular exactly when no singular value of dF(p) is at or below
+tol * sigma_1, and J_{r,i}(p) = grad J_{r-1,i}(p) . adj dF(p)[:, i]
+vanishes when it is at most tol times its Cauchy-Schwarz bound
+||grad J_{r-1,i}(p)|| * ||adj dF(p)||_2, where ||adj dF(p)||_2 =
+sigma_1 ... sigma_{n-1}.  Exact points use exact rank and 0.
 """
 
 from __future__ import annotations
@@ -262,14 +258,6 @@ class Partials:
         return values[:, gather].reshape(len(x), *(len(self.components),) * (r + 1))
 
 
-def _spectrum(components: Sequence[Polynomial], p):
-    """What the corank rule reads at p: the rows of dF(p) from the order-1 jets at an
-    exact point, else the singular values of dF(p) from F's evaluated partials."""
-    if _is_exact(components, p):
-        return _linear_rows([f.translate_truncated(p, 1) for f in components])
-    return np.linalg.svd(Partials(components).at([p], 1)[0], compute_uv=False)
-
-
 class _LevelOne(NamedTuple):
     """What level 1 at (N, n) float points reads and gives, one row per point."""
 
@@ -362,98 +350,100 @@ def _survives(values, norms, exact: bool, tol: float, adj_norm) -> bool:
                for v, g in zip(values, norms))
 
 
-def _verdict(components, p, base_value, spectrum, level_row, k_max,
-             tol) -> SingularityClass:
-    """The classification decision, given J(p), dF(p)'s spectrum and a level source.
-
-    Regular exactly at corank 0; only corank 1 climbs the tower, by the
-    module's vanish rule.  ``level_row(r)`` returns [J_{r,i}(p)] and
-    [||grad J_{r-1,i}(p)||]; it is asked for r = 1, 2, ... only until some
-    level survives, so a lazy source pays for the shallow verdicts alone.
-    """
+def _decide(exact, spectra, bases, tols: Sequence[float], k_max: int,
+            level) -> list[list[SingularityClass]]:
+    """The verdicts at each point m for each tolerance, from ``_corank`` on
+    `spectra[m]` and, at corank 1, ``_survives`` on each level r = 1, 2, ...
+    that ``level(r, rows)`` gives for the points `rows` still open, as
+    [(J_{r,i}(p), ||grad J_{r-1,i}(p)||) rows]; `bases[m]` is J(p)."""
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    exact = _is_exact(components, p)
-    corank, adj_norm = _corank(spectrum, exact, tol)
-    diag = {
-        "abs_jdet": float(abs(complex(base_value))),
-        "tol": None if exact else tol,
-        "levels": {},
-        "corank": corank,
-    }
-    if corank != 1:
-        return SingularityClass("regular" if corank == 0 else "corank_ge_2", diagnostics=diag)
+    out = [[None] * len(tols) for _ in spectra]
+    open_cells = []                 # (m, t, diagnostics, ||adj dF(p)||_2) still climbing
+    for m, (is_exact, spectrum, base) in enumerate(zip(exact, spectra, bases)):
+        for t, tol in enumerate(tols):
+            corank, adj_norm = _corank(spectrum, is_exact, tol)
+            diag = {"abs_jdet": float(abs(complex(base))), "tol": None if is_exact else tol,
+                    "levels": {}, "corank": corank}
+            if corank == 1:
+                open_cells.append((m, t, diag, adj_norm))
+            else:
+                out[m][t] = SingularityClass("regular" if corank == 0 else "corank_ge_2",
+                                             diagnostics=diag)
     for r in range(1, k_max + 1):
-        values, norms = level_row(r)
-        diag["levels"][str(r)] = float(max(abs(complex(v)) for v in values))
-        if _survives(values, norms, exact, tol, adj_norm):
-            return SingularityClass("morin", k=r, diagnostics=diag)
-    return SingularityClass("indeterminate", diagnostics=diag)
+        if not open_cells:
+            break
+        rows = list(dict.fromkeys(m for m, *_ in open_cells))
+        levels = dict(zip(rows, level(r, rows)))
+        still_open = []
+        for m, t, diag, adj_norm in open_cells:
+            values, norms = levels[m]
+            diag["levels"][str(r)] = float(max(abs(complex(v)) for v in values))
+            if _survives(values, norms, exact[m], tols[t], adj_norm):
+                out[m][t] = SingularityClass("morin", k=r, diagnostics=diag)
+            else:
+                still_open.append((m, t, diag, adj_norm))
+        open_cells = still_open
+    for m, t, diag, _ in open_cells:
+        out[m][t] = SingularityClass("indeterminate", diagnostics=diag)
+    return out
+
+
+def _classify_at(F, points, tols: Sequence[float], k_max: int,
+                 partials: Partials | None = None) -> list[list[SingularityClass]]:
+    """The verdicts at each point for each tolerance in `tols`: ``_decide`` with
+    this level source.  Float dF(p), J(p) and level 1 come from one
+    ``_level_one`` call (on `partials` when the caller holds them), float
+    level 2 from one ``_level_two`` call on the points still open, if any;
+    exact points and float levels r >= 3 use order-(r+1) jets at p.  A point
+    of the wrong length, or a float point with a NaN or inf, is a ValueError.
+    """
+    components = _components_of(F)
+    n = len(components)
+    exact = [_is_exact(components, p) for p in points]
+    for p, is_exact in zip(points, exact):
+        if len(p) != n:
+            raise ValueError(f"point length {len(p)} != n_vars {n}")
+        if not is_exact and not np.all(np.isfinite(np.asarray(p, dtype=complex))):
+            raise ValueError(f"point {p} has non-finite entries")
+    spectra, bases = [None] * len(points), [None] * len(points)
+    jets2, level_one = {}, {}        # the exact points' order-2 jets; float level 1
+    for m, p in enumerate(points):
+        if exact[m]:
+            jets2[m] = [f.translate_truncated(p, 2) for f in components]
+            spectra[m] = _linear_rows(jets2[m])
+            bases[m] = exact_det(spectra[m])
+    floats = [m for m, is_exact in enumerate(exact) if not is_exact]
+    if floats:
+        partials = partials or Partials(components)
+        float_points = np.asarray([points[m] for m in floats], dtype=complex)
+        one = _level_one(partials, float_points)
+        for m, sv, differential, row, g in zip(floats, one.s, one.differentials, one.values,
+                                              np.linalg.norm(one.grad, axis=-1)):
+            spectra[m], bases[m] = sv, complex(np.linalg.det(differential))
+            level_one[m] = list(row), [g] * n
+
+    def level(r: int, rows: list[int]):
+        found, climbing = level_one if r == 1 else {}, [m for m in rows if not exact[m]]
+        if r == 2 and climbing:
+            picked = [floats.index(m) for m in climbing]      # their rows in `one`
+            values, norms = _level_two(partials, float_points[picked],
+                                       _LevelOne(*(a[picked] for a in one)))
+            found = {m: (list(v), list(g)) for m, v, g in zip(climbing, values, norms)}
+        return [found[m] if m in found else jet_level(m, r) for m in rows]
+
+    def jet_level(m: int, r: int):
+        jets = jets2[m] if r == 1 else [f.translate_truncated(points[m], r + 1)
+                                        for f in components]
+        _, values, norms = _tower_values_at(jets, r)
+        return values[r - 1], norms[r - 1]
+
+    return _decide(exact, spectra, bases, tols, k_max, level)
 
 
 def corank_at(F, p, tol: float = DEFAULT_TOL) -> int:
     """n - rank(dF(p)): exact row reduction for rational data, SVD otherwise."""
-    components = _components_of(F)
-    return _corank(_spectrum(components, p), _is_exact(components, p), validate_tol(tol))[0]
-
-
-def _classify_at(F, points, tols: Sequence[float], k_max: int, partials: Partials | None = None,
-                 level_one: _LevelOne | None = None) -> list[list[SingularityClass]]:
-    """The verdicts at each point for each tolerance in `tols`.
-
-    At the float points, dF(p) and its singular values, J(p), level 1 and
-    ||grad J(p)|| come from F's partials (`partials` when the caller holds
-    them), evaluated once on all of them (``_level_one``; `level_one` is its
-    result when the caller has it).  The float points whose verdict at some
-    tolerance reaches level 2 -- corank 1 and level 1 vanishing -- get
-    level 2 and its norms from one ``_level_two`` call on F's third partials,
-    and when no point reaches it there is no call.  An exact point reads
-    dF(p) and level 1 off its order-2 jets; exact levels r >= 2, and float
-    levels r >= 3, come from the order-(r+1) jets at p, built once, when the
-    first verdict at p reaches them.
-    """
-    components = _components_of(F)
-    floats = [p for p in points if not _is_exact(components, p)]
-    if floats:
-        partials = partials or Partials(components)
-        one = level_one or _level_one(partials, floats)
-        float_levels = [{1: (list(row), [g] * len(row))}
-                        for row, g in zip(one.values, np.linalg.norm(one.grad, axis=-1))]
-
-        def passes_one(sv, level, tol) -> bool:     # ``_verdict``'s rule, at level 1
-            corank, adj_norm = _corank(sv, False, tol)
-            return corank == 1 and not _survives(*level, False, tol, adj_norm)
-
-        climbing = [m for m, (sv, levels) in enumerate(zip(one.s, float_levels))
-                    if k_max >= 2 and any(passes_one(sv, levels[1], tol) for tol in tols)]
-        if climbing:
-            values, norms = _level_two(partials, np.asarray(floats, dtype=complex)[climbing],
-                                       _LevelOne(*(a[climbing] for a in one)))
-            for m, row, norm in zip(climbing, values, norms):
-                float_levels[m][2] = list(row), list(norm)
-        float_rows = iter(zip(one.differentials, one.s, float_levels))
-
-    def verdicts(p, spectrum, base_value, levels, jets2=None):
-        def level_row(r: int):
-            if r not in levels:
-                jets = jets2 if r == 1 else [f.translate_truncated(p, r + 1) for f in components]
-                _, values, norms = _tower_values_at(jets, r)
-                levels[r] = values[r - 1], norms[r - 1]
-            return levels[r]
-
-        return [_verdict(components, p, base_value, spectrum, level_row, k_max, tol)
-                for tol in tols]
-
-    out = []
-    for p in points:
-        if _is_exact(components, p):
-            jets2 = [f.translate_truncated(p, 2) for f in components]
-            rows = _linear_rows(jets2)
-            out.append(verdicts(p, rows, exact_det(rows), {}, jets2))
-        else:
-            differential, sv, levels = next(float_rows)
-            out.append(verdicts(p, sv, complex(np.linalg.det(differential)), levels))
-    return out
+    return _classify_at(F, [p], (validate_tol(tol),), 1)[0][0].diagnostics["corank"]
 
 
 def classify(F, p, k_max: int = DEFAULT_KMAX, tol: float = DEFAULT_TOL) -> SingularityClass:
@@ -487,12 +477,15 @@ def jet_tower_values(F, p, k_max: int = DEFAULT_KMAX):
 def classify_from_values(F, p, base_value, level_values,
                          tol: float = DEFAULT_TOL) -> SingularityClass:
     """The ``classify`` decision on precomputed tower values (k_max = their
-    depth); the norms ||grad J_{r-1,i}(p)|| come from the jets at p."""
+    depth); dF(p) and the norms ||grad J_{r-1,i}(p)|| come from the jets at p."""
     components, tol = _components_of(F), validate_tol(tol)
     k = len(level_values)
-    norms = _tower_values_at([f.translate_truncated(p, k + 1) for f in components], k)[2]
-    return _verdict(components, p, base_value, _spectrum(components, p),
-                    lambda r: (level_values[r - 1], norms[r - 1]), k, tol)
+    jets = [f.translate_truncated(p, k + 1) for f in components]
+    norms = _tower_values_at(jets, k)[2]
+    exact, rows = _is_exact(components, p), _linear_rows(jets)
+    spectrum = rows if exact else np.linalg.svd(np.array(rows, dtype=complex), compute_uv=False)
+    return _decide([exact], [spectrum], [base_value], (tol,), k,
+                   lambda r, _: [(level_values[r - 1], norms[r - 1])])[0][0]
 
 
 # ---------------------------------------------------------------- coordinate changes

@@ -37,7 +37,7 @@ import numpy as np
 from .linalg import POLISH_STEPS, det_is_nonzero, exact_det, newton_polish
 from .maps import HomogeneousMap, validate_degrees
 from .morin import Partials
-from .polynomials import COMPLEX, RATIONAL, Polynomial
+from .polynomials import COMPLEX, RATIONAL, ROOT_TOL, Polynomial
 
 __all__ = [
     "PROPER",
@@ -57,7 +57,6 @@ NOT_PROPER = "not_proper"
 INCONCLUSIVE = "inconclusive"
 
 MACAULAY_SIDE_CAP = 3000  # refuse matrices with more columns than this
-WITNESS_TOL = 1e-12
 NULL_TOL = 1e-9           # singular values below this share of the largest span the null space
 
 
@@ -239,10 +238,6 @@ def macaulay_resultant_certificate(F: HomogeneousMap) -> PropernessVerdict:
 
 
 # ---------------------------------------------------------------- falsifier
-def _witness_threshold(F: HomogeneousMap, x: np.ndarray) -> float:
-    return WITNESS_TOL * (1.0 + float(np.linalg.norm(x)) ** max(F.degrees))
-
-
 def _witness_note(F: HomogeneousMap, witness: tuple | None) -> str:
     if witness is None:
         return "a nonzero common root exists; the null space gave no witness"
@@ -276,16 +271,22 @@ def _polished(F: HomogeneousMap, starts: np.ndarray) -> np.ndarray:
 
 
 def _first_witness(F: HomogeneousMap, points: np.ndarray):
-    """The first of `points` whose unit rescaling clears the witness threshold, or None."""
+    """The first of `points` whose unit rescaling x is a common root, or None.
+
+    f_i(x) vanishes when |f_i(x)| <= ROOT_TOL * sum_e |a_e|, the bound of its
+    envelope sum_e |a_e| |x^e| on the unit sphere (the envelope at x itself
+    shrinks with x's distance to a root on a coordinate axis).
+    """
+    cuts = ROOT_TOL * np.array([np.abs(f._kernel()[1]).sum() for f in F.components])
     for root in points:
         scaled = root / np.linalg.norm(root)
-        if np.linalg.norm(F.evaluate(scaled)) < _witness_threshold(F, scaled):
+        if np.all(np.abs(F.evaluate(scaled)) <= cuts):
             return tuple(complex(v) for v in scaled)
     return None
 
 
 def _null_space_witness(F: HomogeneousMap, layout: _MacaulayLayout, at_least: int = 0):
-    """A null-space root estimate, polished only if none clears the threshold, or None.
+    """A null-space root estimate, polished only if none is a common root, or None.
 
     Each root z puts (z^m) in the null space N, and the rows S_j of N at the
     monomials x_j * m (deg m = nu - 1) shift it by z_j.  So A_j = lstsq(S_k, S_j)

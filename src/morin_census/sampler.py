@@ -38,7 +38,8 @@ import numpy as np
 
 from .linalg import POLISH_STEPS, newton_polish
 from .maps import HomogeneousMap, random_map, ray_multiplicity, validate_count, validate_degrees
-from .morin import DEFAULT_KMAX, DEFAULT_TOL, Partials, _classify_at, _level_one, validate_tol
+from .morin import (DEFAULT_KMAX, DEFAULT_TOL, Partials, _classify_at, _corank, _level_one,
+                    _survives, validate_tol)
 from .polynomials import COMPLEX, ROOT_TOL, Polynomial
 
 __all__ = [
@@ -367,13 +368,13 @@ def cusp_points(F: HomogeneousMap, planes: int, seed: int) -> list[SectionSoluti
     rng = np.random.default_rng(seed)
     point = rng.standard_normal((1, F.n)) + 1j * rng.standard_normal((1, F.n))
     probe = _level_one(partials, point)
-    first, sv = probe.values[0], probe.s[0]
-    # the classifier's bound on J_{1,i}: ||grad J|| ||adj dF||_2, ||adj dF||_2 = s_1 ... s_{n-1}
-    bound = DEFAULT_TOL * np.linalg.norm(probe.grad, axis=-1)[0] * np.prod(sv[:-1])
-    live = np.flatnonzero(np.abs(first) > bound)
-    if not live.size:
+    adj_norm = _corank(probe.s[0], False, DEFAULT_TOL)[1]
+    grad_norm = np.linalg.norm(probe.grad, axis=-1)[0]
+    live = [i for i, v in enumerate(probe.values[0])
+            if _survives([v], [grad_norm], False, DEFAULT_TOL, adj_norm)]
+    if not live:
         return []           # level 1 vanishes identically, J = 0 included
-    i = int(live[0])
+    i = live[0]
 
     def values(x):
         one = _level_one(partials, x)
@@ -425,12 +426,9 @@ def _survey_one_map(degrees, map_seed: int, line_seed: int, lines: int,
     points = critical_points_on_lines(F, lines, line_seed, partials)
     if not points:
         return []
-    # dF at the points, evaluated once, gives the verdicts and each point's own
-    # bound on |J|, the one the line slicer tests
-    level_one = _level_one(partials, points)
-    bounds = ROOT_TOL * _jacobian_dets(level_one.differentials)[1]
-    verdicts = _classify_at(F, points, (tol, tol * 10.0, tol / 10.0), DEFAULT_KMAX, partials,
-                            level_one)
+    # each point's own bound on |J|, the one the line slicer tests
+    bounds = ROOT_TOL * _jacobian_dets(partials.at(points, 1))[1]
+    verdicts = _classify_at(F, points, (tol, tol * 10.0, tol / 10.0), DEFAULT_KMAX, partials)
     records = []
     for p, bound, (main, *others) in zip(points, bounds, verdicts):
         stable = all(v.label == main.label for v in others)
@@ -452,7 +450,7 @@ def survey(degrees: Sequence[int], maps: int, lines: int, seed: int,
     Each point is decided at tol, tol*10 and tol/10 on one set of tower
     values (points whose verdict moves are counted as unstable), annotated
     with its ray multiplicity, and rolled into a histogram; a map's partials
-    are evaluated once, on all of its points.  For n = 4 the report carries
+    are evaluated in batches over all of its points.  For n = 4 the report carries
     the count of points outside the expected {A_1, A_2, A_3} menu (every
     sampled point sits at unit norm, off the origin).  Each point records
     |J(p)| and its threshold, the point's own bound ROOT_TOL * prod_i ||row i

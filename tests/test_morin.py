@@ -22,8 +22,8 @@ from morin_census import (
 )
 from morin_census.linalg import random_unimodular_matrix
 from morin_census import morin
-from morin_census.morin import (Partials, _adjugate_derivative, _level_one, _level_two,
-                                 _linear_rows, _tower_values_at)
+from morin_census.morin import (Partials, _adjugate_derivative, _classify_at, _level_one,
+                                 _level_two, _linear_rows, _tower_values_at)
 
 X1, X2, X3, X4 = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 ORIGIN = np.zeros(4)
@@ -413,6 +413,51 @@ def test_corank_at_exact_and_float():
     assert corank_at(corank2_form(), ORIGIN) == 2
     Fc = GeneralMap(tuple(c.as_complex() for c in corank2_form().components))
     assert corank_at(Fc, ORIGIN) == 2
+
+
+@pytest.mark.parametrize("k_max", [1, 2, 4])
+def test_one_batch_decides_as_each_point_alone(k_max):
+    """``_classify_at`` on a batch, at three tolerances, returns exactly the
+    verdicts and diagnostics ``classify`` gives each point alone: the four
+    normal forms at the exact and the float origin and at a regular point,
+    their complex copies, and the line points of a (2,2,2,2) map with its
+    origin.  A germ deeper than k_max is indeterminate: A3 at k_max = 2."""
+    tols = (1e-7, 1e-6, 1e-8)
+    regular = np.array([0.0, 0.0, 1.0, 1.0])
+    cases = []
+    for form, label, depth in ((fold_form(), "A1", 1), (cusp_form(), "A2", 2),
+                               (swallowtail_form(), "A3", 3), (corank2_form(), "corank_ge_2", 1)):
+        label = label if k_max >= depth else "indeterminate"
+        complex_copy = GeneralMap(tuple(f.as_complex() for f in form.components))
+        cases.append((form, [(0, 0, 0, 0), regular, ORIGIN], [label, "regular", label]))
+        cases.append((complex_copy, [ORIGIN, regular], [label, "regular"]))
+    F = random_map((2, 2, 2, 2), seed=8, kind="complex")
+    points = critical_points_on_lines(F, lines=1, seed=0)
+    cases.append((F, [*points, ORIGIN], ["A1"] * len(points) + ["corank_ge_2"]))
+    for G, batch, labels in cases:
+        got = _classify_at(G, batch, tols, k_max)
+        assert got == [[classify(G, p, k_max, tol) for tol in tols] for p in batch]
+        assert [v.label for v, *_ in got] == labels, (G, k_max)
+
+
+@pytest.mark.parametrize("kind", ["rational", "complex"])
+def test_bad_points_are_a_clear_value_error(kind):
+    """A point of the wrong length, or a float point with a NaN or infinite
+    entry, is a ValueError that says so, from classify and corank_at alike."""
+    F = fold_form()
+    if kind == "complex":
+        F = GeneralMap(tuple(f.as_complex() for f in F.components))
+    bad = (((0, 0, 0), "point length 3 != n_vars 4"),
+           ((0.0, 0.0, 0.0), "point length 3 != n_vars 4"),
+           ((0, 0, 0, 0, 1), "point length 5 != n_vars 4"),
+           (np.zeros(5), "point length 5 != n_vars 4"),
+           ((0.0, 0.0, np.nan, 1.0), "non-finite"),
+           ((0.0, np.inf, 0.0, 1.0), "non-finite"))
+    for p, message in bad:
+        with pytest.raises(ValueError, match=message):
+            classify(F, p)
+        with pytest.raises(ValueError, match=message):
+            corank_at(F, p)
 
 
 def test_general_map_requires_square():

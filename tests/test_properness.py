@@ -280,7 +280,8 @@ def test_certificate_names_the_prime_or_the_exact_rank():
 
 
 def test_coefficients_past_int64_are_decided_exactly():
-    """Cleared coefficients above 2^63 go to an object array and keep the verdict."""
+    """Cleared coefficients above 2^63 go to an object array and keep the verdict;
+    the planted map times 2^70 + 1 keeps its witness ray too."""
     big = 2 ** 70 + 1
     F = _seeded_rational_map(2, (2, 2, 2))
     huge = HomogeneousMap(F.degrees, tuple(f * Fraction(big, 3) + f * Fraction(1, 7)
@@ -290,7 +291,11 @@ def test_coefficients_past_int64_are_decided_exactly():
     assert macaulay_resultant_certificate(huge).verdict == PROPER
     planted = _seeded_rational_map(3, (2, 2, 2))
     huge = HomogeneousMap(planted.degrees, tuple(f * big for f in planted.components))
-    assert macaulay_resultant_certificate(huge).verdict == NOT_PROPER
+    verdict = macaulay_resultant_certificate(huge)
+    assert verdict.verdict == NOT_PROPER
+    ray = macaulay_resultant_certificate(planted).witness
+    assert ray is not None and verdict.witness is not None
+    assert abs(abs(np.vdot(ray, verdict.witness)) - 1.0) < 1e-8
 
 
 def test_linear_map_in_many_variables_is_its_coefficient_matrix():
