@@ -31,7 +31,9 @@ the SVD gives the adjugate's derivative, and J_{2,i}(p) = grad J_{1,i}(p) .
 adj dF(p)[:, i].  Exact points, and float levels r >= 3, use truncated
 Taylor jets at p: polynomials mod (x - p)^{m+1} form a ring, and J_{r,i}
 computed from an order-(r+1) jet of F is still correct at p, at a tiny
-fraction of the symbolic cost.  Exact points keep exact arithmetic.
+fraction of the symbolic cost.  Exact points keep exact arithmetic: each
+jet is scaled by the lcm of its denominators, the tower runs on Python
+ints, and its values are divided back exactly into Fractions.
 
 One scale-free rule decides a float point (``_corank`` and ``_survives``):
 p is regular exactly when no singular value of dF(p) is at or below
@@ -155,14 +157,38 @@ def _tower_values_at(jets: Sequence[Polynomial], k: int):
     polynomial tiny and the terms read off it exact (exact arithmetic in the
     rational kind, plain floating error otherwise -- no truncation error
     either way).
+
+    Rational jets are cleared of denominators first: jet i times c_i, the lcm
+    of its denominators, is an integer jet, and the whole tower runs on
+    Python ints.  Scaling row i of dF by c_i makes J_{r,i} of the scaled jets
+    C^{r+1} / c_i^r times J_{r,i} of F (C = prod c_i; J_{0,i} = J), and so
+    each value, and each gradient a norm is taken of, is divided back
+    exactly into a Fraction.  The int polynomials never leave this function.
     """
+    n = len(jets)
+    exact = jets[0].kind == RATIONAL
+    lcms = [1] * n
+    if exact:
+        lcms = [math.lcm(*(c.denominator for c in f.terms.values())) for f in jets]
+        jets = [Polynomial._trusted(n, {e: c.numerator * (m // c.denominator)
+                                        for e, c in f.terms.items()}, RATIONAL)
+                for f, m in zip(jets, lcms)]
+    scale = math.prod(lcms)
+
+    def unscaled(r: int, i: int, c):
+        """A coefficient of J_{r,i} of the scaled jets as that of F's J_{r,i}."""
+        return Fraction(c, scale ** (r + 1) // lcms[i] ** r) if exact else c
+
     jac = jacobian(GeneralMap(jets))
-    origin = (0,) * len(jets)
+    origin = (0,) * n
     base = jac.det(max_degree=k)
-    chains = [[base, *_chain(jac, base, i, k, cap=k)] for i in range(len(jets))]
-    values = [[L.coefficient(origin) for L in chain[1:]] for chain in chains]
-    norms = [[math.hypot(*map(abs, g)) for g in _linear_rows(chain[:-1])] for chain in chains]
-    return (base.coefficient(origin), [list(r) for r in zip(*values)],
+    chains = [[base, *_chain(jac, base, i, k, cap=k)] for i in range(n)]
+    values = [[unscaled(r, i, L.coefficient(origin)) for r, L in enumerate(chain[1:], 1)]
+              for i, chain in enumerate(chains)]
+    norms = [[math.hypot(*(abs(unscaled(r, i, c)) for c in g))
+              for r, g in enumerate(_linear_rows(chain[:-1]))]
+             for i, chain in enumerate(chains)]
+    return (unscaled(0, 0, base.coefficient(origin)), [list(r) for r in zip(*values)],
             [list(r) for r in zip(*norms)])
 
 

@@ -12,7 +12,9 @@ Two coefficient kinds exist and never mix inside one polynomial:
 The zero polynomial is the empty term map.  Terms are kept canonical (no zero
 coefficient is ever stored); serialization orders terms graded-lexicographically
 (total degree first, then exponents).  Instances are immutable by convention:
-no operation mutates its inputs.
+no operation mutates its inputs.  The constructor checks and coerces every
+term; arithmetic, whose terms are clean by construction, returns through the
+unchecked ``Polynomial._trusted``.
 
 ``Polynomial.evaluate`` is the one evaluator.  Exact points (ints and
 Fractions) on a rational polynomial give exact values; any other point, or an
@@ -26,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
@@ -95,6 +98,18 @@ class Polynomial:
         object.__setattr__(self, "n_vars", n_vars)
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def _trusted(cls, n_vars: int, terms: dict[Exponents, Scalar], kind: str) -> "Polynomial":
+        """A polynomial on terms that are already clean -- nonzero, of the kind's
+        type, with exponent vectors of length n_vars -- stored as given, unchecked.
+        The arithmetic below returns through it; ``__init__`` checks everything
+        built from outside."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "n_vars", n_vars)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "terms", terms)
+        return self
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("Polynomial is immutable")
@@ -174,12 +189,12 @@ class Polynomial:
                 terms.pop(exps, None)
             else:
                 terms[exps] = s
-        return Polynomial(self.n_vars, terms, self.kind)
+        return Polynomial._trusted(self.n_vars, terms, self.kind)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.n_vars, {e: -c for e, c in self.terms.items()}, self.kind)
+        return Polynomial._trusted(self.n_vars, {e: -c for e, c in self.terms.items()}, self.kind)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction, float, complex)):
@@ -194,7 +209,9 @@ class Polynomial:
             c = _coerce(other, self.kind)
             if c == 0:
                 return self.zero_like()
-            return Polynomial(self.n_vars, {e: v * c for e, v in self.terms.items()}, self.kind)
+            # a complex product can underflow to zero; an exact one cannot
+            return Polynomial._trusted(self.n_vars, {e: w for e, v in self.terms.items()
+                                                     if (w := v * c) != 0}, self.kind)
         return self._product(other, None)
 
     __rmul__ = __mul__
@@ -215,13 +232,13 @@ class Polynomial:
                     continue
                 partners = [term for term, d in zip(right, degrees) if d <= room]
             for e2, c2 in partners:
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 s = out.get(e, 0) + c1 * c2
                 if s == 0:
                     out.pop(e, None)
                 else:
                     out[e] = s
-        return Polynomial(self.n_vars, out, self.kind)
+        return Polynomial._trusted(self.n_vars, out, self.kind)
 
     def __pow__(self, k: int):
         if k < 0:
@@ -249,9 +266,9 @@ class Polynomial:
             e = exps[i]
             if e == 0:
                 continue
-            lowered = exps[:i] + (e - 1,) + exps[i + 1:]
-            out[lowered] = out.get(lowered, 0) + c * e
-        return Polynomial(self.n_vars, out, self.kind)
+            # distinct terms lower to distinct monomials, and c * e != 0 for e >= 1
+            out[exps[:i] + (e - 1,) + exps[i + 1:]] = c * e
+        return Polynomial._trusted(self.n_vars, out, self.kind)
 
     def gradient(self) -> list["Polynomial"]:
         return [self.partial(i) for i in range(self.n_vars)]
@@ -478,15 +495,22 @@ class PolyMatrix:
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
         n = self.rows
-        zero = self.entries[0].zero_like()
-        one = self.entries[0].one_like()
+        first = self.entries[0]
+        if n == 1:
+            if max_degree is None:
+                return first
+            return Polynomial._trusted(first.n_vars, {e: c for e, c in first.terms.items()
+                                                      if sum(e) <= max_degree}, first.kind)
+        zero = first.zero_like()
 
-        # minor(r, cols) = det of submatrix on rows r..n-1 and the given columns
+        # minor(r, cols) = det of submatrix on rows r..n-1 and the given columns;
+        # the last row's minor is its entry, which the product above it truncates
         cache: dict[tuple[int, frozenset], Polynomial] = {}
 
         def minor(r: int, cols: frozenset) -> Polynomial:
-            if r == n:
-                return one
+            if r == n - 1:
+                (j,) = cols
+                return self.entry(r, j)
             key = (r, cols)
             if key in cache:
                 return cache[key]

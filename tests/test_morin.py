@@ -1,6 +1,7 @@
 """Iterated-determinant tower and singularity classification."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -413,6 +414,44 @@ def test_corank_at_exact_and_float():
     assert corank_at(corank2_form(), ORIGIN) == 2
     Fc = GeneralMap(tuple(c.as_complex() for c in corank2_form().components))
     assert corank_at(Fc, ORIGIN) == 2
+
+
+def _fraction_map(zero_row=None):
+    """A map with Fraction coefficients, denominators up to 7; component
+    `zero_row`, if given, is the zero polynomial."""
+    comps = [_poly4({X1: Fraction(2, 3), (0, 1, 1, 0): Fraction(-1, 5)}),
+             _poly4({X2: Fraction(5, 7), (1, 0, 0, 1): Fraction(3, 2), (0, 0, 2, 0): Fraction(1, 4)}),
+             _poly4({X3: 1, (0, 0, 0, 2): Fraction(-4, 7), (1, 1, 0, 0): Fraction(1, 6)}),
+             _poly4({(0, 0, 0, 3): Fraction(1, 3), (1, 0, 0, 1): Fraction(-2, 5),
+                     (0, 2, 0, 1): Fraction(6, 7), (0, 0, 1, 1): Fraction(1, 2)})]
+    if zero_row is not None:
+        comps[zero_row] = Polynomial.zero(4)
+    return GeneralMap(tuple(comps))
+
+
+@pytest.mark.parametrize("zero_row", [None, 2])
+def test_exact_jet_tower_divides_its_scaling_back_exactly(zero_row):
+    """The jet tower at a Fraction point clears each jet's denominators and
+    runs on ints; what it returns is exactly the symbolic tower at the point,
+    as Fractions: J, the levels and the norms ||grad J_{r-1,i}(p)||.  A zero
+    component (a jet whose lcm is over no terms) gives an exact zero tower."""
+    G = _fraction_map(zero_row)
+    p = (Fraction(1, 3), Fraction(-2, 7), 1, Fraction(5, 2))
+    tower = morin_tower(G, 2)
+    base, levels = jet_tower_values(G, p, k_max=3)
+    assert all(type(c) is Fraction for L in (tower.base, *tower.levels[0], *tower.levels[1])
+               for c in L.terms.values())
+    assert type(base) is Fraction and base == tower.base.evaluate(p)
+    assert all(type(v) is Fraction for row in levels for v in row)
+    assert levels[:2] == [[tower.level(r, i).evaluate(p) for i in range(4)] for r in (1, 2)]
+    _, _, norms = _tower_values_at([f.translate_truncated(p, 3) for f in G.components], 2)
+    chains = [[tower.base, tower.level(1, i)] for i in range(4)]
+    assert norms == [[math.hypot(*map(abs, (g.evaluate(p) for g in chain[r].gradient())))
+                      for chain in chains] for r in (0, 1)]
+    if zero_row is not None:
+        assert base == 0 and not any(v for row in levels for v in row)
+    else:
+        assert base != 0 and all(levels[0])
 
 
 @pytest.mark.parametrize("k_max", [1, 2, 4])

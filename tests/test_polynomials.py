@@ -286,3 +286,55 @@ def test_with_row_replaces_single_row():
     m2 = m.with_row(0, [one, one])
     assert m2.row(0) == [one, one]
     assert m2.row(1) == m.row(1)
+
+
+# ------------------------------------------------------------- result invariant
+def _random_poly(rng, n, kind, terms=6):
+    """A seeded random polynomial: Fraction coefficients with denominators up to
+    7, or complex ones."""
+    out = {}
+    for _ in range(terms):
+        e = tuple(int(v) for v in rng.integers(0, 4, size=n))
+        if kind == "rational":
+            out[e] = Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 8)))
+        else:
+            out[e] = complex(*rng.normal(size=2))
+    return P(n, out, kind)
+
+
+@pytest.mark.parametrize("kind", ["rational", "complex"])
+def test_arithmetic_results_keep_the_class_invariant(kind):
+    """Every public arithmetic result, though built without re-validation, is
+    the polynomial ``__init__`` would build from its terms: no zero coefficient,
+    and in the rational kind Fractions only."""
+    rng = np.random.default_rng(17)
+    n = 3
+    scalar = Fraction(-3, 5) if kind == "rational" else 0.5 - 2j
+    point = ((Fraction(1, 3), Fraction(-2, 7), 2) if kind == "rational"
+             else (0.3 + 0.1j, -1.2, 0.7j))
+    results = []
+    for _ in range(5):
+        a, b = _random_poly(rng, n, kind), _random_poly(rng, n, kind)
+        results += [a + b, a - b, -a, a + 2, 3 - a, a - a, a * scalar, scalar * a, a * 0,
+                    a * b, a.mul_truncated(b, 3), *a.gradient(),
+                    a.translate_truncated(point, 3)]
+        one = PolyMatrix.from_rows([[a]])
+        three = PolyMatrix.from_rows([[_random_poly(rng, n, kind, 3) for _ in range(3)]
+                                      for _ in range(3)])
+        results += [one.det(), one.det(max_degree=2), three.det(), three.det(max_degree=4)]
+    if kind == "complex":       # a product that underflows is dropped, not stored as 0
+        results.append(P(1, {(1,): 1e-200, (0,): 1.0}, kind) * 1e-200)
+        assert results[-1].terms == {(0,): 1e-200}
+    for r in results:
+        assert r == Polynomial(r.n_vars, r.terms, kind)
+        assert all(c != 0 for c in r.terms.values())
+        if kind == "rational":
+            assert all(type(c) is Fraction for c in r.terms.values())
+
+
+def test_one_by_one_det_is_truncated():
+    """A 1x1 determinant with max_degree set is its entry cut past that degree."""
+    x = P(1, {(1,): 1})
+    m = PolyMatrix.from_rows([[x * x * x + x]])
+    assert m.det(max_degree=1) == x
+    assert m.det() == x * x * x + x
