@@ -81,7 +81,15 @@ class UsageError(ValueError):
 
 
 def validate_count(value: int, name: str, least: int = 0) -> int:
-    """A sampling count, or with least=1 a coefficient bound: an int >= least."""
+    """A sampling count, or with least=1 a coefficient bound: an int >= least.
+
+    Like the entries of ``validate_degrees``, it must be an int or a numpy
+    integer; 1.5 or 2.0 is a UsageError naming the parameter, not truncated.
+    """
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise UsageError(f"{name} must be an integer, got {value!r}") from None
     if value < least:
         raise UsageError(f"{name} must be >= {least}, got {value}")
     return value
@@ -163,7 +171,7 @@ def random_map(degrees: Sequence[int], seed: int, kind: str = RATIONAL,
     Zariski-closed sets, so any atomless-enough law reaches them with probability one.
     """
     degrees = validate_degrees(degrees)
-    validate_count(bound, "bound", 1)
+    bound = validate_count(bound, "bound", 1)
     n = len(degrees)
     rng = np.random.default_rng(seed)
     components = []
@@ -255,7 +263,7 @@ def _gate(d: tuple[int, ...]) -> EligibilityVerdict:
 INFINITE_RAY = math.inf
 
 
-def ray_multiplicity(F: HomogeneousMap, p: Sequence):
+def ray_multiplicity(F: HomogeneousMap, p):
     """Number of points on the ray C*p sharing the value F(p).
 
     Scaling p by lambda multiplies f_i(p) by lambda^{d_i}, so the ray collapses
@@ -263,21 +271,24 @@ def ray_multiplicity(F: HomogeneousMap, p: Sequence):
     the whole ray maps to 0 and the designated INFINITE_RAY marker is returned.
     At a float point f_i(p) vanishes when |f_i(p)| <= ROOT_TOL times its
     coefficient envelope sum_e |a_e| |p^e|, so a constant factor on F changes
-    nothing.
+    nothing.  An (N, n) array of float points gives a list of N
+    multiplicities, from one batched ``value_and_envelope`` per component; a
+    batch with a zero row is a ValueError like the origin itself.
     """
-    if len(p) != F.n:
-        raise ValueError(f"point length {len(p)} != n {F.n}")
-    if all(v == 0 for v in p):
+    exact = F.kind == RATIONAL and all(isinstance(v, (int, Fraction)) for v in p)
+    x = np.asarray(p, dtype=object if exact else complex)
+    if x.ndim not in (1, 2) or x.shape[-1] != F.n:
+        raise ValueError(f"point shape {x.shape} is not (n,) or (N, n) with n = {F.n}")
+    if np.any(np.all(x == 0, axis=-1)):
         raise ValueError("ray multiplicity is undefined at the origin")
-    if F.kind == RATIONAL and all(isinstance(v, (int, Fraction)) for v in p):
-        surviving = [d for d, v in zip(F.degrees, F.evaluate(p)) if v != 0]
-    else:
-        pairs = (f.value_and_envelope(p) for f in F.components)
-        surviving = [d for d, (value, envelope) in zip(F.degrees, pairs)
-                     if abs(value) > ROOT_TOL * envelope]
-    if not surviving:
-        return INFINITE_RAY
-    return math.gcd(*surviving)
+    if exact:
+        return math.gcd(*(d for d, v in zip(F.degrees, F.evaluate(p)) if v != 0)) or INFINITE_RAY
+    pairs = [f.value_and_envelope(x) for f in F.components]
+    # surviving[m, i]: f_i does not vanish at point m
+    surviving = np.array([np.abs(v) > ROOT_TOL * e for v, e in pairs]).reshape(F.n, -1).T
+    mults = [math.gcd(*(d for d, alive in zip(F.degrees, row) if alive)) or INFINITE_RAY
+             for row in surviving]
+    return mults if x.ndim == 2 else mults[0]
 
 
 # ------------------------------------------------------------------ serialization

@@ -45,6 +45,7 @@ sigma_1 ... sigma_{n-1}.  Exact points use exact rank and 0.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -55,7 +56,7 @@ import numpy as np
 
 from .linalg import exact_det, exact_rank
 from .maps import HomogeneousMap, UsageError, jacobian
-from .polynomials import RATIONAL, Polynomial, PolyMatrix
+from .polynomials import RATIONAL, Polynomial, PolyMatrix, _radix_weights
 
 __all__ = [
     "GeneralMap",
@@ -232,6 +233,27 @@ def _linear_rows(jets: Sequence[Polynomial]) -> list[list]:
     return [[g.coefficient(u) for u in units] for g in jets]
 
 
+@functools.cache
+def _multi_indices(n: int, r: int) -> tuple[np.ndarray, ...]:
+    """The part of ``Partials`` order r that depends on n and r alone, kept
+    read-only per (n, r).  One row per sorted multi-index a = (a_1 <= ... <=
+    a_r) of size r: its variables, how many equal entries precede each, and
+    its counts per variable; and for each dense index (i, j, k, ...) the
+    table column i * (number of rows) + (the row of its sorted twin)."""
+    sorted_a = list(itertools.combinations_with_replacement(range(n), r))
+    shape = (len(sorted_a), r)
+    variables = np.array(sorted_a, dtype=np.intp).reshape(shape)
+    repeats = np.array([[a[:k].count(j) for k, j in enumerate(a)] for a in sorted_a],
+                       dtype=np.intp).reshape(shape)
+    counts = np.array([np.bincount(a, minlength=n) for a in sorted_a])
+    position = {a: k for k, a in enumerate(sorted_a)}
+    gather = np.array([i * len(sorted_a) + position[tuple(sorted(a))]
+                       for i, *a in itertools.product(range(n), repeat=r + 1)])
+    for table in (variables, repeats, counts, gather):
+        table.setflags(write=False)
+    return variables, repeats, counts, gather
+
+
 class Partials:
     """The partial derivatives of a square map's components, one coefficient table per order.
 
@@ -239,7 +261,10 @@ class Partials:
     linear in the lowered monomials x^(e - a).  Order r keeps the distinct
     ones and a table with one column per component i and sorted multi-index
     a of size r (partials commute, so every other entry is read off its
-    sorted twin).  A table is built the first time ``at`` asks for its order
+    sorted twin).  The distinct monomials are found by one ``np.unique`` over
+    their mixed-radix keys in base (largest lowered exponent + 1), which sort
+    as the exponent rows do lexicographically; keys past int64 are Python
+    ints.  A table is built the first time ``at`` asks for its order
     and kept with the instance, so whoever holds one -- a survey map, a cusp
     hunt -- builds it once for all its evaluations.
     """
@@ -256,22 +281,16 @@ class Partials:
             kernels = [f._kernel() for f in self.components]
             exps, coeffs = (np.concatenate(k) for k in zip(*kernels))
             owner = np.repeat(np.arange(n), [len(c) for _, c in kernels])
-            sorted_a = list(itertools.combinations_with_replacement(range(n), r))
-            counts = np.array([np.bincount(a, minlength=n) for a in sorted_a])
-            # e!/(e - a)! = prod_j prod_{t < a_j} (e_j - t), which is 0 unless e >= a
-            t = np.arange(r)
-            falling = np.prod(np.where(t < counts[:, None, :, None], exps[..., None] - t, 1),
-                              axis=(2, 3))
-            kept = falling != 0
-            monomials, rows = np.unique((exps - counts[:, None])[kept], axis=0,
-                                        return_inverse=True)
-            table = np.zeros((len(monomials), n * len(sorted_a)), dtype=complex)
-            columns = owner * len(sorted_a) + np.arange(len(sorted_a))[:, None]
-            table[rows.ravel(), columns[kept]] = (coeffs * falling)[kept]
-            position = {a: k for k, a in enumerate(sorted_a)}
-            gather = [i * len(sorted_a) + position[tuple(sorted(a))]
-                      for i, *a in itertools.product(range(n), repeat=r + 1)]
-            self._orders[r] = monomials, table, np.array(gather)
+            variables, repeats, counts, gather = _multi_indices(n, r)
+            # e!/(e - a)! = prod_k (e_{a_k} - #{l < k : a_l = a_k}), 0 unless e >= a
+            falling = np.prod(exps[:, variables] - repeats, axis=-1).T
+            a, term = np.nonzero(falling)       # the (a, term) pairs with a nonzero partial
+            lowered = exps[term] - counts[a]
+            keys = lowered @ _radix_weights(int(lowered.max(initial=0)) + 1, n)
+            _, first, rows = np.unique(keys, return_index=True, return_inverse=True)
+            table = np.zeros((len(first), n * len(counts)), dtype=complex)
+            table[rows, owner[term] * len(counts) + a] = coeffs[term] * falling[a, term]
+            self._orders[r] = lowered[first], table, gather
         return self._orders[r]
 
     def at(self, points, r: int) -> np.ndarray:

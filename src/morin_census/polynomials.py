@@ -45,6 +45,15 @@ Scalar = Union[int, Fraction, float, complex]
 ROOT_TOL = 1e-12
 
 
+def _radix_weights(base: int, n: int) -> np.ndarray:
+    """base^(n-1), ..., base, 1: exps @ weights is the mixed-radix key of each
+    exponent vector with entries in [0, base), and key order is lexicographic
+    row order.  int64 while every key fits, Python ints (``object``) past 2^63,
+    where int64 would wrap silently."""
+    return np.array([base ** k for k in range(n - 1, -1, -1)],
+                    dtype=np.int64 if base ** n < 2 ** 63 else object)
+
+
 class _AnyDegree:
     """Degree marker of the zero polynomial (homogeneous of every degree)."""
 
@@ -307,12 +316,22 @@ class Polynomial:
         values = np.prod(x[..., None, :] ** exps, axis=-1) @ coeffs
         return complex(values) if x.ndim == 1 else values
 
-    def value_and_envelope(self, point) -> tuple[complex, float]:
-        """The value at one float point and its envelope sum_e |a_e| |x^e|, the
-        scale rounding in ``evaluate`` lives at, from one pass of the kernel."""
+    def value_and_envelope(self, point):
+        """The value at a float point and its envelope sum_e |a_e| |x^e|, the
+        scale rounding in ``evaluate`` lives at, from one pass of the kernel.
+
+        One point gives a (complex, float) pair; an ``(..., n_vars)`` array of
+        points gives a pair of arrays in its leading shape.
+        """
         exps, coeffs = self._kernel()
-        monomials = np.prod(np.asarray(point, dtype=complex) ** exps, axis=-1)
-        return complex(monomials @ coeffs), float(np.abs(monomials) @ np.abs(coeffs))
+        x = np.asarray(point, dtype=complex)
+        if x.ndim == 0 or x.shape[-1] != self.n_vars:
+            raise ValueError(f"point shape {x.shape} does not end in n_vars {self.n_vars}")
+        monomials = np.prod(x[..., None, :] ** exps, axis=-1)
+        values, envelopes = monomials @ coeffs, np.abs(monomials) @ np.abs(coeffs)
+        if x.ndim == 1:
+            return complex(values), float(envelopes)
+        return values, envelopes
 
     def _kernel(self) -> tuple[np.ndarray, np.ndarray]:
         """The exponent matrix and complex coefficient vector of the float kernel, kept."""

@@ -37,7 +37,7 @@ import numpy as np
 from .linalg import POLISH_STEPS, det_is_nonzero, exact_det, newton_polish
 from .maps import HomogeneousMap, validate_degrees
 from .morin import Partials
-from .polynomials import COMPLEX, RATIONAL, ROOT_TOL, Polynomial
+from .polynomials import COMPLEX, RATIONAL, ROOT_TOL, Polynomial, _radix_weights
 
 __all__ = [
     "PROPER",
@@ -161,8 +161,7 @@ class _MacaulayLayout:
             raise ValueError(
                 f"Macaulay matrix side {len(self.monomials)} exceeds the cap {MACAULAY_SIDE_CAP}")
         # descending lex is descending key order; keys past int64 stay Python ints
-        self._weights = np.array([(nu + 1) ** k for k in range(n - 1, -1, -1)],
-                                 dtype=np.int64 if (nu + 1) ** n < 2 ** 63 else object)
+        self._weights = _radix_weights(nu + 1, n)
         self._keys = (np.array(self.monomials) @ self._weights)[::-1]
         self.blocks = []
         top = 0

@@ -429,10 +429,10 @@ def _survey_one_map(degrees, map_seed: int, line_seed: int, lines: int,
     # each point's own bound on |J|, the one the line slicer tests
     bounds = ROOT_TOL * _jacobian_dets(partials.at(points, 1))[1]
     verdicts = _classify_at(F, points, (tol, tol * 10.0, tol / 10.0), DEFAULT_KMAX, partials)
+    mults = ray_multiplicity(F, np.asarray(points))
     records = []
-    for p, bound, (main, *others) in zip(points, bounds, verdicts):
+    for p, bound, (main, *others), mult in zip(points, bounds, verdicts, mults):
         stable = all(v.label == main.label for v in others)
-        mult = ray_multiplicity(F, p)
         records.append({
             "point": [[v.real, v.imag] for v in p],
             "class": main.to_dict(),

@@ -25,8 +25,11 @@ from morin_census import (
     ray_multiplicity,
     rest_exponents,
     save_map,
+    survey,
     validate_degrees,
 )
+from morin_census.maps import UsageError
+from morin_census.sampler import cusp_points
 
 
 def _fold_map():
@@ -64,6 +67,18 @@ def test_random_map_rejects_a_bound_below_one(bound):
     "low >= high": both are a ValueError naming the bound."""
     with pytest.raises(ValueError, match="bound must be >= 1"):
         random_map((2, 2), seed=0, bound=bound)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: random_map((2, 2), seed=1, bound=2.5), "bound"),
+    (lambda: survey((2, 2, 2, 2), maps=1.5, lines=1, seed=1), "maps"),
+    (lambda: cusp_points(random_map((2, 2, 2, 2), seed=1), planes=1.5, seed=1), "planes"),
+], ids=["random_map_bound", "survey_maps", "cusp_points_planes"])
+def test_counts_must_be_integers(call, name):
+    """A count or bound of 1.5 or 2.5 is a UsageError naming the parameter,
+    not a silently truncated range or a TypeError from numpy or ``range``."""
+    with pytest.raises(UsageError, match=f"{name} must be an integer"):
+        call()
 
 
 def test_validate_degrees_rejects_nonpositive():
@@ -197,6 +212,40 @@ def test_ray_multiplicity_is_gcd_of_surviving_degrees():
     )
     F = HomogeneousMap((4, 6), comps)
     assert ray_multiplicity(F, [0.0, 1.0]) == 4
+
+
+def _ray_case_map():
+    """Degrees (2, 3, 4): f1 = x1^2 + x2 x3, f2 = x1 (x2^2 + x3^2) vanishing on
+    the hyperplane x1 = 0, f3 = x1^4 + x2^4; all three vanish at (0, 0, 1)."""
+    comps = (
+        Polynomial(3, {(2, 0, 0): 1, (0, 1, 1): 1}),
+        Polynomial(3, {(1, 2, 0): 1, (1, 0, 2): 1}),
+        Polynomial(3, {(4, 0, 0): 1, (0, 4, 0): 1}),
+    )
+    return HomogeneousMap((2, 3, 4), comps).as_complex()
+
+
+def test_batched_ray_multiplicity_equals_the_point_by_point_calls():
+    """An (N, n) batch gives the per-point multiplicities in one list: 1 at
+    generic points, 2 = gcd(2, 4) on the hyperplane x1 = 0 where f2 vanishes,
+    and INFINITE_RAY at (0, 0, 1) where every component vanishes."""
+    F = _ray_case_map()
+    rng = np.random.default_rng(3)
+    generic = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    on_plane = generic.copy()
+    on_plane[:, 0] = 0.0
+    batch = np.vstack([generic, on_plane, [[0.0, 0.0, 2.0]]])
+    got = ray_multiplicity(F, batch)
+    assert got == [ray_multiplicity(F, p) for p in batch]
+    assert got[:6] == [1, 1, 1, 2, 2, 2] and got[6] is INFINITE_RAY
+
+
+def test_batched_ray_multiplicity_rejects_a_zero_row():
+    """The origin check runs per point: one zero row makes the batch a ValueError."""
+    F = _ray_case_map()
+    batch = np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]])
+    with pytest.raises(ValueError, match="undefined at the origin"):
+        ray_multiplicity(F, batch)
 
 
 # ------------------------------------------------------------- serialization

@@ -202,6 +202,29 @@ def test_partials_match_the_chain_of_polynomial_partials(components):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), r
 
 
+@pytest.mark.parametrize("components", [
+    tuple(Polynomial(4, {e: 1 + k for k, e in enumerate(terms)}, "complex") for terms in (
+        [(65536, 0, 0, 0), (1, 1, 0, 0)], [(0, 3, 0, 0), (0, 0, 1, 1)],
+        [(0, 0, 2, 0), (1, 0, 0, 1)], [(0, 0, 0, 5), (2, 1, 0, 0)])),
+    tuple(Polynomial(10, {tuple(100 * (j == i) for j in range(10)): 1,
+                          tuple(int(j in (i, (i + 1) % 10)) for j in range(10)): 2j}, "complex")
+          for i in range(10)),
+], ids=["x1_power_65536", "ten_variables_degree_100"])
+def test_partials_with_monomial_keys_past_int64_match_the_chained_partials(components):
+    """Mixed-radix keys in base 65536 over 4 variables (2^64), or 100 over 10,
+    do not fit int64 and become Python ints; the order-1 and order-2 tables
+    still give d^r F, at unit-modulus points where x1^65536 stays finite."""
+    n = len(components)
+    rng = np.random.default_rng(8)
+    points = np.exp(2j * np.pi * rng.random((3, n)))
+    partials = Partials(components)
+    for r in (1, 2):
+        monomials = partials._order(r)[0]
+        assert (int(monomials.max()) + 1) ** n >= 2 ** 63, r
+        got, want = partials.at(points, r), _chained_partials(components, points, r)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), r
+
+
 def test_third_partials_of_a_quadratic_map_are_zero():
     """Every third partial of a quadratic map vanishes: the order-3 table is
     empty, and ``at`` still gives zeros of the dense shape (N, n, n, n, n)."""

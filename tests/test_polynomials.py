@@ -338,3 +338,19 @@ def test_one_by_one_det_is_truncated():
     m = PolyMatrix.from_rows([[x * x * x + x]])
     assert m.det(max_degree=1) == x
     assert m.det() == x * x * x + x
+
+
+def test_batched_value_and_envelope_equals_the_single_point_ones():
+    """An (..., n) array of points gives the values and envelopes of the
+    single-point calls, in its leading shape."""
+    f = Polynomial(3, {(2, 0, 1): 1.5 - 2j, (0, 3, 0): -1, (1, 1, 1): 0.25j, (0, 0, 0): 3},
+                   "complex")
+    rng = np.random.default_rng(5)
+    points = rng.standard_normal((2, 4, 3)) + 1j * rng.standard_normal((2, 4, 3))
+    values, envelopes = f.value_and_envelope(points)
+    assert values.shape == envelopes.shape == (2, 4)
+    for index in np.ndindex(2, 4):
+        value, envelope = f.value_and_envelope(points[index])
+        assert isinstance(value, complex) and isinstance(envelope, float)
+        assert np.isclose(values[index], value, rtol=1e-14, atol=0.0)
+        assert np.isclose(envelopes[index], envelope, rtol=1e-14, atol=0.0)
