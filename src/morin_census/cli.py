@@ -20,7 +20,7 @@ from .census import IntegralityError, census
 from .maps import (UsageError, eligibility_gate, load_map, map_to_dict, random_map,
                    validate_degrees)
 from .morin import DEFAULT_KMAX, DEFAULT_TOL, classify
-from .polynomials import COMPLEX, RATIONAL
+from .polynomials import COMPLEX, RATIONAL, is_exact_point
 from .properness import properness_verdict
 from .sampler import survey
 
@@ -55,7 +55,7 @@ def _parse_point(text: str, n: int) -> tuple:
                 raise UsageError(f"bad point entry {part!r}") from err
             if not cmath.isfinite(values[-1]):
                 raise UsageError(f"point entry {part!r} is not finite")
-    if all(isinstance(v, Fraction) for v in values):
+    if is_exact_point(values):
         return tuple(values)
     return tuple(complex(v) for v in values)
 

@@ -3,22 +3,27 @@
 Everything here operates on numbers, not on polynomials: resultant matrices,
 differentials at a point, the random integer coordinate changes used by the
 invariance tests, and ``newton_polish``, the loop every float solver ends in.
+Each exact decision is made here once: ``clear_denominators`` turns ints
+and Fractions into integers, and ``det_is_nonzero`` ranks mod one prime
+before Bareiss.  ``sylvester_matrix`` is the one Sylvester layout.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Sequence
+from typing import Collection, Sequence
 
 import numpy as np
 
 __all__ = [
     "bareiss_det",
+    "clear_denominators",
     "exact_det",
     "integer_rows",
     "exact_rank",
     "det_is_nonzero",
+    "sylvester_matrix",
     "random_unimodular_matrix",
     "newton_polish",
 ]
@@ -63,20 +68,20 @@ def bareiss_det(rows: Sequence[Sequence[int]]) -> int:
     return pivot if rank == len(m) else 0
 
 
+def clear_denominators(values: Collection) -> tuple[list[int], int]:
+    """Ints and Fractions times the lcm of their denominators: (the integers, the lcm)."""
+    lcm = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (lcm // v.denominator) for v in values], lcm
+
+
 def integer_rows(rows: Sequence[Sequence]) -> tuple[list[list[int]], int]:
     """Each row times the lcm of its denominators, plus the product of those lcms.
 
     det(rows) = det(integer rows) / product; row scaling cannot create or
     destroy a zero determinant.
     """
-    out = []
-    product = 1
-    for r in rows:
-        fr = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in r]
-        lcm = math.lcm(*(v.denominator for v in fr))
-        product *= lcm
-        out.append([v.numerator * (lcm // v.denominator) for v in fr])
-    return out, product
+    cleared = [clear_denominators(r) for r in rows]
+    return [ints for ints, _ in cleared], math.prod(lcm for _, lcm in cleared)
 
 
 def exact_det(rows: Sequence[Sequence]) -> Fraction:
@@ -93,7 +98,7 @@ def exact_rank(rows: Sequence[Sequence]) -> int:
     return _eliminate(integer_rows(rows)[0])[0]
 
 
-_CERTIFICATE_PRIMES = (33_554_467, 33_554_473, 33_554_503)  # ~2^25, products fit int64
+_CERTIFICATE_PRIME = 33_554_467    # ~2^25: products of residues fit int64
 
 
 def _rank_mod_p(matrix: np.ndarray, p: int) -> int:
@@ -122,20 +127,39 @@ def det_is_nonzero(rows: Sequence[Sequence[int]] | np.ndarray) -> str | None:
     For a square or tall matrix that is a nonzero maximal minor, and on a
     square one det != 0.  `rows` is a list of rows or an integer ndarray
     (``int64``, or ``object`` for entries past it), ranked as it is.  Full
-    rank mod any prime certifies full rank over the integers, so modular
-    elimination (fast, numpy) is tried first and the result is "mod p" for
-    the first prime that shows it; only when every prime loses rank does
-    fraction-free elimination decide, and a full rank there gives "exact
-    rank".  A deficient rank gives None.
+    rank mod a prime certifies full rank over the integers, so the rank mod
+    one prime (fast, numpy) is tried first and gives "mod p"; a matrix that
+    loses rank there goes to fraction-free elimination, whose full rank
+    gives "exact rank" and deficient rank None.
     """
     if len(rows) == 0:
         return "exact rank"
     ints = rows if isinstance(rows, np.ndarray) else \
         np.array([[int(v) for v in r] for r in rows], dtype=object)
-    for p in _CERTIFICATE_PRIMES:
-        if _rank_mod_p(ints, p) == ints.shape[1]:
-            return f"mod {p}"
+    if _rank_mod_p(ints, _CERTIFICATE_PRIME) == ints.shape[1]:
+        return f"mod {_CERTIFICATE_PRIME}"
     return "exact rank" if _eliminate(ints.tolist())[0] == ints.shape[1] else None
+
+
+def sylvester_matrix(p_coeffs, q_coeffs) -> np.ndarray:
+    """Sylvester matrix from descending coefficients on the last axis, q's rows on top.
+
+    Leading axes are a batch; entries are copies in the inputs' dtype
+    (``object`` keeps Fractions exact).  With this block order the
+    determinant is lc(q)^deg(p) * prod p(beta) over the roots beta of q,
+    which makes Res(x - a, x - b) = b - a.
+    """
+    p, q = np.asarray(p_coeffs), np.asarray(q_coeffs)
+    m, l = p.shape[-1] - 1, q.shape[-1] - 1
+    if m < 0 or l < 0:
+        raise ValueError("zero polynomial has no resultant")
+    batch = np.broadcast_shapes(p.shape[:-1], q.shape[:-1])
+    s = np.zeros(batch + (m + l, m + l), dtype=np.result_type(p, q))
+    for shift in range(m):
+        s[..., shift, shift:shift + l + 1] = q
+    for shift in range(l):
+        s[..., m + shift, shift:shift + m + 1] = p
+    return s
 
 
 def random_unimodular_matrix(n: int, rng: np.random.Generator) -> list[list[int]]:

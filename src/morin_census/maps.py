@@ -18,7 +18,6 @@ import json
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -30,6 +29,7 @@ from .polynomials import (
     Polynomial,
     PolyMatrix,
     format_coefficient,
+    is_exact_point,
     parse_coefficient,
 )
 
@@ -176,16 +176,15 @@ def random_map(degrees: Sequence[int], seed: int, kind: str = RATIONAL,
     rng = np.random.default_rng(seed)
     components = []
     for d in degrees:
-        terms = {}
-        for rest in rest_exponents(d, n):
-            if kind == RATIONAL:
-                c = int(rng.integers(-bound, bound + 1))
-            else:
-                re, im = rng.standard_normal(2)
-                c = complex(re, im) / math.sqrt(2)
-            if c != 0:
-                terms[_full_exponents(d, rest)] = c
-        components.append(Polynomial(n, terms, kind))
+        exponents = [_full_exponents(d, rest) for rest in rest_exponents(d, n)]
+        # one call per component draws, in term order, what one call per term would
+        if kind == RATIONAL:
+            coeffs = rng.integers(-bound, bound + 1, size=len(exponents)).tolist()
+        else:
+            parts = (rng.standard_normal((len(exponents), 2)) / math.sqrt(2)).tolist()
+            coeffs = [complex(re, im) for re, im in parts]
+        components.append(Polynomial(n, {e: c for e, c in zip(exponents, coeffs) if c != 0},
+                                     kind))
     return HomogeneousMap(degrees, tuple(components))
 
 
@@ -275,7 +274,7 @@ def ray_multiplicity(F: HomogeneousMap, p):
     multiplicities, from one batched ``value_and_envelope`` per component; a
     batch with a zero row is a ValueError like the origin itself.
     """
-    exact = F.kind == RATIONAL and all(isinstance(v, (int, Fraction)) for v in p)
+    exact = F.kind == RATIONAL and is_exact_point(p)
     x = np.asarray(p, dtype=object if exact else complex)
     if x.ndim not in (1, 2) or x.shape[-1] != F.n:
         raise ValueError(f"point shape {x.shape} is not (n,) or (N, n) with n = {F.n}")

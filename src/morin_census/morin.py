@@ -54,9 +54,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .linalg import exact_det, exact_rank
+from .linalg import clear_denominators, exact_det, exact_rank
 from .maps import HomogeneousMap, UsageError, jacobian
-from .polynomials import RATIONAL, Polynomial, PolyMatrix, _radix_weights
+from .polynomials import RATIONAL, Polynomial, PolyMatrix, _radix_weights, is_exact_point
 
 __all__ = [
     "GeneralMap",
@@ -170,10 +170,8 @@ def _tower_values_at(jets: Sequence[Polynomial], k: int):
     exact = jets[0].kind == RATIONAL
     lcms = [1] * n
     if exact:
-        lcms = [math.lcm(*(c.denominator for c in f.terms.values())) for f in jets]
-        jets = [Polynomial._trusted(n, {e: c.numerator * (m // c.denominator)
-                                        for e, c in f.terms.items()}, RATIONAL)
-                for f, m in zip(jets, lcms)]
+        ints, lcms = zip(*(clear_denominators(f.terms.values()) for f in jets))
+        jets = [Polynomial._trusted(n, dict(zip(f.terms, c)), f.kind) for f, c in zip(jets, ints)]
     scale = math.prod(lcms)
 
     def unscaled(r: int, i: int, c):
@@ -219,11 +217,6 @@ class SingularityClass:
             out = {"class": self.tag}
         out["diagnostics"] = self.diagnostics
         return out
-
-
-def _is_exact(components: Sequence[Polynomial], p) -> bool:
-    return (components[0].kind == RATIONAL
-            and all(isinstance(v, (int, Fraction)) for v in p))
 
 
 def _linear_rows(jets: Sequence[Polynomial]) -> list[list]:
@@ -445,7 +438,7 @@ def _classify_at(F, points, tols: Sequence[float], k_max: int,
     """
     components = _components_of(F)
     n = len(components)
-    exact = [_is_exact(components, p) for p in points]
+    exact = [components[0].kind == RATIONAL and is_exact_point(p) for p in points]
     for p, is_exact in zip(points, exact):
         if len(p) != n:
             raise ValueError(f"point length {len(p)} != n_vars {n}")
@@ -527,7 +520,7 @@ def classify_from_values(F, p, base_value, level_values,
     k = len(level_values)
     jets = [f.translate_truncated(p, k + 1) for f in components]
     norms = _tower_values_at(jets, k)[2]
-    exact, rows = _is_exact(components, p), _linear_rows(jets)
+    exact, rows = components[0].kind == RATIONAL and is_exact_point(p), _linear_rows(jets)
     spectrum = rows if exact else np.linalg.svd(np.array(rows, dtype=complex), compute_uv=False)
     return _decide([exact], [spectrum], [base_value], (tol,), k,
                    lambda r, _: [(level_values[r - 1], norms[r - 1])])[0][0]

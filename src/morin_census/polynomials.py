@@ -16,11 +16,12 @@ no operation mutates its inputs.  The constructor checks and coerces every
 term; arithmetic, whose terms are clean by construction, returns through the
 unchecked ``Polynomial._trusted``.
 
-``Polynomial.evaluate`` is the one evaluator.  Exact points (ints and
-Fractions) on a rational polynomial give exact values; any other point, or an
-``(..., n_vars)`` array of points, goes through a numpy kernel over the
-polynomial's exponent matrix and complex coefficient vector, compiled on the
-first float evaluation and kept on the instance.
+``Polynomial.evaluate`` is the one evaluator.  Exact points on a rational
+polynomial give exact values; any other point, or an ``(..., n_vars)`` array
+of points, goes through a numpy kernel over the polynomial's exponent matrix
+and complex coefficient vector, compiled on the first float evaluation and
+kept on the instance.  ``is_exact_point`` is the one rule for which points
+are exact, for the evaluator, the jets, the classifier and the ray counts.
 """
 
 from __future__ import annotations
@@ -43,6 +44,15 @@ Scalar = Union[int, Fraction, float, complex]
 # A float value at most ROOT_TOL times its own bound (the envelope its evaluation
 # rounds at) is zero: the one float zero test of the slicers and ray_multiplicity.
 ROOT_TOL = 1e-12
+
+
+def is_exact_point(point) -> bool:
+    """Whether every entry of one point is an int or a Fraction, whatever holds
+    them: a tuple, a list or an ``object`` ndarray.  A numeric ndarray, and
+    an array or list of points, is not an exact point."""
+    if isinstance(point, np.ndarray) and (point.dtype != object or point.ndim != 1):
+        return False
+    return all(isinstance(v, (int, Fraction)) for v in point)
 
 
 def _radix_weights(base: int, n: int) -> np.ndarray:
@@ -289,14 +299,14 @@ class Polynomial:
     def evaluate(self, point):
         """Value at one point, or values at an ``(..., n_vars)`` array of points.
 
-        A rational polynomial at a point of ints and Fractions is evaluated
-        exactly and returns a Fraction.  Every other input goes through one
-        numpy kernel over the exponent matrix and the complex coefficient
-        vector, built on first use and kept: a single point gives a complex,
-        an array of points an array of complex values in its leading shape.
+        A rational polynomial at an exact point (``is_exact_point``: ints and
+        Fractions, also in an ``object`` ndarray) returns the exact Fraction.
+        Every other input goes through one numpy kernel over the exponent
+        matrix and the complex coefficient vector, built on first use and
+        kept: a single point gives a complex, an array of points an array of
+        complex values in its leading shape.
         """
-        if (self.kind == RATIONAL and not isinstance(point, np.ndarray)
-                and all(isinstance(v, (int, Fraction)) for v in point)):
+        if self.kind == RATIONAL and is_exact_point(point):
             if len(point) != self.n_vars:
                 raise ValueError(f"point length {len(point)} != n_vars {self.n_vars}")
             powers = [[Fraction(1), Fraction(v)] for v in point]
@@ -370,13 +380,13 @@ class Polynomial:
 
         The coefficient of x^a sums c_e * prod_i C(e_i, a_i) point_i^(e_i - a_i)
         over the terms c_e x^e with e >= a, |a| <= max_degree (Neidinger, Math.
-        Comp. 74, 2005).  Exact points on a rational polynomial give Fractions;
-        other points on it go through ``as_complex()``.
+        Comp. 74, 2005).  Exact points (``is_exact_point``) on a rational
+        polynomial give Fractions; other points on it go through ``as_complex()``.
         """
         if len(point) != self.n_vars:
             raise ValueError(f"point length {len(point)} != n_vars {self.n_vars}")
         kind = self.kind
-        if kind == RATIONAL and not all(isinstance(v, (int, Fraction)) for v in point):
+        if kind == RATIONAL and not is_exact_point(point):
             return self.as_complex().translate_truncated(point, max_degree)
         vals = [Fraction(v) if kind == RATIONAL else complex(v) for v in point]
         powers = [[v ** k for k in range(max((e[i] for e in self.terms), default=0) + 1)]

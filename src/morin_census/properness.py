@@ -26,15 +26,14 @@ complex maps a witness or INCONCLUSIVE.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from typing import Sequence
 
 import numpy as np
 
-from .linalg import POLISH_STEPS, det_is_nonzero, exact_det, newton_polish
+from .linalg import (POLISH_STEPS, clear_denominators, det_is_nonzero, exact_det,
+                     newton_polish, sylvester_matrix)
 from .maps import HomogeneousMap, validate_degrees
 from .morin import Partials
 from .polynomials import COMPLEX, RATIONAL, ROOT_TOL, Polynomial, _radix_weights
@@ -80,26 +79,6 @@ class PropernessVerdict:
 
 
 # ---------------------------------------------------------------- Sylvester
-def sylvester_matrix(p_coeffs: Sequence, q_coeffs: Sequence) -> list[list]:
-    """Sylvester matrix from descending coefficient lists, q's rows on top.
-
-    With this block order the determinant is lc(q)^deg(p) * prod p(beta) over
-    the roots beta of q, which makes Res(x - a, x - b) = b - a.
-    """
-    m = len(p_coeffs) - 1
-    l = len(q_coeffs) - 1
-    if m < 0 or l < 0:
-        raise ValueError("zero polynomial has no resultant")
-    size = m + l
-    zero = 0 * (p_coeffs[0] if p_coeffs else q_coeffs[0])
-    rows = []
-    for shift in range(m):
-        rows.append([zero] * shift + list(q_coeffs) + [zero] * (size - shift - l - 1))
-    for shift in range(l):
-        rows.append([zero] * shift + list(p_coeffs) + [zero] * (size - shift - m - 1))
-    return rows
-
-
 def _descending_coeffs(p: Polynomial) -> list:
     """Coefficients in x1 of a univariate polynomial or a binary form, highest power first."""
     if p.n_vars == 2 and p.is_homogeneous() is None:
@@ -121,12 +100,11 @@ def sylvester_resultant(p: Polynomial, q: Polynomial):
         raise ValueError("resultant operands must share n_vars and kind")
     if p.n_vars > 2:
         raise ValueError("resultant needs univariate or binary inputs")
+    # two constants give the 0 x 0 matrix, whose determinant is 1 in either kind
     rows = sylvester_matrix(_descending_coeffs(p), _descending_coeffs(q))
-    if not rows:
-        return Fraction(1) if p.kind == RATIONAL else complex(1)
     if p.kind == RATIONAL:
         return exact_det(rows)
-    return complex(np.linalg.det(np.array(rows, dtype=complex)))
+    return complex(np.linalg.det(rows))
 
 
 # ---------------------------------------------------------------- Macaulay
@@ -207,10 +185,7 @@ def _integer_matrix(F: HomogeneousMap, layout: _MacaulayLayout) -> np.ndarray:
     component is the per-row lcm; row scaling keeps the rank.  The array is
     ``int64``, or ``object`` when a cleared coefficient does not fit.
     """
-    ints = []
-    for f in F.components:
-        lcm = math.lcm(*(c.denominator for c in f.terms.values()))
-        ints.append([c.numerator * (lcm // c.denominator) for c in f.terms.values()])
+    ints = [clear_denominators(f.terms.values())[0] for f in F.components]
     dtype = np.int64 if all(abs(v) < 2 ** 63 for row in ints for v in row) else object
     return layout.scatter([np.array(row, dtype=dtype) for row in ints], 0, dtype)
 

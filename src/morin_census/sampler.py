@@ -36,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import POLISH_STEPS, newton_polish
+from .linalg import POLISH_STEPS, newton_polish, sylvester_matrix
 from .maps import HomogeneousMap, random_map, ray_multiplicity, validate_count, validate_degrees
 from .morin import (DEFAULT_KMAX, DEFAULT_TOL, Partials, _classify_at, _corank, _level_one,
                     _survives, validate_tol)
@@ -261,9 +261,11 @@ def plane_section_solutions(values, degrees: Sequence[int], n: int, planes: int,
     evaluation envelope sum_ab |C[a, b, k]| |u|^a |v|^b there, so a constant
     factor on either function changes nothing.  Solutions are reported at
     unit norm with both absolute residuals, one per ray.  `planes` < 0 is a
-    ValueError.
+    ValueError, and so is n < 3: the frame needs three orthonormal vectors.
     """
     validate_count(planes, "planes")
+    if n < 3:
+        raise ValueError(f"plane sections need n >= 3 variables, got n = {n}")
     d1, d2 = degrees
     if d1 < 1 or d2 < 1:
         raise ValueError("plane sections need two nonconstant polynomials")
@@ -297,12 +299,7 @@ def plane_section_solutions(values, degrees: Sequence[int], n: int, planes: int,
         def sylvester(u):
             """S(u) in v at each u, the second function's d1 rows on top, descending in v."""
             c = np.einsum("ua,abk->ubk", np.power.outer(u, powers), balanced)
-            s = np.zeros((u.size, d1 + d2, d1 + d2), dtype=complex)
-            for shift in range(d1):
-                s[:, shift, shift:shift + d2 + 1] = c[:, d2::-1, 1]
-            for shift in range(d2):
-                s[:, d1 + shift, shift:shift + d1 + 1] = c[:, d1::-1, 0]
-            return s
+            return sylvester_matrix(c[:, d1::-1, 0], c[:, d2::-1, 1])
 
         dets = np.linalg.det(sylvester(u_nodes))
         det_scale = float(np.max(np.abs(dets)))

@@ -10,13 +10,14 @@ from morin_census import (HomogeneousMap, Polynomial, critical_points_on_lines, 
                           linalg, properness, properness_verdict, random_map, sampler,
                           univariate_roots)
 from morin_census.linalg import (
-    _CERTIFICATE_PRIMES,
+    _CERTIFICATE_PRIME,
     bareiss_det,
     det_is_nonzero,
     exact_det,
     exact_rank,
     integer_rows,
     newton_polish,
+    sylvester_matrix,
 )
 
 
@@ -44,17 +45,31 @@ def test_det_is_nonzero_tests_full_column_rank():
 
 
 def test_det_is_nonzero_falls_back_to_exact_rank():
-    """diag(p1 p2 p3, 1) loses rank mod every certificate prime, but not over Q."""
-    p1, p2, p3 = _CERTIFICATE_PRIMES
-    assert det_is_nonzero([[p1 * p2 * p3, 0], [0, 1]]) == "exact rank"
+    """diag(p, 1) loses rank mod the certificate prime p, but not over Q."""
+    p = _CERTIFICATE_PRIME
+    assert det_is_nonzero([[p, 0], [0, 1]]) == "exact rank"
 
 
 def test_det_is_nonzero_ranks_int64_arrays_and_names_the_prime():
-    """An int64 ndarray is ranked as it is; the first prime showing full rank is named."""
-    p1, p2, _ = _CERTIFICATE_PRIMES
-    assert det_is_nonzero(np.array([[1, 2], [2, 4], [0, 1]], dtype=np.int64)) == f"mod {p1}"
-    assert det_is_nonzero(np.array([[p1, 0], [0, 1]], dtype=np.int64)) == f"mod {p2}"
+    """An int64 ndarray is ranked as it is; full rank mod the one prime names
+    it, and a matrix that loses rank there is decided by the exact rank."""
+    p = _CERTIFICATE_PRIME
+    assert det_is_nonzero(np.array([[1, 2], [2, 4], [0, 1]], dtype=np.int64)) == f"mod {p}"
+    assert det_is_nonzero(np.array([[p, 0], [0, 1]], dtype=np.int64)) == "exact rank"
     assert det_is_nonzero(np.array([[1, 2], [2, 4], [3, 6]], dtype=np.int64)) is None
+
+
+def test_sylvester_matrix_batches_over_leading_axes():
+    """Each matrix of a batch is the one its coefficient rows give alone, and
+    Fraction coefficients stay exact."""
+    rng = np.random.default_rng(0)
+    p = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+    q = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    batch = sylvester_matrix(p, q)
+    assert batch.shape == (3, 5, 5)
+    assert all(np.array_equal(batch[b], sylvester_matrix(p[b], q[b])) for b in range(3))
+    half = Fraction(1, 2)
+    assert exact_det(sylvester_matrix([1, -half], [1, -3])) == 3 - half   # Res(x - a, x - b) = b - a
 
 
 def test_bareiss_det_and_exact_rank_share_one_elimination():

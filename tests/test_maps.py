@@ -61,6 +61,38 @@ def test_random_map_respects_degrees_and_kind():
         assert f.kind == "complex"
 
 
+def _one_draw_per_term(degrees, seed, kind, bound):
+    """random_map's terms as drawn one coefficient at a time, in rest_exponents order."""
+    rng = np.random.default_rng(seed)
+    n = len(degrees)
+    components = []
+    for d in degrees:
+        terms = []
+        for rest in rest_exponents(d, n):
+            if kind == "rational":
+                c = int(rng.integers(-bound, bound + 1))
+            else:
+                re, im = rng.standard_normal(2)
+                c = complex(re, im) / math.sqrt(2)
+            if c != 0:
+                terms.append(((d - sum(rest),) + rest, c))
+        components.append(terms)
+    return components
+
+
+@pytest.mark.parametrize("degrees, kind, bound", [
+    ((2, 3, 5, 7), "complex", 10), ((3, 3, 3, 3), "complex", 10),
+    ((2, 2, 2), "rational", 10), ((2, 3, 4), "rational", 1000),
+    ((3, 3, 3), "rational", 1000), ((2, 2, 2, 2), "rational", 10)])
+def test_random_map_terms_are_those_of_one_draw_per_term(degrees, kind, bound):
+    """Every workload's inputs come from random_map: its terms, coefficients and
+    term order are pinned to a reference that draws one coefficient at a time."""
+    for seed in (0, 1, 7, 123456789, 2 ** 31 - 1):
+        F = random_map(degrees, seed=seed, kind=kind, bound=bound)
+        assert [list(f.terms.items()) for f in F.components] == \
+            _one_draw_per_term(degrees, seed, kind, bound)
+
+
 @pytest.mark.parametrize("bound", [0, -1])
 def test_random_map_rejects_a_bound_below_one(bound):
     """bound = 0 would give the zero map, and a negative bound numpy's

@@ -9,6 +9,7 @@ import pytest
 
 from morin_census import (
     GeneralMap,
+    HomogeneousMap,
     Polynomial,
     classify,
     classify_from_values,
@@ -19,6 +20,7 @@ from morin_census import (
     linear_conjugate,
     morin_tower,
     random_map,
+    ray_multiplicity,
     survey,
 )
 from morin_census.linalg import random_unimodular_matrix
@@ -437,6 +439,27 @@ def test_corank_at_exact_and_float():
     assert corank_at(corank2_form(), ORIGIN) == 2
     Fc = GeneralMap(tuple(c.as_complex() for c in corank2_form().components))
     assert corank_at(Fc, ORIGIN) == 2
+
+
+@pytest.mark.parametrize("container", [tuple, list, lambda p: np.array(p, dtype=object)],
+                         ids=["tuple", "list", "object-ndarray"])
+def test_every_caller_takes_ints_and_fractions_as_an_exact_point(container):
+    """F = (125 x1^3 - x2^3, x1^2 + x2^2): f1 vanishes at p = (1/5, 1), where a
+    float evaluation leaves 2.2e-16, and J vanishes at q = (1/5, -25).  In a
+    tuple, a list or an object ndarray, the Fractions are an exact point for
+    the evaluator, the jets, the ray multiplicity and the classifier alike."""
+    F = HomogeneousMap((3, 2), (Polynomial(2, {(3, 0): 125, (0, 3): -1}),
+                                Polynomial(2, {(2, 0): 1, (0, 2): 1})))
+    p, q = container((Fraction(1, 5), 1)), container((Fraction(1, 5), -25))
+    f1 = F.components[0]
+    assert f1.evaluate(p) == 0 and isinstance(f1.evaluate(p), Fraction)
+    assert f1.translate_truncated(p, 2) == f1.translate_truncated((Fraction(1, 5), 1), 2)
+    assert f1.translate_truncated(p, 2).kind == "rational"
+    assert ray_multiplicity(F, p) == 2          # gcd(3, 2) = 1 if f1(p) were not 0
+    assert corank_at(F, q) == 1
+    verdict = classify(F, q)
+    assert verdict.diagnostics["tol"] is None and verdict.diagnostics["abs_jdet"] == 0
+    assert verdict == classify(F, (Fraction(1, 5), -25))
 
 
 def _fraction_map(zero_row=None):

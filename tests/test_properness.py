@@ -1,7 +1,7 @@
 """Resultant-based properness certificates and the sphere falsifier."""
 
 from fractions import Fraction
-from math import comb, prod
+from math import comb
 
 import numpy as np
 import pytest
@@ -22,7 +22,7 @@ from morin_census import (
     sylvester_matrix,
     sylvester_resultant,
 )
-from morin_census.linalg import _CERTIFICATE_PRIMES, exact_rank
+from morin_census.linalg import _CERTIFICATE_PRIME, exact_rank
 
 
 def _uni(coeffs_ascending):
@@ -76,10 +76,14 @@ def test_sylvester_detects_shared_root():
 
 
 def test_sylvester_matrix_shape():
-    """deg p + deg q square matrix with q rows stacked on top."""
+    """deg p + deg q square matrix with q rows stacked on top; two constants
+    give the 0 x 0 matrix, and a resultant of 1 in either kind."""
     m = sylvester_matrix([1, 0, -1], [3, 2])   # descending coefficients
     assert len(m) == 3 and all(len(r) == 3 for r in m)
     assert m[0][0] == 3   # leading coefficient of q in the top-left corner
+    assert sylvester_matrix([3], [2]).shape == (0, 0)
+    assert sylvester_resultant(_uni([3]), _uni([2])) == 1
+    assert sylvester_resultant(_uni([3]).as_complex(), _uni([2]).as_complex()) == 1
 
 
 def test_sylvester_scale_covariance():
@@ -268,11 +272,11 @@ def _exponents(n, degree):
 
 
 def test_certificate_names_the_prime_or_the_exact_rank():
-    """A generic map is full rank mod the first prime; a component that is a
-    multiple of every prime leaves the decision to the exact rank."""
+    """A generic map is full rank mod the certificate prime; a component that
+    is a multiple of the prime leaves the decision to the exact rank."""
     v = macaulay_resultant_certificate(random_map((2, 2, 2), seed=0))
-    assert v.certificate.endswith(f"has full rank 15 (mod {_CERTIFICATE_PRIMES[0]})")
-    scaled = prod(_CERTIFICATE_PRIMES)
+    assert v.certificate.endswith(f"has full rank 15 (mod {_CERTIFICATE_PRIME})")
+    scaled = _CERTIFICATE_PRIME
     comps = tuple(Polynomial(3, {tuple(2 * int(i == k) for i in range(3)): scaled if k else 1})
                   for k in range(3))
     v = macaulay_resultant_certificate(HomogeneousMap((2, 2, 2), comps))

@@ -292,6 +292,13 @@ def _pair_values(x):
     return np.stack([_P1.evaluate(x), _P2.evaluate(x)], -1)
 
 
+def test_plane_sections_need_three_variables():
+    """A plane's frame is three orthonormal vectors, so n = 2 is a ValueError
+    naming n, raised before any frame is drawn."""
+    with pytest.raises(ValueError, match="n = 2"):
+        plane_section_solutions(_pair_values, (2, 2), 2, 1, 0)
+
+
 def test_plane_sections_recover_known_projective_zeros():
     """{x1^2 - x2 x3, x2^2 - x1 x3} has four rays; slicing finds them all."""
     sols = plane_section_solutions(_pair_values, (2, 2), 3, planes=3, seed=1)
