@@ -200,9 +200,8 @@ def jacobian(F) -> PolyMatrix:
 def jdet(F: HomogeneousMap) -> Polynomial:
     """J(F) = det(jacobian(F)); homogeneous of degree sum(d_i - 1) when nonzero.
 
-    The exact, symbolic J: the exact path and the oracle the float paths are
-    tested against.  Float sampling never builds it; it evaluates dF and
-    takes numeric determinants instead.
+    The exact, symbolic J, kept as the oracle the classifier's J(p) and the
+    line sampler's det dF are tested against; the package never builds it.
     """
     return jacobian(F).det()
 

@@ -28,12 +28,11 @@ comes from the SVD, which stays accurate at J(p) ~ 0 and gives every
 tolerance's corank.  ``_level_two`` differentiates that once more, in one
 batch over the points open at level 2: F's third partials give d_m grad J,
 the SVD gives the adjugate's derivative, and J_{2,i}(p) = grad J_{1,i}(p) .
-adj dF(p)[:, i].  Exact points, and float levels r >= 3, use truncated
-Taylor jets at p: polynomials mod (x - p)^{m+1} form a ring, and J_{r,i}
-computed from an order-(r+1) jet of F is still correct at p, at a tiny
-fraction of the symbolic cost.  Exact points keep exact arithmetic: each
-jet is scaled by the lcm of its denominators, the tower runs on Python
-ints, and its values are divided back exactly into Fractions.
+adj dF(p)[:, i].  Exact points read dF(p) off order-2 Taylor jets; their
+levels, and float levels r >= 3, are pulled one at a time off ``_jet_tower``
+on order-(k_max+1) jets at p (polynomials mod (x - p)^{m+1} form a ring, so
+J_{r,i}(p) stays exact for r <= k_max), which on exact points runs on Python
+ints and divides its values back exactly into Fractions.
 
 One scale-free rule decides a float point (``_corank`` and ``_survives``):
 p is regular exactly when no singular value of dF(p) is at or below
@@ -48,6 +47,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Sequence
@@ -106,6 +106,17 @@ def validate_tol(tol: float) -> float:
     return tol
 
 
+def _validate_kmax(k_max) -> int:
+    """The tower depth as an int >= 1; a non-integer or a depth below 1 is a ValueError."""
+    try:
+        k_max = operator.index(k_max)
+    except TypeError:
+        raise ValueError(f"k_max must be an integer, got {k_max!r}") from None
+    if k_max < 1:
+        raise ValueError("k_max must be >= 1")
+    return k_max
+
+
 def _components_of(F) -> tuple[Polynomial, ...]:
     if isinstance(F, (HomogeneousMap, GeneralMap)):
         return tuple(F.components)
@@ -138,8 +149,7 @@ class MorinTower:
 
 def morin_tower(F, k_max: int = DEFAULT_KMAX) -> MorinTower:
     """Symbolic J_{k,i} for k <= k_max; exact in the rational kind."""
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
+    k_max = _validate_kmax(k_max)
     if k_max > _KMAX_GUARD:
         raise ValueError(f"k_max {k_max} exceeds the symbolic-growth guard {_KMAX_GUARD}")
     components = _components_of(F)
@@ -150,21 +160,21 @@ def morin_tower(F, k_max: int = DEFAULT_KMAX) -> MorinTower:
 
 
 # ---------------------------------------------------------------- jet evaluation
-def _tower_values_at(jets: Sequence[Polynomial], k: int):
-    """J(p), the values J_{r,i}(p) and the norms ||grad J_{r-1,i}(p)|| for r <= k,
-    from the order-(k+1) jets at p (J_{0,i} = J).
+def _jet_tower(jets: Sequence[Polynomial], k: int):
+    """Yield J(p), then ([J_{r,i}(p)], [||grad J_{r-1,i}(p)||]) for r = 1, ..., k,
+    one level per pull, from the order-(k+1) jets at p (J_{0,i} = J).
 
-    Truncating level r past total degree k - r keeps every intermediate
-    polynomial tiny and the terms read off it exact (exact arithmetic in the
-    rational kind, plain floating error otherwise -- no truncation error
-    either way).
+    Each row's ``_chain`` advances one step per level, cutting level r past
+    total degree k - r: every intermediate polynomial stays tiny and the
+    terms read off it are exact (exact arithmetic in the rational kind, plain
+    floating error otherwise -- no truncation error either way).
 
     Rational jets are cleared of denominators first: jet i times c_i, the lcm
     of its denominators, is an integer jet, and the whole tower runs on
     Python ints.  Scaling row i of dF by c_i makes J_{r,i} of the scaled jets
     C^{r+1} / c_i^r times J_{r,i} of F (C = prod c_i; J_{0,i} = J), and so
     each value, and each gradient a norm is taken of, is divided back
-    exactly into a Fraction.  The int polynomials never leave this function.
+    exactly into a Fraction.  The int polynomials never leave this generator.
     """
     n = len(jets)
     exact = jets[0].kind == RATIONAL
@@ -181,14 +191,13 @@ def _tower_values_at(jets: Sequence[Polynomial], k: int):
     jac = jacobian(GeneralMap(jets))
     origin = (0,) * n
     base = jac.det(max_degree=k)
-    chains = [[base, *_chain(jac, base, i, k, cap=k)] for i in range(n)]
-    values = [[unscaled(r, i, L.coefficient(origin)) for r, L in enumerate(chain[1:], 1)]
-              for i, chain in enumerate(chains)]
-    norms = [[math.hypot(*(abs(unscaled(r, i, c)) for c in g))
-              for r, g in enumerate(_linear_rows(chain[:-1]))]
-             for i, chain in enumerate(chains)]
-    return (unscaled(0, 0, base.coefficient(origin)), [list(r) for r in zip(*values)],
-            [list(r) for r in zip(*norms)])
+    yield unscaled(0, 0, base.coefficient(origin))
+    below = [base] * n                  # J_{r-1,i} of the scaled jets
+    for r, levels in enumerate(zip(*(_chain(jac, base, i, k, cap=k) for i in range(n))), 1):
+        yield ([unscaled(r, i, L.coefficient(origin)) for i, L in enumerate(levels)],
+               [math.hypot(*(abs(unscaled(r - 1, i, c)) for c in g))
+                for i, g in enumerate(_linear_rows(below))])
+        below = levels
 
 
 # ---------------------------------------------------------------- classification
@@ -221,8 +230,7 @@ class SingularityClass:
 
 def _linear_rows(jets: Sequence[Polynomial]) -> list[list]:
     """The gradient at p of each jet at p, read off its linear terms; dF(p) for F's jets."""
-    n = jets[0].n_vars if jets else 0
-    units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    units = [tuple(int(i == j) for i in range(len(jets))) for j in range(len(jets))]
     return [[g.coefficient(u) for u in units] for g in jets]
 
 
@@ -394,8 +402,6 @@ def _decide(exact, spectra, bases, tols: Sequence[float], k_max: int,
     `spectra[m]` and, at corank 1, ``_survives`` on each level r = 1, 2, ...
     that ``level(r, rows)`` gives for the points `rows` still open, as
     [(J_{r,i}(p), ||grad J_{r-1,i}(p)||) rows]; `bases[m]` is J(p)."""
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
     out = [[None] * len(tols) for _ in spectra]
     open_cells = []                 # (m, t, diagnostics, ||adj dF(p)||_2) still climbing
     for m, (is_exact, spectrum, base) in enumerate(zip(exact, spectra, bases)):
@@ -432,49 +438,47 @@ def _classify_at(F, points, tols: Sequence[float], k_max: int,
     """The verdicts at each point for each tolerance in `tols`: ``_decide`` with
     this level source.  Float dF(p), J(p) and level 1 come from one
     ``_level_one`` call (on `partials` when the caller holds them), float
-    level 2 from one ``_level_two`` call on the points still open, if any;
-    exact points and float levels r >= 3 use order-(r+1) jets at p.  A point
-    of the wrong length, or a float point with a NaN or inf, is a ValueError.
+    level 2 from one ``_level_two`` call on the points still open, if any.
+    An exact point reads dF(p) off its order-2 jets.  Its levels, and float
+    levels r >= 3, are pulled one per step off one ``_jet_tower`` per point,
+    on order-(k_max+1) jets built when the point first climbs that far.  A
+    point of the wrong length, or a float NaN or inf, is a ValueError.
     """
+    k_max = _validate_kmax(k_max)
     components = _components_of(F)
     n = len(components)
     exact = [components[0].kind == RATIONAL and is_exact_point(p) for p in points]
-    for p, is_exact in zip(points, exact):
+    spectra, bases = [None] * len(points), [None] * len(points)
+    for m, (p, is_exact) in enumerate(zip(points, exact)):
         if len(p) != n:
             raise ValueError(f"point length {len(p)} != n_vars {n}")
-        if not is_exact and not np.all(np.isfinite(np.asarray(p, dtype=complex))):
-            raise ValueError(f"point {p} has non-finite entries")
-    spectra, bases = [None] * len(points), [None] * len(points)
-    jets2, level_one = {}, {}        # the exact points' order-2 jets; float level 1
-    for m, p in enumerate(points):
-        if exact[m]:
-            jets2[m] = [f.translate_truncated(p, 2) for f in components]
-            spectra[m] = _linear_rows(jets2[m])
+        if is_exact:
+            spectra[m] = _linear_rows([f.translate_truncated(p, 2) for f in components])
             bases[m] = exact_det(spectra[m])
+        elif not np.all(np.isfinite(np.asarray(p, dtype=complex))):
+            raise ValueError(f"point {p} has non-finite entries")
+    level_one, towers = {}, {}       # float level 1; the jet towers, each at its next level
     floats = [m for m, is_exact in enumerate(exact) if not is_exact]
     if floats:
         partials = partials or Partials(components)
         float_points = np.asarray([points[m] for m in floats], dtype=complex)
         one = _level_one(partials, float_points)
-        for m, sv, differential, row, g in zip(floats, one.s, one.differentials, one.values,
-                                              np.linalg.norm(one.grad, axis=-1)):
-            spectra[m], bases[m] = sv, complex(np.linalg.det(differential))
+        for m, sv, base, row, g in zip(floats, one.s, np.linalg.det(one.differentials),
+                                       one.values, np.linalg.norm(one.grad, axis=-1)):
+            spectra[m], bases[m] = sv, complex(base)
             level_one[m] = list(row), [g] * n
 
     def level(r: int, rows: list[int]):
         found, climbing = level_one if r == 1 else {}, [m for m in rows if not exact[m]]
         if r == 2 and climbing:
-            picked = [floats.index(m) for m in climbing]      # their rows in `one`
+            picked = np.searchsorted(floats, climbing)      # their rows in `one`
             values, norms = _level_two(partials, float_points[picked],
                                        _LevelOne(*(a[picked] for a in one)))
             found = {m: (list(v), list(g)) for m, v, g in zip(climbing, values, norms)}
-        return [found[m] if m in found else jet_level(m, r) for m in rows]
-
-    def jet_level(m: int, r: int):
-        jets = jets2[m] if r == 1 else [f.translate_truncated(points[m], r + 1)
-                                        for f in components]
-        _, values, norms = _tower_values_at(jets, r)
-        return values[r - 1], norms[r - 1]
+        for m in set(rows) - found.keys() - towers.keys():     # past J(p) and levels 1..r-1
+            jets = [f.translate_truncated(points[m], k_max + 1) for f in components]
+            towers[m] = itertools.islice(_jet_tower(jets, k_max), r, None)
+        return [found[m] if m in found else next(towers[m]) for m in rows]
 
     return _decide(exact, spectra, bases, tols, k_max, level)
 
@@ -494,36 +498,33 @@ def classify(F, p, k_max: int = DEFAULT_KMAX, tol: float = DEFAULT_TOL) -> Singu
     values above tol * sigma_1, so multiplying F by a constant keeps the
     verdict.  At a float point dF(p), J(p), level 1 and, when the decision
     gets that far, level 2 come from F's evaluated partials, with no jet and
-    no determinant polynomial; deeper float levels, and every exact level,
-    come from order-(r+1) Taylor jets at p, built only when the decision gets
-    that far.  Exact inputs use exact rank and zero tests throughout.
+    no determinant polynomial; every other level is pulled, one per step as
+    the decision climbs, off one tower on order-(k_max+1) Taylor jets at p.
+    Exact inputs use exact rank and zero tests throughout.
     """
     return _classify_at(F, [p], (validate_tol(tol),), k_max)[0][0]
 
 
 def jet_tower_values(F, p, k_max: int = DEFAULT_KMAX):
-    """(J(p), [[J_{r,i}(p)]]) for r <= k_max from one jet computation at p.
-
-    Every level at once, from order-(k_max+1) jets.  Classifying does not
-    need this: ``classify`` builds only the levels its decision reaches, and
-    most points stop at level 1.
-    """
-    jets = [f.translate_truncated(p, k_max + 1) for f in _components_of(F)]
-    return _tower_values_at(jets, k_max)[:2]
+    """(J(p), [[J_{r,i}(p)]]) for r <= k_max: every level of one jet tower on
+    the order-(k_max+1) jets at p.  ``classify`` pulls only the levels it needs."""
+    tower = _jet_tower([f.translate_truncated(p, k_max + 1) for f in _components_of(F)], k_max)
+    return next(tower), [values for values, _ in tower]
 
 
 def classify_from_values(F, p, base_value, level_values,
                          tol: float = DEFAULT_TOL) -> SingularityClass:
     """The ``classify`` decision on precomputed tower values (k_max = their
     depth); dF(p) and the norms ||grad J_{r-1,i}(p)|| come from the jets at p."""
-    components, tol = _components_of(F), validate_tol(tol)
-    k = len(level_values)
+    if not level_values:
+        raise ValueError("k_max must be >= 1")
+    components, tol, k = _components_of(F), validate_tol(tol), len(level_values)
     jets = [f.translate_truncated(p, k + 1) for f in components]
-    norms = _tower_values_at(jets, k)[2]
+    tower = itertools.islice(_jet_tower(jets, k), 1, None)
     exact, rows = components[0].kind == RATIONAL and is_exact_point(p), _linear_rows(jets)
     spectrum = rows if exact else np.linalg.svd(np.array(rows, dtype=complex), compute_uv=False)
     return _decide([exact], [spectrum], [base_value], (tol,), k,
-                   lambda r, _: [(level_values[r - 1], norms[r - 1])])[0][0]
+                   lambda r, _: [(level_values[r - 1], next(tower)[1])])[0][0]
 
 
 # ---------------------------------------------------------------- coordinate changes

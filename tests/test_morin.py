@@ -1,5 +1,6 @@
 """Iterated-determinant tower and singularity classification."""
 
+import collections
 import itertools
 import math
 from fractions import Fraction
@@ -10,6 +11,7 @@ import pytest
 from morin_census import (
     GeneralMap,
     HomogeneousMap,
+    PolyMatrix,
     Polynomial,
     classify,
     classify_from_values,
@@ -25,8 +27,8 @@ from morin_census import (
 )
 from morin_census.linalg import random_unimodular_matrix
 from morin_census import morin
-from morin_census.morin import (Partials, _adjugate_derivative, _classify_at, _level_one,
-                                 _level_two, _linear_rows, _tower_values_at)
+from morin_census.morin import (Partials, _adjugate_derivative, _classify_at, _jet_tower,
+                                 _level_one, _level_two, _linear_rows)
 
 X1, X2, X3, X4 = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 ORIGIN = np.zeros(4)
@@ -282,20 +284,20 @@ def test_float_level_one_matches_the_jet_tower():
             jets = [f.translate_truncated(p, 2) for f in components]
             ref_sv = np.linalg.svd(np.array(_linear_rows(jets), dtype=complex), compute_uv=False)
             assert np.max(np.abs(sv - ref_sv)) <= 1e-12 * max(ref_sv[0], 1.0), (p, sv, ref_sv)
-            _, values, norms = _tower_values_at(jets, 1)
-            ref = np.array(values[0], dtype=complex)
+            _, (values, norms) = _jet_tower(jets, 1)
+            ref = np.array(values, dtype=complex)
             scale = max(float(np.max(np.abs(ref))), 1.0)
             assert np.max(np.abs(row - ref)) <= 1e-12 * scale, (p, row, ref)
-            assert norms[0] == [norms[0][0]] * 4, norms
-            assert abs(grad_norm - norms[0][0]) <= 1e-12 * max(norms[0][0], 1.0), (p, grad_norm)
+            assert norms == [norms[0]] * 4, norms
+            assert abs(grad_norm - norms[0]) <= 1e-12 * max(norms[0], 1.0), (p, grad_norm)
             checked += 1
     assert checked == 24 + 20
 
 
 def _jet_level_two(components, p):
     """[J_{2,i}(p)] and [||grad J_{1,i}(p)||] from the order-3 jets at p."""
-    _, values, norms = _tower_values_at([f.translate_truncated(p, 3) for f in components], 2)
-    return np.array(values[1], dtype=complex), np.array(norms[1])
+    _, _, (values, norms) = _jet_tower([f.translate_truncated(p, 3) for f in components], 2)
+    return np.array(values, dtype=complex), np.array(norms)
 
 
 def test_float_level_two_matches_the_jet_tower():
@@ -387,14 +389,68 @@ def test_classify_from_values_round_trip():
             assert staged.diagnostics["corank"] == bulk.diagnostics["corank"] == 1
 
 
-def test_k_max_below_one_is_rejected():
-    """Both entry points refuse an empty tower instead of answering indeterminate."""
+def _count_jet_work(monkeypatch):
+    """Count Polynomial.translate_truncated calls per jet order and PolyMatrix.det calls."""
+    calls = collections.Counter()
+
+    def translate(self, point, max_degree, _original=Polynomial.translate_truncated):
+        calls[f"order {max_degree}"] += 1
+        return _original(self, point, max_degree)
+
+    def det(self, *args, _original=PolyMatrix.det, **kwargs):
+        calls["det"] += 1
+        return _original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Polynomial, "translate_truncated", translate)
+    monkeypatch.setattr(PolyMatrix, "det", det)
+    return calls
+
+
+def test_k_max_below_one_is_rejected(monkeypatch):
+    """Every classifying entry point refuses an empty tower instead of
+    answering indeterminate, and a non-integer k_max is a ValueError that
+    names it, both before the first Taylor jet is built."""
+    calls = _count_jet_work(monkeypatch)
     with pytest.raises(ValueError, match="k_max must be >= 1"):
         classify(fold_form(), ORIGIN, k_max=0)
     with pytest.raises(ValueError, match="k_max must be >= 1"):
         classify(fold_form(), np.array([0.0, 0.0, 0.0, 1.0]), k_max=-1)
     with pytest.raises(ValueError, match="k_max must be >= 1"):
         classify_from_values(fold_form(), ORIGIN, 0.0, [])
+    for bad, message in ((2.5, "k_max must be an integer, got 2.5"), (0, "k_max must be >= 1")):
+        for call in (lambda: classify(fold_form(), (0, 0, 0, 0), k_max=bad),
+                     lambda: morin_tower(fold_form(), bad)):
+            with pytest.raises(ValueError, match=message):
+                call()
+    assert not calls
+    assert classify(fold_form(), (0, 0, 0, 0), k_max=np.int64(2)).label == "A1"
+    assert jet_tower_values(fold_form(), (0, 0, 0, 0), 0) == (0, [])
+
+
+@pytest.mark.parametrize("form, depth", [(fold_form, 1), (cusp_form, 2), (swallowtail_form, 3)])
+def test_one_jet_tower_per_point(monkeypatch, form, depth):
+    """An exact A_r germ at the origin reads dF(p) off its n order-2 jets,
+    builds its n order-(k_max+1) jets once, when level 1 is first asked, and
+    pulls r levels off one tower: 1 + n r determinants (J and n rows per level)."""
+    calls = _count_jet_work(monkeypatch)
+    assert classify(form(), (0, 0, 0, 0), k_max=4).label == f"A{depth}"
+    assert calls == {"order 2": 4, "order 5": 4, "det": 1 + 4 * depth}
+
+
+def test_points_off_the_jet_tower_build_no_determinant(monkeypatch):
+    """An exact point that is regular or of corank 2, on or off the origin,
+    never asks for a level: it builds its order-2 jets only, and no
+    determinant.  A float A1 or A2 point gets its levels from F's partials."""
+    calls = _count_jet_work(monkeypatch)
+    off = (Fraction(1, 3), Fraction(-2, 7), 1, Fraction(5, 2))
+    for form, p, label in ((corank2_form(), (0, 0, 0, 0), "corank_ge_2"),
+                           (corank2_form(), off[:2] + (0, 0), "corank_ge_2"),
+                           (fold_form(), off, "regular"), (swallowtail_form(), off, "regular")):
+        assert classify(form, p).label == label
+    assert calls == {"order 2": 16}
+    for form, label in ((fold_form(), "A1"), (cusp_form(), "A2")):
+        assert classify(form, ORIGIN).label == label
+    assert calls == {"order 2": 16}
 
 
 @pytest.mark.parametrize("tol", [-1.0, 0.0, 1.0, 2.0, float("nan")])
@@ -490,7 +546,8 @@ def test_exact_jet_tower_divides_its_scaling_back_exactly(zero_row):
     assert type(base) is Fraction and base == tower.base.evaluate(p)
     assert all(type(v) is Fraction for row in levels for v in row)
     assert levels[:2] == [[tower.level(r, i).evaluate(p) for i in range(4)] for r in (1, 2)]
-    _, _, norms = _tower_values_at([f.translate_truncated(p, 3) for f in G.components], 2)
+    _, *pulled = _jet_tower([f.translate_truncated(p, 3) for f in G.components], 2)
+    norms = [norms for _, norms in pulled]
     chains = [[tower.base, tower.level(1, i)] for i in range(4)]
     assert norms == [[math.hypot(*map(abs, (g.evaluate(p) for g in chain[r].gradient())))
                       for chain in chains] for r in (0, 1)]
