@@ -7,8 +7,9 @@ A_1 A_3, A_2^2, A_4, I_{2,2}) of a generic map with component degrees
 * the Chern series (1+d_1 a)(1+d_2 a)(1+d_3 a)(1+d_4 a)/(1+a)^4 expanded to
   order 4.  Since (1+a)^-4 = sum_m (-1)^m C(m+3, 3) a^m, its coefficients are
   c_k = sum_{j<=k} (-1)^(k-j) C(k-j+3, 3) e_j, with e_j the j-th elementary
-  symmetric sum of the degrees.  One rule gives them as integer polynomials
-  in the degree symbols and as plain integers at a degree tuple;
+  symmetric sum of the degrees.  One rule, four divisions of the product
+  series by 1 + a, gives them as integer polynomials in the degree symbols
+  and as plain integers at a degree tuple;
 * the s-classes s_0 = d_1 d_2 d_3 d_4, s_1 = c_1 s_0, s_2 = c_1^2 s_0,
   s_3 = c_1^3 s_0, s_01 = c_2 s_0, s_11 = c_1 c_2 s_0, s_001 = c_3 s_0;
 * six closed-form combinations with prefactors 1/24 and 1/2.
@@ -27,7 +28,6 @@ from __future__ import annotations
 
 import functools
 import logging
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -98,22 +98,22 @@ class TruncatedSeries:
         return TruncatedSeries(tuple(out))
 
 
-# (1 + a)^-4 = sum_m (-1)^m C(m+3, 3) a^m, to order 4
-_INVERSE_SERIES = tuple((-1) ** m * math.comb(m + 3, 3) for m in range(ORDER + 1))
-
-
 def _chern_classes(degrees: Sequence, one, zero) -> tuple:
     """c1..c4 of prod(1 + d_i a) / (1 + a)^4 from the elementary symmetric sums.
 
-    Works in any ring the degrees live in: on ints it gives ints, on the
-    degree symbols exact polynomials.  `one` and `zero` are that ring's 1 and 0.
+    Dividing a series b by 1 + a is b_k <- b_k - b_{k-1} for k = 1, 2, ...,
+    so four such passes divide by (1 + a)^4.  Works in any ring the degrees
+    live in: on ints it gives ints, on the degree symbols exact polynomials.
+    `one` and `zero` are that ring's 1 and 0.
     """
-    e = [one] + [zero] * ORDER
+    c = [one] + [zero] * ORDER
     for d in degrees:
         for j in range(ORDER, 0, -1):
-            e[j] = e[j] + d * e[j - 1]
-    return tuple(sum(_INVERSE_SERIES[k - j] * e[j] for j in range(k + 1))
-                 for k in range(1, ORDER + 1))
+            c[j] = c[j] + d * c[j - 1]
+    for _ in range(N_SOURCE):
+        for k in range(1, ORDER + 1):
+            c[k] = c[k] - c[k - 1]
+    return tuple(c[1:])
 
 
 @functools.cache

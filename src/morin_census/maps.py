@@ -13,11 +13,13 @@ points of the ray C*p that share the value F(p).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
 import operator
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -107,6 +109,13 @@ def _full_exponents(degree: int, rest: Sequence[int]) -> tuple[int, ...]:
     return (degree - sum(rest),) + tuple(rest)
 
 
+@functools.cache
+def _layout(degree: int, n: int) -> tuple[tuple[int, ...], ...]:
+    """The exponent vectors of a degree-`degree` form in n variables, in
+    ``rest_exponents`` order: the term order of ``random_map``."""
+    return tuple(_full_exponents(degree, rest) for rest in rest_exponents(degree, n))
+
+
 @dataclass(frozen=True)
 class HomogeneousMap:
     """F = (f_1,...,f_n) with f_k homogeneous of degree degrees[k] (or zero)."""
@@ -169,22 +178,27 @@ def random_map(degrees: Sequence[int], seed: int, kind: str = RATIONAL,
     the complex kind draws standard complex Gaussians.  Either distribution is a
     stand-in for "generic": the properties probed downstream hold off proper
     Zariski-closed sets, so any atomless-enough law reaches them with probability one.
+    Each degree's exponent layout is built once per (degree, n); the drawn
+    coefficients are clean by construction and go in unchecked.  An unknown
+    `kind` is a ValueError, raised before anything is drawn.
     """
     degrees = validate_degrees(degrees)
     bound = validate_count(bound, "bound", 1)
+    if kind not in (RATIONAL, COMPLEX):
+        raise ValueError(f"unknown coefficient kind {kind!r}")
     n = len(degrees)
     rng = np.random.default_rng(seed)
     components = []
     for d in degrees:
-        exponents = [_full_exponents(d, rest) for rest in rest_exponents(d, n)]
+        exponents = _layout(d, n)
         # one call per component draws, in term order, what one call per term would
         if kind == RATIONAL:
-            coeffs = rng.integers(-bound, bound + 1, size=len(exponents)).tolist()
+            coeffs = map(Fraction, rng.integers(-bound, bound + 1, size=len(exponents)).tolist())
         else:
             parts = (rng.standard_normal((len(exponents), 2)) / math.sqrt(2)).tolist()
-            coeffs = [complex(re, im) for re, im in parts]
-        components.append(Polynomial(n, {e: c for e, c in zip(exponents, coeffs) if c != 0},
-                                     kind))
+            coeffs = itertools.starmap(complex, parts)
+        components.append(Polynomial._trusted(
+            n, {e: c for e, c in zip(exponents, coeffs) if c != 0}, kind))
     return HomogeneousMap(degrees, tuple(components))
 
 

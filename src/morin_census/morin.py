@@ -20,12 +20,15 @@ maps.  The classifier reads values at points instead; both agree (tested).
 Every verdict comes from one level-by-level loop, ``_decide``: it sets each
 (point, tolerance) corank once, then climbs r = 1, 2, ... asking its level
 source, ``_classify_at``, for [J_{r,i}(p)] only at the points still open.
-At the float points dF(p), J(p) and level 1 come from F's first and second
-partials (``Partials``), evaluated once on all of them by ``_level_one``:
-Jacobi's formula gives grad J(p)_k = tr(adj dF(p) . d_k dF(p)), expanding
-the replaced row gives J_{1,.}(p) = grad J(p) @ adj dF(p), and the adjugate
-comes from the SVD, which stays accurate at J(p) ~ 0 and gives every
-tolerance's corank.  ``_level_two`` differentiates that once more, in one
+It decides the float cells as arrays, all tolerances at once: one
+comparison of the stacked singular values gives the coranks, and each level
+one vanish mask.  At the float points dF(p), J(p), the Hadamard bound on
+|J(p)| and level 1 come from F's first and second partials (``Partials``,
+kept on the map by ``_partials_of``), evaluated once on all of them by
+``_level_one``: Jacobi's formula gives grad J(p)_k = tr(adj dF(p) .
+d_k dF(p)), expanding the replaced row gives J_{1,.}(p) = grad J(p) @
+adj dF(p), and the adjugate comes from the SVD, which stays accurate at
+J(p) ~ 0 and gives every tolerance's corank.  ``_level_two`` differentiates that once more, in one
 batch over the points open at level 2: F's third partials give d_m grad J,
 the SVD gives the adjugate's derivative, and J_{2,i}(p) = grad J_{1,i}(p) .
 adj dF(p)[:, i].  Exact points read dF(p) off order-2 Taylor jets; their
@@ -34,12 +37,13 @@ on order-(k_max+1) jets at p (polynomials mod (x - p)^{m+1} form a ring, so
 J_{r,i}(p) stays exact for r <= k_max), which on exact points runs on Python
 ints and divides its values back exactly into Fractions.
 
-One scale-free rule decides a float point (``_corank`` and ``_survives``):
-p is regular exactly when no singular value of dF(p) is at or below
-tol * sigma_1, and J_{r,i}(p) = grad J_{r-1,i}(p) . adj dF(p)[:, i]
-vanishes when it is at most tol times its Cauchy-Schwarz bound
-||grad J_{r-1,i}(p)|| * ||adj dF(p)||_2, where ||adj dF(p)||_2 =
-sigma_1 ... sigma_{n-1}.  Exact points use exact rank and 0.
+One scale-free rule decides a float point (``_corank`` and ``_survives``,
+array rules that the cusp probe calls too): p is regular exactly when no
+singular value of dF(p) is at or below tol * sigma_1, and J_{r,i}(p) =
+grad J_{r-1,i}(p) . adj dF(p)[:, i] vanishes when it is at most tol times
+its Cauchy-Schwarz bound ||grad J_{r-1,i}(p)|| * ||adj dF(p)||_2, where
+||adj dF(p)||_2 = sigma_1 ... sigma_{n-1}.  Exact points use exact rank,
+once per point, and 0.
 """
 
 from __future__ import annotations
@@ -304,6 +308,26 @@ class Partials:
         return values[:, gather].reshape(len(x), *(len(self.components),) * (r + 1))
 
 
+def _partials_of(F) -> Partials:
+    """F's ``Partials``, built on first use and kept on a HomogeneousMap or
+    GeneralMap, outside its fields (equality, hash and repr do not see it),
+    as a polynomial keeps its compiled kernel; a bare sequence of components
+    gets a new one."""
+    if not isinstance(F, (HomogeneousMap, GeneralMap)):
+        return Partials(_components_of(F))
+    if "_partials" not in vars(F):
+        object.__setattr__(F, "_partials", Partials(F.components))
+    return F._partials
+
+
+def _hadamard(differentials: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The row norms of each evaluated dF, a zero row's taken as 1 (J = 0 all
+    the same), and their product prod_i ||row i||, the Hadamard bound on |J|."""
+    norms = np.linalg.norm(differentials, axis=-1)
+    norms = np.where(norms > 0.0, norms, 1.0)
+    return norms, np.prod(norms, axis=-1)
+
+
 class _LevelOne(NamedTuple):
     """What level 1 at (N, n) float points reads and gives, one row per point."""
 
@@ -381,106 +405,150 @@ def _level_two(partials: Partials, points, one: _LevelOne):
     return np.einsum("pmi,pmi->pi", d_level, one.adj), np.linalg.norm(d_level, axis=1)
 
 
-def _corank(spectrum, exact: bool, tol: float) -> tuple[int, float | None]:
-    """n - rank of dF(p), by exact row reduction of its rows or from its singular
-    values, and at a float point ||adj dF||_2 = sigma_1 ... sigma_{n-1}."""
-    n = len(spectrum)
-    if exact:
-        return n - exact_rank(spectrum), None
-    return n - int(np.sum(spectrum > tol * spectrum[0])), float(np.prod(spectrum[:-1]))
+def _corank(s: np.ndarray, tol) -> np.ndarray:
+    """n - rank dF(p) at each float point: how many of its singular values, a
+    row of `s`, are at or below tol * sigma_1.  A `tol` of shape (T, 1, 1)
+    gives every tolerance's coranks, shape (T, N), from one comparison."""
+    return s.shape[-1] - np.count_nonzero(s > tol * s[:, :1], axis=-1)
 
 
-def _survives(values, norms, exact: bool, tol: float, adj_norm) -> bool:
-    """Whether some value of a tower level is nonzero by the module's vanish rule."""
-    return any(v != 0 if exact else abs(complex(v)) > tol * g * adj_norm
-               for v, g in zip(values, norms))
+def _adjugate_norms(s: np.ndarray) -> np.ndarray:
+    """||adj dF(p)||_2 = sigma_1 ... sigma_{n-1} from each row of singular values."""
+    return np.prod(s[:, :-1], axis=-1)
 
 
-def _decide(exact, spectra, bases, tols: Sequence[float], k_max: int,
+def _survives(moduli, norms, adj_norms, tol) -> np.ndarray:
+    """Which float level values are nonzero by the module's vanish rule,
+    |J_{r,i}(p)| > tol * ||grad J_{r-1,i}(p)|| * ||adj dF(p)||_2, elementwise
+    over arrays that broadcast.  The moduli are np.hypot of the real and
+    imaginary parts, bit for bit Python's abs of a complex (np.abs is not)."""
+    return moduli > tol * norms * adj_norms
+
+
+def _decide(exact_rows, s, measured, tols: Sequence[float], k_max: int,
             level) -> list[list[SingularityClass]]:
-    """The verdicts at each point m for each tolerance, from ``_corank`` on
-    `spectra[m]` and, at corank 1, ``_survives`` on each level r = 1, 2, ...
-    that ``level(r, rows)`` gives for the points `rows` still open, as
-    [(J_{r,i}(p), ||grad J_{r-1,i}(p)||) rows]; `bases[m]` is J(p)."""
-    out = [[None] * len(tols) for _ in spectra]
-    open_cells = []                 # (m, t, diagnostics, ||adj dF(p)||_2) still climbing
-    for m, (is_exact, spectrum, base) in enumerate(zip(exact, spectra, bases)):
-        for t, tol in enumerate(tols):
-            corank, adj_norm = _corank(spectrum, is_exact, tol)
-            diag = {"abs_jdet": float(abs(complex(base))), "tol": None if is_exact else tol,
-                    "levels": {}, "corank": corank}
-            if corank == 1:
-                open_cells.append((m, t, diag, adj_norm))
-            else:
-                out[m][t] = SingularityClass("regular" if corank == 0 else "corank_ge_2",
-                                             diagnostics=diag)
+    """The verdicts at each point m for each tolerance in `tols`.
+
+    `exact_rows[m]` is dF(p)'s rows at an exact point, None at a float
+    point; `s` holds the float points' singular values, a row each in point
+    order; `measured[m]` (|J(p)| and its bound) opens each verdict's
+    diagnostics.  An exact point's corank is n minus its exact rank, once
+    for all tolerances.  The float cells are decided as arrays: ``_corank``
+    gives all coranks at once, ||adj dF(p)||_2 is one product per point,
+    and each level gets one ``_survives`` mask over the open cells.  Only
+    corank 1 climbs.  ``level(r, exact, floats)`` gives level r at the open
+    exact points (point indices), as a list of ([J_{r,i}(p)],
+    [||grad J_{r-1,i}(p)||]), and at the open float points (rows of `s`),
+    as two (len(floats), n) arrays.  Exact points alone do no array work.
+    """
+    floats = [m for m, rows in enumerate(exact_rows) if rows is None]
+    coranks = {m: len(rows) - exact_rank(rows) for m, rows in enumerate(exact_rows)
+               if rows is not None}
+    maxima = [[] for _ in exact_rows]       # max_i |J_{r,i}(p)| of each level reached
+    stops = {}                              # an exact point's Morin level
+    open_exact = [m for m, corank in coranks.items() if corank == 1]
+    if floats:
+        tol = np.array(tols)[:, None, None]     # one axis entry per tolerance
+        float_coranks = _corank(s, tol)
+        adj_norms = _adjugate_norms(s)[:, None]
+        open_float = float_coranks == 1
+        float_stops = np.zeros(open_float.shape, dtype=int)
     for r in range(1, k_max + 1):
-        if not open_cells:
+        rows = np.flatnonzero(open_float.any(axis=0)) if floats else []
+        if not open_exact and not len(rows):
             break
-        rows = list(dict.fromkeys(m for m, *_ in open_cells))
-        levels = dict(zip(rows, level(r, rows)))
-        still_open = []
-        for m, t, diag, adj_norm in open_cells:
-            values, norms = levels[m]
-            diag["levels"][str(r)] = float(max(abs(complex(v)) for v in values))
-            if _survives(values, norms, exact[m], tols[t], adj_norm):
-                out[m][t] = SingularityClass("morin", k=r, diagnostics=diag)
-            else:
-                still_open.append((m, t, diag, adj_norm))
-        open_cells = still_open
-    for m, t, diag, _ in open_cells:
-        out[m][t] = SingularityClass("indeterminate", diagnostics=diag)
-    return out
+        exact_levels, values, norms = level(r, open_exact, rows)
+        for m, (row, _) in zip(open_exact, exact_levels):
+            maxima[m].append(float(max(abs(complex(v)) for v in row)))
+            if any(v != 0 for v in row):
+                stops[m] = r
+        open_exact = [m for m in open_exact if m not in stops]
+        if len(rows):
+            moduli = np.hypot(values.real, values.imag)
+            for f, top in zip(rows.tolist(), moduli.max(axis=-1).tolist()):
+                maxima[floats[f]].append(top)
+            alive = open_float[:, rows] & _survives(moduli, norms, adj_norms[rows], tol).any(-1)
+            float_stops[:, rows] += r * alive
+            open_float[:, rows] &= ~alive
+    # cells[m]: the corank and the Morin level (0 for none) at each tolerance
+    cells = {m: ([corank] * len(tols), [stops.get(m, 0)] * len(tols))
+             for m, corank in coranks.items()}
+    if floats:
+        cells.update(zip(floats, zip(float_coranks.T.tolist(), float_stops.T.tolist())))
+
+    def verdict(m: int, t: int) -> SingularityClass:
+        corank, stop = cells[m][0][t], cells[m][1][t]
+        depth = (stop or k_max) if corank == 1 else 0
+        diag = {**measured[m], "tol": tols[t] if exact_rows[m] is None else None,
+                "levels": {str(r): v for r, v in enumerate(maxima[m][:depth], 1)},
+                "corank": corank}
+        tag = ("regular" if corank == 0 else "corank_ge_2" if corank > 1
+               else "morin" if stop else "indeterminate")
+        return SingularityClass(tag, k=stop or None, diagnostics=diag)
+
+    return [[verdict(m, t) for t in range(len(tols))] for m in range(len(exact_rows))]
 
 
-def _classify_at(F, points, tols: Sequence[float], k_max: int,
-                 partials: Partials | None = None) -> list[list[SingularityClass]]:
+def _classify_at(F, points, tols: Sequence[float], k_max: int) -> list[list[SingularityClass]]:
     """The verdicts at each point for each tolerance in `tols`: ``_decide`` with
-    this level source.  Float dF(p), J(p) and level 1 come from one
-    ``_level_one`` call (on `partials` when the caller holds them), float
-    level 2 from one ``_level_two`` call on the points still open, if any.
-    An exact point reads dF(p) off its order-2 jets.  Its levels, and float
-    levels r >= 3, are pulled one per step off one ``_jet_tower`` per point,
-    on order-(k_max+1) jets built when the point first climbs that far.  A
-    point of the wrong length, or a float NaN or inf, is a ValueError.
+    this level source.  The float points are evaluated in one batch on F's
+    kept ``Partials`` (``_partials_of``): one ``_level_one`` call gives dF(p),
+    its SVD, J(p), the Hadamard bound prod_i ||row i of dF(p)|| on |J(p)|
+    (the diagnostic `jdet_bound`) and level 1, and one ``_level_two`` call
+    gives level 2 at the points still open, if any.  An exact point reads
+    dF(p) off its order-2 jets.  Its levels, and float levels r >= 3, are
+    pulled one per step off one ``_jet_tower`` per point, on order-(k_max+1)
+    jets built when the point first climbs that far.  A point of the wrong
+    length, or a float NaN or inf, is a ValueError.
     """
     k_max = _validate_kmax(k_max)
     components = _components_of(F)
     n = len(components)
-    exact = [components[0].kind == RATIONAL and is_exact_point(p) for p in points]
-    spectra, bases = [None] * len(points), [None] * len(points)
-    for m, (p, is_exact) in enumerate(zip(points, exact)):
+    exact_rows, measured = [], []
+    for p in points:
         if len(p) != n:
             raise ValueError(f"point length {len(p)} != n_vars {n}")
-        if is_exact:
-            spectra[m] = _linear_rows([f.translate_truncated(p, 2) for f in components])
-            bases[m] = exact_det(spectra[m])
+        rows = None
+        if components[0].kind == RATIONAL and is_exact_point(p):
+            rows = _linear_rows([f.translate_truncated(p, 2) for f in components])
         elif not np.all(np.isfinite(np.asarray(p, dtype=complex))):
             raise ValueError(f"point {p} has non-finite entries")
-    level_one, towers = {}, {}       # float level 1; the jet towers, each at its next level
-    floats = [m for m, is_exact in enumerate(exact) if not is_exact]
+        exact_rows.append(rows)
+        measured.append(None if rows is None else
+                        {"abs_jdet": float(abs(complex(exact_det(rows)))), "jdet_bound": None})
+    floats = [m for m, rows in enumerate(exact_rows) if rows is None]
+    s = None
     if floats:
-        partials = partials or Partials(components)
+        partials = _partials_of(F)
         float_points = np.asarray([points[m] for m in floats], dtype=complex)
         one = _level_one(partials, float_points)
-        for m, sv, base, row, g in zip(floats, one.s, np.linalg.det(one.differentials),
-                                       one.values, np.linalg.norm(one.grad, axis=-1)):
-            spectra[m], bases[m] = sv, complex(base)
-            level_one[m] = list(row), [g] * n
+        s, dets = one.s, np.linalg.det(one.differentials)
+        grad_norms = np.linalg.norm(one.grad, axis=-1)
+        for m, modulus, bound in zip(floats, np.hypot(dets.real, dets.imag).tolist(),
+                                     _hadamard(one.differentials)[1].tolist()):
+            measured[m] = {"abs_jdet": modulus, "jdet_bound": bound}
+    towers = {}                             # the jet towers, each at its next level
 
-    def level(r: int, rows: list[int]):
-        found, climbing = level_one if r == 1 else {}, [m for m in rows if not exact[m]]
-        if r == 2 and climbing:
-            picked = np.searchsorted(floats, climbing)      # their rows in `one`
-            values, norms = _level_two(partials, float_points[picked],
-                                       _LevelOne(*(a[picked] for a in one)))
-            found = {m: (list(v), list(g)) for m, v, g in zip(climbing, values, norms)}
-        for m in set(rows) - found.keys() - towers.keys():     # past J(p) and levels 1..r-1
+    def pulled(m: int, r: int):
+        """Level r at point m off its jet tower, built past J(p) and levels 1..r-1."""
+        if m not in towers:
             jets = [f.translate_truncated(points[m], k_max + 1) for f in components]
             towers[m] = itertools.islice(_jet_tower(jets, k_max), r, None)
-        return [found[m] if m in found else next(towers[m]) for m in rows]
+        return next(towers[m])
 
-    return _decide(exact, spectra, bases, tols, k_max, level)
+    def level(r: int, exact: list[int], rows):
+        exact_levels = [pulled(m, r) for m in exact]
+        if not len(rows):
+            return exact_levels, None, None
+        if r == 1:      # ||grad J(p)|| bounds every J_{1,i}(p)
+            return exact_levels, one.values[rows], grad_norms[rows, None]
+        if r == 2:
+            return exact_levels, *_level_two(partials, float_points[rows],
+                                             _LevelOne(*(a[rows] for a in one)))
+        values, norms = zip(*(pulled(floats[f], r) for f in rows))
+        return exact_levels, np.array(values), np.array(norms)
+
+    return _decide(exact_rows, s, measured, tols, k_max, level)
 
 
 def corank_at(F, p, tol: float = DEFAULT_TOL) -> int:
@@ -521,10 +589,17 @@ def classify_from_values(F, p, base_value, level_values,
     components, tol, k = _components_of(F), validate_tol(tol), len(level_values)
     jets = [f.translate_truncated(p, k + 1) for f in components]
     tower = itertools.islice(_jet_tower(jets, k), 1, None)
-    exact, rows = components[0].kind == RATIONAL and is_exact_point(p), _linear_rows(jets)
-    spectrum = rows if exact else np.linalg.svd(np.array(rows, dtype=complex), compute_uv=False)
-    return _decide([exact], [spectrum], [base_value], (tol,), k,
-                   lambda r, _: [(level_values[r - 1], next(tower)[1])])[0][0]
+    rows = _linear_rows(jets)
+    measured = {"abs_jdet": float(abs(complex(base_value))), "jdet_bound": None}
+    if components[0].kind == RATIONAL and is_exact_point(p):
+        return _decide([rows], None, [measured], (tol,), k,
+                       lambda r, *_: ([(level_values[r - 1], next(tower)[1])], None, None)
+                       )[0][0]
+    differentials = np.array([rows], dtype=complex)
+    measured["jdet_bound"] = float(_hadamard(differentials)[1][0])
+    return _decide([None], np.linalg.svd(differentials, compute_uv=False), [measured], (tol,), k,
+                   lambda r, *_: ([], np.array([level_values[r - 1]], dtype=complex),
+                                  np.array([next(tower)[1]])))[0][0]
 
 
 # ---------------------------------------------------------------- coordinate changes

@@ -395,13 +395,16 @@ class Polynomial:
         for exps, c in self.terms.items():
             heads = [((), 0, c)]         # (a_1..a_i, |a|, weight) over the first i variables
             for e, v, pw in zip(exps, vals, powers):
-                choices = ([(e, 1)] if v == 0 else
-                           [(a, math.comb(e, a) * pw[e - a]) for a in range(e + 1)])
+                if v == 0:               # only a_i = e_i survives, with the factor 1
+                    heads = [(head + (e,), d + e, w) for head, d, w in heads
+                             if d + e <= max_degree]
+                    continue
+                choices = [(a, math.comb(e, a) * pw[e - a]) for a in range(e + 1)]
                 heads = [(head + (a,), d + a, w * f) for head, d, w in heads
                          for a, f in choices if d + a <= max_degree]
             for a_vec, _, w in heads:
                 out[a_vec] = out.get(a_vec, 0) + w
-        return Polynomial(self.n_vars, out, kind)
+        return Polynomial._trusted(self.n_vars, {a: w for a, w in out.items() if w != 0}, kind)
 
     # ---------------------------------------------------------------- dunder glue
     def __eq__(self, other):

@@ -35,7 +35,7 @@ import numpy as np
 from .linalg import (POLISH_STEPS, clear_denominators, det_is_nonzero, exact_det,
                      newton_polish, sylvester_matrix)
 from .maps import HomogeneousMap, validate_degrees
-from .morin import Partials
+from .morin import _partials_of
 from .polynomials import COMPLEX, RATIONAL, ROOT_TOL, Polynomial, _radix_weights
 
 __all__ = [
@@ -229,7 +229,7 @@ def _polished(F: HomogeneousMap, starts: np.ndarray) -> np.ndarray:
     step converge only linearly; doubling it wherever that leaves the smaller
     residual ||F|| restores fast convergence.
     """
-    partials = Partials(F.components)
+    partials = _partials_of(F)
 
     def evaluate(points: np.ndarray) -> np.ndarray:
         return np.stack(F.evaluate(points), axis=-1)

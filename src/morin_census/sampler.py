@@ -12,8 +12,8 @@ classifier, and aggregates survey statistics: the expected picture for a
 generic map is that every off-origin singular point is A_1, A_2 or A_3, with
 random line samples almost surely landing on the A_1 stratum.  No path here
 builds a determinant polynomial: J, the first tower level and the cusp
-candidates' second are read off F's evaluated partials (one
-``morin.Partials`` per survey map or hunt), as the classifier reads them.
+candidates' second are read off F's evaluated partials (the one
+``morin.Partials`` each map keeps), as the classifier reads them.
 
 All numerics are deterministic for a fixed seed: restriction to a line or a
 plane is roots-of-unity interpolation of values (an FFT, 2-D on planes), root
@@ -38,8 +38,8 @@ import numpy as np
 
 from .linalg import POLISH_STEPS, newton_polish, sylvester_matrix
 from .maps import HomogeneousMap, random_map, ray_multiplicity, validate_count, validate_degrees
-from .morin import (DEFAULT_KMAX, DEFAULT_TOL, Partials, _classify_at, _corank, _level_one,
-                    _survives, validate_tol)
+from .morin import (DEFAULT_KMAX, DEFAULT_TOL, _adjugate_norms, _classify_at, _hadamard,
+                    _level_one, _partials_of, _survives, validate_tol)
 from .polynomials import COMPLEX, ROOT_TOL, Polynomial
 
 __all__ = [
@@ -153,9 +153,7 @@ def _jacobian_dets(differentials: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     The rows are scaled to unit norm before the elimination, so their very
     different scales (row i grows like ||x||^(d_i - 1)) cost no accuracy.
     """
-    norms = np.linalg.norm(differentials, axis=-1)
-    norms = np.where(norms > 0.0, norms, 1.0)       # a zero row: J = 0 all the same
-    hadamard = np.prod(norms, axis=-1)
+    norms, hadamard = _hadamard(differentials)
     return np.linalg.det(differentials / norms[..., None]) * hadamard, hadamard
 
 
@@ -167,19 +165,17 @@ def _phase_normalized(p: np.ndarray) -> tuple:
     return tuple(complex(v) for v in p)
 
 
-def critical_points_on_lines(F: HomogeneousMap, lines: int, seed: int,
-                             partials: Partials | None = None) -> list[tuple]:
+def critical_points_on_lines(F: HomogeneousMap, lines: int, seed: int) -> list[tuple]:
     """Critical points of F found by slicing C(F) = {J = 0} with random lines.
 
     Each line contributes the roots of J restricted to it -- generically
     deg J = sum(d_i - 1) points, with multiplicity.  J on the line is
     interpolated from its values det dF at deg J + 1 nodes, with each entry
-    of dF evaluated on all the nodes at once (from `partials`, F's
-    ``morin.Partials``, when the caller holds them); the symbolic ``jdet(F)``
-    is never built.  J counts as identically zero, a ValueError,
-    when every node value on a line is within rounding of zero: at most
-    n * eps times the product of the row norms of dF, the Hadamard bound on
-    |det dF|.  The roots are polished by ``newton_polish`` on det dF itself
+    of dF evaluated on all the nodes at once (from the ``morin.Partials``
+    that F keeps); the symbolic ``jdet(F)`` is never built.  J counts as
+    identically zero, a ValueError, when every node value on a line is
+    within rounding of zero: at most n * eps times the product of the row
+    norms of dF, the Hadamard bound on |det dF|.  The roots are polished by ``newton_polish`` on det dF itself
     with the interpolant's slope (at most POLISH_STEPS = 20 steps), and a
     root is a point when |J| <= ROOT_TOL times the Hadamard bound there, a
     test no constant factor on F moves.  Points are returned at unit norm
@@ -187,7 +183,7 @@ def critical_points_on_lines(F: HomogeneousMap, lines: int, seed: int,
     `lines` < 0 is a ValueError.
     """
     validate_count(lines, "lines")
-    partials = partials or Partials(F.components)
+    partials = _partials_of(F)
     deg = sum(d - 1 for d in F.degrees)      # deg J, unless J is identically zero
     rng = np.random.default_rng(seed)
     points: list[tuple] = []
@@ -338,8 +334,8 @@ def plane_section_solutions(values, degrees: Sequence[int], n: int, planes: int,
 def cusp_points(F: HomogeneousMap, planes: int, seed: int) -> list[SectionSolution]:
     """Cusp (A_2) points of F located by plane sections of {J = 0, J_{1,i*} = 0}.
 
-    J and J_{1,i} come from F's evaluated partials (``morin._level_one``; one
-    ``morin.Partials`` per hunt serves the probe, the planes and the
+    J and J_{1,i} come from F's evaluated partials (``morin._level_one``; the
+    one ``morin.Partials`` the map keeps serves the probe, the planes and the
     classifier), and i* is the first i whose J_{1,i} does not vanish, by the
     classifier's rule, at one seeded random point; deg J_{1,i} = 2 deg J -
     d_i.  A generic plane meets the cusp curve in Tp(A_2) = c1^2 + c2 points
@@ -361,17 +357,16 @@ def cusp_points(F: HomogeneousMap, planes: int, seed: int) -> list[SectionSoluti
         raise ValueError("cusp hunting is implemented for n = 4")
     validate_count(planes, "planes")
     Fc = F.as_complex()
-    partials = Partials(Fc.components)
+    partials = _partials_of(Fc)
     rng = np.random.default_rng(seed)
     point = rng.standard_normal((1, F.n)) + 1j * rng.standard_normal((1, F.n))
     probe = _level_one(partials, point)
-    adj_norm = _corank(probe.s[0], False, DEFAULT_TOL)[1]
-    grad_norm = np.linalg.norm(probe.grad, axis=-1)[0]
-    live = [i for i, v in enumerate(probe.values[0])
-            if _survives([v], [grad_norm], False, DEFAULT_TOL, adj_norm)]
-    if not live:
+    v = probe.values[0]
+    live = np.flatnonzero(_survives(np.hypot(v.real, v.imag), np.linalg.norm(probe.grad, axis=-1),
+                                    _adjugate_norms(probe.s), DEFAULT_TOL))
+    if not live.size:
         return []           # level 1 vanishes identically, J = 0 included
-    i = live[0]
+    i = int(live[0])
 
     def values(x):
         one = _level_one(partials, x)
@@ -380,8 +375,7 @@ def cusp_points(F: HomogeneousMap, planes: int, seed: int) -> list[SectionSoluti
     deg = sum(d - 1 for d in F.degrees)
     solutions = plane_section_solutions(values, (deg, 2 * deg - F.degrees[i]), F.n, planes,
                                         seed)
-    verdicts = _classify_at(Fc, [s.point for s in solutions], (DEFAULT_TOL,), DEFAULT_KMAX,
-                            partials)
+    verdicts = _classify_at(Fc, [s.point for s in solutions], (DEFAULT_TOL,), DEFAULT_KMAX)
     return [s for s, (verdict,) in zip(solutions, verdicts) if verdict.is_morin(2)]
 
 
@@ -419,22 +413,21 @@ class SurveyReport:
 def _survey_one_map(degrees, map_seed: int, line_seed: int, lines: int,
                     tol: float) -> list[dict]:
     F = random_map(degrees, seed=map_seed, kind=COMPLEX)
-    partials = Partials(F.components)       # dF built once for the lines and the verdicts
-    points = critical_points_on_lines(F, lines, line_seed, partials)
+    points = critical_points_on_lines(F, lines, line_seed)
     if not points:
         return []
-    # each point's own bound on |J|, the one the line slicer tests
-    bounds = ROOT_TOL * _jacobian_dets(partials.at(points, 1))[1]
-    verdicts = _classify_at(F, points, (tol, tol * 10.0, tol / 10.0), DEFAULT_KMAX, partials)
+    verdicts = _classify_at(F, points, (tol, tol * 10.0, tol / 10.0), DEFAULT_KMAX)
     mults = ray_multiplicity(F, np.asarray(points))
     records = []
-    for p, bound, (main, *others), mult in zip(points, bounds, verdicts, mults):
+    for p, (main, *others), mult in zip(points, verdicts, mults):
         stable = all(v.label == main.label for v in others)
+        diag = main.diagnostics
         records.append({
             "point": [[v.real, v.imag] for v in p],
             "class": main.to_dict(),
             "ray_multiplicity": None if math.isinf(mult) else int(mult),
-            "residuals": {"jdet": main.diagnostics["abs_jdet"], "threshold": float(bound)},
+            # each point's own bound on |J|, the one the line slicer tests
+            "residuals": {"jdet": diag["abs_jdet"], "threshold": ROOT_TOL * diag["jdet_bound"]},
             "stable": stable,
         })
     return records
@@ -445,16 +438,18 @@ def survey(degrees: Sequence[int], maps: int, lines: int, seed: int,
     """Classify line-sampled critical points of `maps` random maps.
 
     Each point is decided at tol, tol*10 and tol/10 on one set of tower
-    values (points whose verdict moves are counted as unstable), annotated
-    with its ray multiplicity, and rolled into a histogram; a map's partials
-    are evaluated in batches over all of its points.  For n = 4 the report carries
-    the count of points outside the expected {A_1, A_2, A_3} menu (every
-    sampled point sits at unit norm, off the origin).  Each point records
-    |J(p)| and its threshold, the point's own bound ROOT_TOL * prod_i ||row i
-    of dF(p)||.  Identical arguments give bit-identical reports: each map's
-    sub-seeds come from a SeedSequence keyed on `seed`, and the maps run in
-    order.  Negative `maps` or `lines`, and `tol` outside (0, 1), are a
-    ValueError.
+    values, in one batched decision per map (points whose verdict moves are
+    counted as unstable), annotated with its ray multiplicity, and rolled
+    into a histogram; a map's partials are built once and evaluated in
+    batches over all of its points.  For n = 4 the report carries the count
+    of points outside the expected {A_1, A_2, A_3} menu (every sampled point
+    sits at unit norm, off the origin).  Each point records |J(p)| and its
+    threshold, the point's own bound ROOT_TOL * prod_i ||row i of dF(p)||,
+    both from the classifier's one evaluation of dF(p) (the diagnostics
+    `abs_jdet` and `jdet_bound`).  Identical arguments give bit-identical
+    reports: each map's sub-seeds come from a SeedSequence keyed on `seed`,
+    and the maps run in order.  Negative `maps` or `lines`, and `tol`
+    outside (0, 1), are a ValueError.
     """
     degrees, tol = validate_degrees(degrees), validate_tol(tol)
     maps, lines = validate_count(maps, "maps"), validate_count(lines, "lines")

@@ -86,11 +86,26 @@ def _one_draw_per_term(degrees, seed, kind, bound):
     ((3, 3, 3), "rational", 1000), ((2, 2, 2, 2), "rational", 10)])
 def test_random_map_terms_are_those_of_one_draw_per_term(degrees, kind, bound):
     """Every workload's inputs come from random_map: its terms, coefficients and
-    term order are pinned to a reference that draws one coefficient at a time."""
+    term order are pinned to a reference that draws one coefficient at a time.
+    The components, built unchecked, equal the validated Polynomial(...) of
+    those draws term for term, in order, with Fraction or complex values."""
     for seed in (0, 1, 7, 123456789, 2 ** 31 - 1):
         F = random_map(degrees, seed=seed, kind=kind, bound=bound)
-        assert [list(f.terms.items()) for f in F.components] == \
-            _one_draw_per_term(degrees, seed, kind, bound)
+        drawn = _one_draw_per_term(degrees, seed, kind, bound)
+        assert [list(f.terms.items()) for f in F.components] == drawn
+        validated = [Polynomial(len(degrees), dict(terms), kind) for terms in drawn]
+        assert [[(e, c, type(c)) for e, c in f.terms.items()] for f in F.components] == \
+            [[(e, c, type(c)) for e, c in g.terms.items()] for g in validated]
+
+
+def test_random_map_rejects_an_unknown_kind_before_drawing(monkeypatch):
+    """An unknown kind is a ValueError before any generator is made."""
+    def no_draws(*args, **kwargs):
+        raise AssertionError("random_map drew coefficients")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    with pytest.raises(ValueError, match="unknown coefficient kind 'real'"):
+        random_map((2, 2), seed=0, kind="real")
 
 
 @pytest.mark.parametrize("bound", [0, -1])

@@ -25,10 +25,10 @@ from morin_census import (
     ray_multiplicity,
     survey,
 )
-from morin_census.linalg import random_unimodular_matrix
+from morin_census.linalg import exact_rank, random_unimodular_matrix
 from morin_census import morin
-from morin_census.morin import (Partials, _adjugate_derivative, _classify_at, _jet_tower,
-                                 _level_one, _level_two, _linear_rows)
+from morin_census.morin import (Partials, SingularityClass, _adjugate_derivative, _classify_at,
+                                 _decide, _jet_tower, _level_one, _level_two, _linear_rows)
 
 X1, X2, X3, X4 = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 ORIGIN = np.zeros(4)
@@ -606,3 +606,135 @@ def test_general_map_requires_square():
     """GeneralMap rejects component counts different from n_vars."""
     with pytest.raises(ValueError):
         GeneralMap((_poly4({X1: 1}),))
+
+
+def _scalar_decide(exact_rows, s, measured, tols, k_max, table):
+    """The decision one (point, tolerance) cell at a time, on Python scalars:
+    the rule ``_decide`` keeps, with `table[m][r - 1]` = level r at point m."""
+    floats = [m for m, rows in enumerate(exact_rows) if rows is None]
+    out = []
+    for m, rows in enumerate(exact_rows):
+        cells = []
+        for tol in tols:
+            if rows is not None:
+                corank, adj_norm = len(rows) - exact_rank(rows), None
+            else:
+                sv = s[floats.index(m)]
+                corank = len(sv) - int(np.sum(sv > tol * sv[0]))
+                adj_norm = float(np.prod(sv[:-1]))
+            diag = {**measured[m], "tol": None if rows is not None else tol, "levels": {},
+                    "corank": corank}
+            verdict = SingularityClass("regular" if corank == 0 else "corank_ge_2",
+                                       diagnostics=diag)
+            if corank == 1:
+                verdict = SingularityClass("indeterminate", diagnostics=diag)
+                for r in range(1, k_max + 1):
+                    values, norms = table[m][r - 1]
+                    diag["levels"][str(r)] = float(max(abs(complex(v)) for v in values))
+                    if any(v != 0 if rows is not None else abs(complex(v)) > tol * g * adj_norm
+                           for v, g in zip(values, norms)):
+                        verdict = SingularityClass("morin", k=r, diagnostics=diag)
+                        break
+            cells.append(verdict)
+        out.append(cells)
+    return out
+
+
+def test_batched_decide_matches_the_scalar_rule():
+    """``_decide`` on arrays gives exactly the verdicts and diagnostics of the
+    cell-by-cell rule on one mixed batch: singular values tied with
+    tol * sigma_1, a level value whose np.abs is one ulp above Python's abs
+    and whose threshold tol * g * ||adj|| is exactly abs(v), exact and float
+    points, corank >= 2 at some tolerances and 1 at others, and exact and
+    float cells left indeterminate."""
+    rng = np.random.default_rng(28)
+    edgy = next(v for v in rng.standard_normal(1000) + 1j * rng.standard_normal(1000)
+                if np.abs(v) > abs(v))
+    zeros4 = [Fraction(0)] * 4
+    k_max, tols = 3, (0.5, 0.25, 0.75)
+    corank_one = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0]]
+    big = np.array([1.0, 0.0, 0.0, 2.0]) + 0j
+    # (exact rows or None, singular values, [(level values, norms)] for r = 1..3)
+    points = [
+        (None, [1.0, 1.0, 1.0, 0.5],                    # a tie: corank 1 at tol 0.5 only
+         [(big * 1e-3, [1.0] * 4), (big, [1.0] * 4), (big, [1.0] * 4)]),
+        (corank_one, None, [(zeros4, [1.0] * 4), ([0, Fraction(1, 3), 0, 0], [2.0] * 4),
+                            (zeros4, [0.0] * 4)]),
+        (None, [1.0, 0.75, 0.5, 0.25], [(big, [1.0] * 4)] * 3),    # corank 2, 1 and 3
+        (None, [1.0, 1.0, 1.0, 1e-3], [(np.zeros(4, complex), [1.0] * 4)] * 3),
+        ([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], None, []),
+        ([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]], None, []),
+        (None, [1.0, 1.0, 1.0, 1e-3],                   # abs(edgy) is the tol 0.5 threshold
+         [(np.array([edgy, 0, 0, 0]), [2.0 * abs(edgy), 1.0, 1.0, 1.0]),
+          (big, [1.0] * 4), (big, [1.0] * 4)]),
+        (corank_one, None, [(zeros4, [0.0] * 4)] * 3),
+    ]
+    exact_rows = [rows for rows, _, _ in points]
+    s = np.array([sv for rows, sv, _ in points if rows is None])
+    measured = [{"abs_jdet": float(m), "jdet_bound": None} for m in range(len(points))]
+    table = [levels for _, _, levels in points]
+    floats = [m for m, rows in enumerate(exact_rows) if rows is None]
+    asked = []
+
+    def level(r, exact, rows):
+        asked.append((r, list(exact), [floats[f] for f in rows]))
+        picked = [table[floats[f]][r - 1] for f in rows]
+        return ([table[m][r - 1] for m in exact],
+                np.array([v for v, _ in picked], dtype=complex).reshape(-1, 4),
+                np.array([g for _, g in picked]).reshape(-1, 4))
+
+    got = _decide(exact_rows, s, measured, tols, k_max, level)
+    assert got == _scalar_decide(exact_rows, s, measured, tols, k_max, table)
+    assert [[v.label for v in cells] for cells in got] == [
+        ["A2", "regular", "A2"], ["A2"] * 3, ["corank_ge_2", "A1", "corank_ge_2"],
+        ["indeterminate"] * 3, ["regular"] * 3, ["corank_ge_2"] * 3, ["A2", "A1", "A2"],
+        ["indeterminate"] * 3]
+    # each level is asked for once, at the points with a cell still open
+    assert asked == [(1, [1, 7], [0, 2, 3, 6]), (2, [1, 7], [0, 3, 6]), (3, [7], [3])]
+
+
+def test_exact_points_do_no_array_work(monkeypatch):
+    """With numpy out of reach of the classifier, exact points still classify:
+    the decision and its level source touch no array for them."""
+    monkeypatch.setattr(morin, "np", None)
+    for form, label in ((fold_form(), "A1"), (cusp_form(), "A2"),
+                        (swallowtail_form(), "A3"), (corank2_form(), "corank_ge_2")):
+        verdict = classify(form, (0, 0, 0, 0))
+        assert verdict.label == label
+        assert verdict.diagnostics["tol"] is None and verdict.diagnostics["jdet_bound"] is None
+    assert corank_at(fold_form(), (0, 0, 1, Fraction(1, 2))) == 0
+
+
+def test_a_map_keeps_one_partials(monkeypatch):
+    """classify and corank_at on a HomogeneousMap or a GeneralMap build each
+    coefficient table once per map object, and the line slicer, the survey and
+    the cusp hunt read the tables the map keeps; equality, hash and repr do
+    not see them."""
+    builds = []
+    original = Partials._order
+
+    def counted(self, r):
+        if r not in self._orders:
+            builds.append(r)
+        return original(self, r)
+
+    monkeypatch.setattr(Partials, "_order", counted)
+    F = random_map((2, 2, 2, 2), seed=8, kind="complex")
+    G = GeneralMap(F.components)
+    points = critical_points_on_lines(F, lines=1, seed=0)
+    for H in (F, G):
+        for p in points:
+            assert classify(H, p).label == "A1"
+            assert corank_at(H, p) == 1
+    assert builds == [1, 2, 1, 2]
+    twin = random_map((2, 2, 2, 2), seed=8, kind="complex")
+    for H, other in ((F, twin), (G, GeneralMap(twin.components))):
+        assert H == other and hash(H) == hash(other) and repr(H) == repr(other)
+    builds.clear()
+    survey((2, 3, 5, 7), maps=1, lines=1, seed=1)
+    assert builds == [1, 2]
+    builds.clear()
+    sols = cusp_points(F, planes=1, seed=6)
+    assert sols and builds == [3]
+    assert all(classify(F, s.point).label == "A2" for s in sols)
+    assert builds == [3]

@@ -111,6 +111,17 @@ def test_gradient_matches_partials():
     assert f.gradient() == [f.partial(i) for i in range(3)]
 
 
+def test_translate_truncated_drops_cancelled_terms():
+    """Coefficients that sum to zero in the jet are not stored, at a point
+    with a zero coordinate too, and every stored one is a Fraction."""
+    f = P(2, {(2, 1): 1, (1, 1): -2})          # x^2 y - 2xy = ((x - 1)^2 - 1) y
+    jet = f.translate_truncated((1, 0), 3)      # ((x^2 - 1) y): the xy terms cancel
+    assert jet.terms == {(2, 1): 1, (0, 1): -1}
+    assert all(type(c) is Fraction for c in jet.terms.values())
+    assert jet == P(2, {(2, 1): 1, (0, 1): -1})
+    assert f.translate_truncated((1, 0), 1).terms == {(0, 1): -1}
+
+
 def test_translate_truncated_is_taylor_jet():
     """translate_truncated(p, m) is the order-m Taylor expansion at p."""
     f = P(2, {(3, 0): 1, (1, 1): 2})   # x^3 + 2xy

@@ -22,8 +22,8 @@ from morin_census import (
 )
 from morin_census.maps import jdet
 from morin_census import morin, properness, sampler
-from morin_census.morin import DEFAULT_TOL
-from morin_census.polynomials import PolyMatrix
+from morin_census.morin import DEFAULT_TOL, Partials
+from morin_census.polynomials import ROOT_TOL, PolyMatrix
 from morin_census.sampler import _interpolate, _line_nodes
 
 
@@ -647,3 +647,37 @@ def test_benchmark_survey_rounds(bench_seed, round_index):
     else:
         assert rep.histogram == {"A1": 26}
         assert rep.unstable == 0
+
+
+def _survey_points(rep) -> np.ndarray:
+    return np.array([[complex(re, im) for re, im in rec["point"]] for rec in rep.points])
+
+
+def test_survey_evaluates_df_once_at_its_points(monkeypatch):
+    """The classifier's dF(p) also gives each point's threshold: a survey map
+    asks ``Partials.at`` for first partials at its classified points once."""
+    calls = []
+    original = Partials.at
+
+    def recorded(self, points, r):
+        calls.append((np.array(points, dtype=complex), r))
+        return original(self, points, r)
+
+    monkeypatch.setattr(Partials, "at", recorded)
+    rep = survey((2, 3, 5, 7), maps=1, lines=1, seed=3)
+    points = _survey_points(rep)
+    assert len(points) == 13
+    assert [r for x, r in calls if x.shape == points.shape and np.array_equal(x, points)] == [1, 2]
+
+
+def test_survey_thresholds_are_the_hadamard_bound_of_partials():
+    """Every threshold is ROOT_TOL times prod_i ||row i of dF(p)||, recomputed
+    here from ``Partials.at`` on the map's points; the bound itself is the
+    verdict's `jdet_bound`."""
+    rep = survey((2, 3, 5, 7), maps=1, lines=1, seed=3)
+    state = np.random.SeedSequence(3).generate_state(2, dtype=np.uint64)
+    F = random_map((2, 3, 5, 7), seed=int(state[0]), kind="complex")
+    points = _survey_points(rep)
+    bounds = np.prod(np.linalg.norm(Partials(F.components).at(points, 1), axis=-1), axis=-1)
+    assert [rec["residuals"]["threshold"] for rec in rep.points] == (ROOT_TOL * bounds).tolist()
+    assert [rec["class"]["diagnostics"]["jdet_bound"] for rec in rep.points] == bounds.tolist()
