@@ -7,12 +7,15 @@ A_1 A_3, A_2^2, A_4, I_{2,2}) of a generic map with component degrees
 * the Chern series (1+d_1 a)(1+d_2 a)(1+d_3 a)(1+d_4 a)/(1+a)^4 expanded to
   order 4.  Since (1+a)^-4 = sum_m (-1)^m C(m+3, 3) a^m, its coefficients are
   c_k = sum_{j<=k} (-1)^(k-j) C(k-j+3, 3) e_j, with e_j the j-th elementary
-  symmetric sum of the degrees.  One rule, four divisions of the product
-  series by 1 + a, gives them as integer polynomials in the degree symbols
-  and as plain integers at a degree tuple;
+  symmetric sum of the degrees.  One rule gives them as integer
+  polynomials in the degree symbols and as plain integers at a degree tuple;
 * the s-classes s_0 = d_1 d_2 d_3 d_4, s_1 = c_1 s_0, s_2 = c_1^2 s_0,
   s_3 = c_1^3 s_0, s_01 = c_2 s_0, s_11 = c_1 c_2 s_0, s_001 = c_3 s_0;
-* six closed-form combinations with prefactors 1/24 and 1/2.
+* six closed-form combinations with prefactors 1/24 and 1/2.  The source
+  writes them in the s-classes; ``_raw_counts`` has those substituted, so
+  each is a polynomial in c_1..c_4 and t = s_0 with shared powers.  The
+  source's verbatim forms are the reference in ``tests/test_census.py``,
+  which checks the two agree as polynomials in the degree symbols.
 
 The prefactors are supposed to divide exactly for maps satisfying the
 genericity hypotheses.  ``census`` keeps each count as an integer numerator
@@ -98,22 +101,19 @@ class TruncatedSeries:
         return TruncatedSeries(tuple(out))
 
 
-def _chern_classes(degrees: Sequence, one, zero) -> tuple:
+def _chern_classes(degrees: Sequence) -> tuple:
     """c1..c4 of prod(1 + d_i a) / (1 + a)^4 from the elementary symmetric sums.
 
-    Dividing a series b by 1 + a is b_k <- b_k - b_{k-1} for k = 1, 2, ...,
-    so four such passes divide by (1 + a)^4.  Works in any ring the degrees
-    live in: on ints it gives ints, on the degree symbols exact polynomials.
-    `one` and `zero` are that ring's 1 and 0.
+    One pass over the degree pairs gives e1..e4, and the binomial rule
+    c_k = sum_j (-1)^(k-j) C(k-j+3, 3) e_j the classes.  Works in any ring
+    the degrees live in that adds ints: on ints it gives ints, on the degree
+    symbols exact polynomials.
     """
-    c = [one] + [zero] * ORDER
-    for d in degrees:
-        for j in range(ORDER, 0, -1):
-            c[j] = c[j] + d * c[j - 1]
-    for _ in range(N_SOURCE):
-        for k in range(1, ORDER + 1):
-            c[k] = c[k] - c[k - 1]
-    return tuple(c[1:])
+    d1, d2, d3, d4 = degrees
+    p, q, u, v = d1 * d2, d3 * d4, d1 + d2, d3 + d4
+    e1, e2, e3, e4 = u + v, p + q + u * v, p * v + q * u, p * q
+    return (e1 - 4, e2 - 4 * e1 + 10, e3 - 4 * e2 + 10 * e1 - 20,
+            e4 - 4 * e3 + 10 * e2 - 20 * e1 + 35)
 
 
 @functools.cache
@@ -125,7 +125,7 @@ def chern_series() -> TruncatedSeries:
     (1+a)^-4 expands as sum_m (-1)^m C(m+3, 3) a^m.
     """
     one = Polynomial.constant(1, N_SOURCE, RATIONAL)
-    return TruncatedSeries((one,) + _chern_classes(degree_symbols(), one, one.zero_like()))
+    return TruncatedSeries((one,) + _chern_classes(degree_symbols()))
 
 
 def chern_coefficients() -> tuple[Polynomial, Polynomial, Polynomial, Polynomial]:
@@ -143,7 +143,7 @@ def _require_four(degrees: Sequence[int]) -> tuple[int, ...]:
 
 def chern_values(degrees: Sequence[int]) -> tuple[int, int, int, int]:
     """c1..c4 evaluated at a concrete degree tuple (exact integers)."""
-    return _chern_classes(_require_four(degrees), 1, 0)
+    return _chern_classes(_require_four(degrees))
 
 
 def s_classes_symbolic() -> dict[str, Polynomial]:
@@ -154,7 +154,7 @@ def s_classes_symbolic() -> dict[str, Polynomial]:
 def s_classes(degrees: Sequence[int]) -> dict[str, int]:
     """The seven s-classes at a concrete degree tuple (exact integers)."""
     degrees = _require_four(degrees)
-    return _s_values(degrees, _chern_classes(degrees, 1, 0))
+    return _s_values(degrees, _chern_classes(degrees))
 
 
 def _s_values(degrees: Sequence, c: Sequence) -> dict:
@@ -165,15 +165,10 @@ def _s_values(degrees: Sequence, c: Sequence) -> dict:
     """
     c1, c2, c3, _ = c
     s0 = degrees[0] * degrees[1] * degrees[2] * degrees[3]
-    return {
-        "s0": s0,
-        "s1": c1 * s0,
-        "s2": c1 * c1 * s0,
-        "s3": c1 ** 3 * s0,
-        "s01": c2 * s0,
-        "s11": c1 * c2 * s0,
-        "s001": c3 * s0,
-    }
+    s1, s01 = c1 * s0, c2 * s0
+    s2 = c1 * s1
+    return {"s0": s0, "s1": s1, "s2": s2, "s3": c1 * s2,
+            "s01": s01, "s11": c1 * s01, "s001": c3 * s0}
 
 
 class IntegralityError(ArithmeticError):
@@ -187,30 +182,25 @@ class IntegralityError(ArithmeticError):
             f"count {name} at degrees {self.degrees} is not an integer: {value}")
 
 
-def _raw_counts(c: Sequence[int], s: dict[str, int]) -> dict[str, tuple[int, int]]:
-    """The six closed forms as (numerator, denominator), before integrality is enforced."""
+def _raw_counts(c: Sequence, t) -> dict:
+    """The six closed forms as (numerator, denominator), before integrality is enforced.
+
+    They are written in c1..c4 and t = s0 (see the module docstring) and,
+    like ``_chern_classes``, work in any ring that adds ints.
+    """
     c1, c2, c3, c4 = c
-    s1, s2, s3 = s["s1"], s["s2"], s["s3"]
-    s01, s11, s001 = s["s01"], s["s11"], s["s001"]
+    c11 = c1 * c1
+    c1111, c112, c22, c13 = c11 * c11, c11 * c2, c2 * c2, c1 * c3
     return {
-        "A1_4": (
-            s1 ** 3 * c1 - 12 * s1 * s2 * c1 + 40 * s3 * c1 - 6 * s1 * s01 * c1
-            + 56 * s11 * c1 + 24 * s001 * c1 - 12 * s1 ** 2 * c1 ** 2
-            + 48 * s2 * c1 ** 2 + 24 * s01 * c1 ** 2 + 120 * s1 * c1 ** 3
-            - 672 * c1 ** 4 - 6 * s1 ** 2 * c2 + 24 * s2 * c2 + 12 * s01 * c2
-            + 168 * s1 * c1 * c2 - 1776 * c1 ** 2 * c2 - 288 * c2 ** 2
-            + 72 * s1 * c3 - 1584 * c1 * c3 - 720 * c4, 24),
-        "A1_2A2": (
-            s2 * c1 + s01 * c1 - 6 * c1 ** 3 - 12 * c1 * c2 - 6 * c3, 2),
-        "A1A3": (
-            s3 * c1 + 3 * s11 * c1 + 2 * s001 * c1 - 8 * c1 ** 4
-            - 36 * c1 ** 2 * c2 - 8 * c2 ** 2 - 44 * c1 * c3 - 24 * c4, 1),
-        "A2_2": (
-            s2 * c1 ** 2 + s01 * c1 ** 2 - 9 * c1 ** 4 + s2 * c2 + s01 * c2
-            - 36 * c1 ** 2 * c2 - 12 * c2 ** 2 - 39 * c1 * c3 - 24 * c4, 2),
-        "A4": (
-            c1 ** 4 + 6 * c1 ** 2 * c2 + 2 * c2 ** 2 + 9 * c1 * c3 + 6 * c4, 1),
-        "I22": (c2 ** 2 - c1 * c3, 1),
+        "A1_4": (c1111 * (((t - 24) * t + 208) * t - 672) - 4 * c112 * ((3 * t - 68) * t + 444)
+                 + 12 * c22 * (t - 24) + 48 * c13 * (2 * t - 33) - 720 * c4, 24),
+        "A1_2A2": (c11 * c1 * (t - 6) + c1 * c2 * (t - 12) - 6 * c3, 2),
+        "A1A3": (c1111 * (t - 8) + 3 * c112 * (t - 12) + 2 * c13 * (t - 22)
+                 - 8 * c22 - 24 * c4, 1),
+        "A2_2": (c1111 * (t - 9) + 2 * c112 * (t - 18) + c22 * (t - 12)
+                 - 39 * c13 - 24 * c4, 2),
+        "A4": (c1111 + 6 * c112 + 2 * c22 + 9 * c13 + 6 * c4, 1),
+        "I22": (c22 - c13, 1),
     }
 
 
@@ -243,9 +233,9 @@ def census(degrees: Sequence[int]) -> CensusReport:
     Raises IntegralityError when a prefactor fails to divide.
     """
     degrees = _require_four(degrees)
-    c = _chern_classes(degrees, 1, 0)
+    c = _chern_classes(degrees)
     s = _s_values(degrees, c)
-    raw = _raw_counts(c, s)
+    raw = _raw_counts(c, s["s0"])
     counts = {}
     for name in COUNT_NAMES:
         numerator, denominator = raw[name]

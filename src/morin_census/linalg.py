@@ -121,7 +121,7 @@ def _rank_mod_p(matrix: np.ndarray, p: int) -> int:
     return rank
 
 
-def det_is_nonzero(rows: Sequence[Sequence[int]] | np.ndarray) -> str | None:
+def det_is_nonzero(rows: Sequence[Sequence[int]] | np.ndarray, exact: bool = True) -> str | None:
     """Exact test that an integer matrix has full column rank, naming what proved it.
 
     For a square or tall matrix that is a nonzero maximal minor, and on a
@@ -130,7 +130,8 @@ def det_is_nonzero(rows: Sequence[Sequence[int]] | np.ndarray) -> str | None:
     rank mod a prime certifies full rank over the integers, so the rank mod
     one prime (fast, numpy) is tried first and gives "mod p"; a matrix that
     loses rank there goes to fraction-free elimination, whose full rank
-    gives "exact rank" and deficient rank None.
+    gives "exact rank" and deficient rank None.  With `exact` false such a
+    matrix gives None at once, for a caller with a cheaper proof to try first.
     """
     if len(rows) == 0:
         return "exact rank"
@@ -138,7 +139,7 @@ def det_is_nonzero(rows: Sequence[Sequence[int]] | np.ndarray) -> str | None:
         np.array([[int(v) for v in r] for r in rows], dtype=object)
     if _rank_mod_p(ints, _CERTIFICATE_PRIME) == ints.shape[1]:
         return f"mod {_CERTIFICATE_PRIME}"
-    return "exact rank" if _eliminate(ints.tolist())[0] == ints.shape[1] else None
+    return "exact rank" if exact and _eliminate(ints.tolist())[0] == ints.shape[1] else None
 
 
 def sylvester_matrix(p_coeffs, q_coeffs) -> np.ndarray:

@@ -251,18 +251,22 @@ def eligibility_gate(degrees: Sequence[int]) -> EligibilityVerdict:
     return _gate(d)
 
 
+_TRIPLES = tuple(itertools.combinations(range(4), 3))
+_PAIRS = tuple(itertools.combinations(range(4), 2))
+
+
 def _gate(d: tuple[int, ...]) -> EligibilityVerdict:
     """``eligibility_gate`` on a degree 4-tuple that is already validated."""
     g_all = math.gcd(*d)
     if g_all > 1:
         return EligibilityVerdict(NEVER_FINITE, f"gcd(d1..d4)={g_all}")
-    for a, b, c in itertools.combinations(range(4), 3):
+    for a, b, c in _TRIPLES:
         g = math.gcd(d[a], d[b], d[c])
         if g != 1:
             return EligibilityVerdict(
                 HYPOTHESIS_FAILS,
                 f"gcd(d{a + 1},d{b + 1},d{c + 1})={g} (triple gcd must be 1)")
-    for a, b in itertools.combinations(range(4), 2):
+    for a, b in _PAIRS:
         g = math.gcd(d[a], d[b])
         if g > 2:
             return EligibilityVerdict(

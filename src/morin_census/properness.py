@@ -11,10 +11,13 @@ question reduces to whether the components share a nonzero common root.
   and a nonzero common root z puts its monomial vector (z^m) in the null
   space.  Every caller builds it from one index layout per map
   (``_MacaulayLayout``), scattering coefficients into an ndarray.
-* ``macaulay_resultant_certificate`` -- the exact rank of that matrix decides
-  rational maps both ways: denominators cleared once per component into an
-  int64 array, ranked mod a prime first.  A rank deficiency comes with the
-  root read off the null space as a witness.
+* ``macaulay_resultant_certificate`` -- decides rational maps by the
+  cheapest exact proof.  Denominators are cleared once per component into an
+  int64 array, ranked mod a prime first: full rank there is PROPER.  On a
+  rank loss the root read off the null space is rounded to a rational point
+  q, and F(q) = 0 exactly is NOT_PROPER.  Only when that fails (an
+  irrational root, or a full-rank matrix that loses rank mod the prime) does
+  the exact rank of the matrix decide, both ways.
 * ``sphere_falsifier`` -- the same null-space reading in floating point.  A
   root estimate that is already a unit-norm common root is kept; only when
   none is are all of them polished at once by ``newton_polish``.  It gives
@@ -26,6 +29,7 @@ complex maps a witness or INCONCLUSIVE.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -57,6 +61,11 @@ INCONCLUSIVE = "inconclusive"
 
 MACAULAY_SIDE_CAP = 3000  # refuse matrices with more columns than this
 NULL_TOL = 1e-9           # singular values below this share of the largest span the null space
+# Largest denominator a witness ratio is rounded to.  Two fractions with
+# denominators up to B lie at least 1/B^2 apart, so a float ratio within
+# 1/(2 B^2) = 5e-9 of such a fraction rounds to it.  Rounding only proposes
+# a point q; F(q) = 0 is then checked exactly, so no bound can give a wrong verdict.
+ROOT_DENOMINATOR = 10_000
 
 
 @dataclass(frozen=True)
@@ -108,16 +117,16 @@ def sylvester_resultant(p: Polynomial, q: Polynomial):
 
 
 # ---------------------------------------------------------------- Macaulay
-def _monomials_of_degree(n: int, degree: int) -> list[tuple[int, ...]]:
-    """All exponent tuples of the given total degree, descending lex order."""
+@functools.cache
+def _monomials_of_degree(n: int, degree: int) -> tuple[tuple[int, ...], ...]:
+    """All exponent tuples of the given total degree, descending lex order (one shared table)."""
     out = []
     for combo in combinations_with_replacement(range(n), degree):
         e = [0] * n
         for i in combo:
             e[i] += 1
         out.append(tuple(e))
-    out.sort(reverse=True)
-    return out
+    return tuple(sorted(out, reverse=True))
 
 
 class _MacaulayLayout:
@@ -175,7 +184,7 @@ def macaulay_matrix(F: HomogeneousMap):
     zero = Fraction(0) if F.kind == RATIONAL else complex(0)
     coeffs = [np.array(list(f.terms.values()), dtype=object) for f in F.components]
     assignment = [i for i, (rows, _) in enumerate(layout.blocks) for _ in rows]
-    return layout.scatter(coeffs, zero, object).tolist(), layout.monomials, assignment
+    return layout.scatter(coeffs, zero, object).tolist(), list(layout.monomials), assignment
 
 
 def _integer_matrix(F: HomogeneousMap, layout: _MacaulayLayout) -> np.ndarray:
@@ -193,22 +202,41 @@ def _integer_matrix(F: HomogeneousMap, layout: _MacaulayLayout) -> np.ndarray:
 def macaulay_resultant_certificate(F: HomogeneousMap) -> PropernessVerdict:
     """PROPER iff the Macaulay matrix has full column rank, else NOT_PROPER.
 
-    The exact rank decides both ways, and the certificate names what decided
-    it: the prime that showed full rank, or the exact rank.  A NOT_PROPER
-    verdict carries the common root read off the null space, or no witness
-    if the polish misses it.
+    The certificate names what decided it: the prime that showed full rank,
+    the rational common root q with F(q) = 0 exactly, or the exact rank.  A
+    NOT_PROPER verdict carries the unit-norm common root read off the null
+    space, or no witness if the polish misses it.
     """
     if F.kind != RATIONAL:
         raise ValueError("the Macaulay certificate needs the exact rational kind")
     layout = _MacaulayLayout(F)
     where = f"Macaulay matrix in degree {sum(layout.monomials[0])}"
-    proof = det_is_nonzero(_integer_matrix(F, layout))
+    ints = _integer_matrix(F, layout)
+    proof = det_is_nonzero(ints, exact=False)
+    if not proof:
+        witness = _null_space_witness(F, layout, at_least=1)
+        root = _rational_root(F, witness)
+        if root is not None:
+            return PropernessVerdict(NOT_PROPER, f"F(q) = 0 exactly at q = {root}, "
+                                     f"read off the null space of the {where}", witness)
+        proof = det_is_nonzero(ints)
     if proof:
         return PropernessVerdict(
             PROPER, f"{where} has full rank {len(layout.monomials)} ({proof})")
-    witness = _null_space_witness(F, layout, at_least=1)
     return PropernessVerdict(
         NOT_PROPER, f"{where} is rank-deficient: {_witness_note(F, witness)}", witness)
+
+
+def _rational_root(F: HomogeneousMap, witness: tuple | None) -> str | None:
+    """The witness divided by its largest coordinate and rounded to a rational
+    point q, written out, when F(q) = 0 exactly; else None."""
+    if witness is None:
+        return None
+    top = max(witness, key=abs)
+    q = tuple(Fraction((v / top).real).limit_denominator(ROOT_DENOMINATOR) for v in witness)
+    if any(F.evaluate(q)):
+        return None
+    return f"({', '.join(map(str, q))})"
 
 
 # ---------------------------------------------------------------- falsifier

@@ -1,6 +1,7 @@
 """Series coefficients, class values, and the six closed-form counts."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -14,9 +15,11 @@ from morin_census import (
     chern_series,
     chern_values,
     degree_symbols,
+    eligibility_gate,
     s_classes,
     s_classes_symbolic,
 )
+from morin_census.census import COUNT_NAMES, _raw_counts
 
 
 def _elementary_symmetric():
@@ -201,3 +204,94 @@ def test_census_report_serialization():
     assert d["c"] == [13, 43, -7, -73]
     assert d["counts"]["I22"] == 1940
     assert set(d["s"]) == {"s0", "s1", "s2", "s3", "s01", "s11", "s001"}
+
+
+# ------------------------------------------------------------- the source's forms
+def _source_counts(c, s):
+    """The six closed forms verbatim from the source, in the s-classes: the
+    reference for ``census._raw_counts``, which has the s-classes substituted."""
+    c1, c2, c3, c4 = c
+    s1, s2, s3 = s["s1"], s["s2"], s["s3"]
+    s01, s11, s001 = s["s01"], s["s11"], s["s001"]
+    return {
+        "A1_4": (
+            s1 ** 3 * c1 - 12 * s1 * s2 * c1 + 40 * s3 * c1 - 6 * s1 * s01 * c1
+            + 56 * s11 * c1 + 24 * s001 * c1 - 12 * s1 ** 2 * c1 ** 2
+            + 48 * s2 * c1 ** 2 + 24 * s01 * c1 ** 2 + 120 * s1 * c1 ** 3
+            - 672 * c1 ** 4 - 6 * s1 ** 2 * c2 + 24 * s2 * c2 + 12 * s01 * c2
+            + 168 * s1 * c1 * c2 - 1776 * c1 ** 2 * c2 - 288 * c2 ** 2
+            + 72 * s1 * c3 - 1584 * c1 * c3 - 720 * c4, 24),
+        "A1_2A2": (
+            s2 * c1 + s01 * c1 - 6 * c1 ** 3 - 12 * c1 * c2 - 6 * c3, 2),
+        "A1A3": (
+            s3 * c1 + 3 * s11 * c1 + 2 * s001 * c1 - 8 * c1 ** 4
+            - 36 * c1 ** 2 * c2 - 8 * c2 ** 2 - 44 * c1 * c3 - 24 * c4, 1),
+        "A2_2": (
+            s2 * c1 ** 2 + s01 * c1 ** 2 - 9 * c1 ** 4 + s2 * c2 + s01 * c2
+            - 36 * c1 ** 2 * c2 - 12 * c2 ** 2 - 39 * c1 * c3 - 24 * c4, 2),
+        "A4": (
+            c1 ** 4 + 6 * c1 ** 2 * c2 + 2 * c2 ** 2 + 9 * c1 * c3 + 6 * c4, 1),
+        "I22": (c2 ** 2 - c1 * c3, 1),
+    }
+
+
+def _source_chern_values(degrees):
+    """c1..c4 by dividing prod(1 + d_i a) by 1 + a four times, on integers."""
+    c = [1, 0, 0, 0, 0]
+    for d in degrees:
+        for j in range(4, 0, -1):
+            c[j] += d * c[j - 1]
+    for _ in range(4):
+        for k in range(1, 5):
+            c[k] -= c[k - 1]
+    return tuple(c[1:])
+
+
+def _source_gate(d):
+    """The eligibility gate's tag and witness, with combinations drawn on every call."""
+    g_all = math.gcd(*d)
+    if g_all > 1:
+        return "never_finite", f"gcd(d1..d4)={g_all}"
+    for a, b, c in itertools.combinations(range(4), 3):
+        g = math.gcd(d[a], d[b], d[c])
+        if g != 1:
+            return "hypothesis_fails", \
+                f"gcd(d{a + 1},d{b + 1},d{c + 1})={g} (triple gcd must be 1)"
+    for a, b in itertools.combinations(range(4), 2):
+        g = math.gcd(d[a], d[b])
+        if g > 2:
+            return "hypothesis_fails", f"gcd(d{a + 1},d{b + 1})={g} (pairwise gcd must be <= 2)"
+    return "eligible_generic", None
+
+
+def test_counts_equal_the_source_forms_symbolically():
+    """With s-classes substituted, the forms are the source's as polynomials in d1..d4."""
+    c = chern_coefficients()
+    s = s_classes_symbolic()
+    assert _raw_counts(c, s["s0"]) == _source_counts(c, s)
+
+
+def test_census_sweep_matches_the_source_forms():
+    """Over {1..9}^4: classes, s-classes, gate verdict, counts and every
+    IntegralityError equal those of the source's forms, evaluated directly."""
+    errors = 0
+    for degrees in itertools.product(range(1, 10), repeat=4):
+        gate = eligibility_gate(degrees)
+        assert (gate.tag, gate.witness) == _source_gate(degrees), degrees
+        c = _source_chern_values(degrees)
+        s0 = math.prod(degrees)
+        s = {"s0": s0, "s1": c[0] * s0, "s2": c[0] ** 2 * s0, "s3": c[0] ** 3 * s0,
+             "s01": c[1] * s0, "s11": c[0] * c[1] * s0, "s001": c[2] * s0}
+        raw = _source_counts(c, s)
+        fractional = [(name, Fraction(*raw[name])) for name in COUNT_NAMES
+                      if raw[name][0] % raw[name][1]]
+        if fractional:
+            errors += 1
+            with pytest.raises(IntegralityError) as exc:
+                census(degrees)
+            assert (exc.value.name, exc.value.value) == fractional[0], degrees
+            continue
+        rep = census(degrees)
+        assert rep.c == c and rep.s == s and rep.eligibility == gate, degrees
+        assert rep.counts == {name: num // den for name, (num, den) in raw.items()}, degrees
+    assert errors == 1280

@@ -1,5 +1,7 @@
 """Resultant-based properness certificates and the sphere falsifier."""
 
+import re
+import time
 from fractions import Fraction
 from math import comb
 
@@ -248,6 +250,39 @@ def test_certificate_agrees_with_exact_rank_of_macaulay_matrix():
             assert v.is_proper == (exact_rank(rows) == len(monomials)), (degrees, seed)
             verdicts.append(v.verdict)
     assert verdicts.count(NOT_PROPER) >= 30 and verdicts.count(PROPER) >= 30
+
+
+def test_planted_quartic_cubic_map_is_decided_by_its_rational_root():
+    """A planted (3,3,3,3) map is NOT_PROPER in under 1 s (the best of two calls,
+    so one stall of a shared host does not decide), with no exact rank: the
+    certificate names a rational point q at which F vanishes exactly."""
+    F = _seeded_rational_map(3, (3, 3, 3, 3))
+    seconds = []
+    for _ in range(2):
+        start = time.perf_counter()
+        v = macaulay_resultant_certificate(F)
+        seconds.append(time.perf_counter() - start)
+    assert min(seconds) < 1.0
+    assert v.verdict == NOT_PROPER
+    _assert_unit_witness(F, v.witness)
+    q = tuple(map(Fraction, re.search(r"q = \((.*)\), read off", v.certificate)[1].split(", ")))
+    assert len(q) == 4 and any(q)
+    assert all(value == 0 for value in F.evaluate(q))
+
+
+def test_irrational_common_roots_fall_back_to_the_exact_rank():
+    """(x1^2 - 2 x2^2, x3^2, x1 x3 + 3 x2 x3) vanishes only on the rays (+-sqrt 2, 1, 0):
+    no rational point is a root, so the exact rank decides."""
+    F = HomogeneousMap((2, 2, 2), (
+        Polynomial(3, {(2, 0, 0): 1, (0, 2, 0): -2}),
+        Polynomial(3, {(0, 0, 2): 1}),
+        Polynomial(3, {(1, 0, 1): 1, (0, 1, 1): 3}),
+    ))
+    v = macaulay_resultant_certificate(F)
+    assert v.verdict == NOT_PROPER
+    assert "is rank-deficient: nonzero common root read off the null space" in v.certificate
+    _assert_unit_witness(F, v.witness)
+    assert abs(abs(v.witness[0] / v.witness[1]) - 2 ** 0.5) < 1e-9
 
 
 def test_macaulay_matrix_entries_are_shifted_coefficients():
