@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .maps import EligibilityVerdict, _gate, validate_degrees
+from .maps import EligibilityVerdict, _gate, _require_four
 from .polynomials import RATIONAL, Polynomial
 
 __all__ = [
@@ -132,13 +132,6 @@ def chern_coefficients() -> tuple[Polynomial, Polynomial, Polynomial, Polynomial
     """The symbolic coefficients c1..c4 of the Chern series."""
     series = chern_series()
     return tuple(series.coefficient(k) for k in range(1, ORDER + 1))
-
-
-def _require_four(degrees: Sequence[int]) -> tuple[int, ...]:
-    degrees = validate_degrees(degrees)
-    if len(degrees) != N_SOURCE:
-        raise ValueError(f"the census is specific to n = 4, got n = {len(degrees)}")
-    return degrees
 
 
 def chern_values(degrees: Sequence[int]) -> tuple[int, int, int, int]:

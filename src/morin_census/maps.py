@@ -82,6 +82,14 @@ class UsageError(ValueError):
     """An argument outside its domain, or bad input data: the CLI's exit code 1."""
 
 
+def _require_four(degrees: Sequence[int]) -> tuple[int, ...]:
+    """Validated degrees for an n = 4 result; any other n is a UsageError."""
+    degrees = validate_degrees(degrees)
+    if len(degrees) != 4:
+        raise UsageError(f"the census and the gate are specific to n = 4, got n = {len(degrees)}")
+    return degrees
+
+
 def validate_count(value: int, name: str, least: int = 0) -> int:
     """A sampling count, or with least=1 a coefficient bound: an int >= least.
 
@@ -99,10 +107,12 @@ def validate_count(value: int, name: str, least: int = 0) -> int:
 
 def rest_exponents(degree: int, n: int):
     """All (i2,...,in) with sum <= degree, in lexicographic order."""
-    ranges = [range(degree + 1)] * (n - 1)
-    for rest in itertools.product(*ranges):
-        if sum(rest) <= degree:
-            yield rest
+    if n <= 1:
+        yield ()
+        return
+    for first in range(degree + 1):
+        for rest in rest_exponents(degree - first, n - 1):
+            yield (first, *rest)
 
 
 def _full_exponents(degree: int, rest: Sequence[int]) -> tuple[int, ...]:
@@ -245,10 +255,7 @@ def eligibility_gate(degrees: Sequence[int]) -> EligibilityVerdict:
     gcd is <= 2: the generic map is finitely determined.  Anything else fails
     the hypotheses without the hard obstruction, reported with a witness.
     """
-    d = validate_degrees(degrees)
-    if len(d) != 4:
-        raise ValueError("the eligibility gate is specific to n = 4")
-    return _gate(d)
+    return _gate(_require_four(degrees))
 
 
 _TRIPLES = tuple(itertools.combinations(range(4), 3))

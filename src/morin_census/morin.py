@@ -31,11 +31,11 @@ adj dF(p), and the adjugate comes from the SVD, which stays accurate at
 J(p) ~ 0 and gives every tolerance's corank.  ``_level_two`` differentiates that once more, in one
 batch over the points open at level 2: F's third partials give d_m grad J,
 the SVD gives the adjugate's derivative, and J_{2,i}(p) = grad J_{1,i}(p) .
-adj dF(p)[:, i].  Exact points read dF(p) off order-2 Taylor jets; their
-levels, and float levels r >= 3, are pulled one at a time off ``_jet_tower``
-on order-(k_max+1) jets at p (polynomials mod (x - p)^{m+1} form a ring, so
-J_{r,i}(p) stays exact for r <= k_max), which on exact points runs on Python
-ints and divides its values back exactly into Fractions.
+adj dF(p)[:, i].  Exact points read dF(p) off their order-(k_max+1) jets;
+their levels, and float levels r >= 3, are pulled one at a time off a lazy
+``_jet_tower`` on the jets at p (polynomials mod (x - p)^{m+1} form a ring,
+so J_{r,i}(p) stays exact for r <= k_max), which on exact points runs on
+Python ints and divides its values back exactly into Fractions.
 
 One scale-free rule decides a float point (``_corank`` and ``_survives``,
 array rules that the cusp probe calls too): p is regular exactly when no
@@ -496,24 +496,32 @@ def _classify_at(F, points, tols: Sequence[float], k_max: int) -> list[list[Sing
     its SVD, J(p), the Hadamard bound prod_i ||row i of dF(p)|| on |J(p)|
     (the diagnostic `jdet_bound`) and level 1, and one ``_level_two`` call
     gives level 2 at the points still open, if any.  An exact point reads
-    dF(p) off its order-2 jets.  Its levels, and float levels r >= 3, are
-    pulled one per step off one ``_jet_tower`` per point, on order-(k_max+1)
-    jets built when the point first climbs that far.  A point of the wrong
-    length, or a float NaN or inf, is a ValueError.
+    dF(p) off its order-(k_max+1) jets, and each point's levels (a float
+    point's from r = 3) are pulled one per step off its lazy ``_jet_tower``;
+    a float point translates its jets on the first pull.  A point of the
+    wrong length, or a float NaN or inf, is a ValueError.
     """
     k_max = _validate_kmax(k_max)
     components = _components_of(F)
     n = len(components)
-    exact_rows, measured = [], []
+
+    def float_tower(p):
+        """Levels 3, 4, ... at float point p, its jets translated on the first pull."""
+        jets = [f.translate_truncated(p, k_max + 1) for f in components]
+        yield from itertools.islice(_jet_tower(jets, k_max), 3, None)
+
+    exact_rows, measured, towers = [], [], []     # towers[m]: point m's levels, one per pull
     for p in points:
         if len(p) != n:
             raise ValueError(f"point length {len(p)} != n_vars {n}")
-        rows = None
+        rows = tower = None
         if components[0].kind == RATIONAL and is_exact_point(p):
-            rows = _linear_rows([f.translate_truncated(p, 2) for f in components])
+            jets = [f.translate_truncated(p, k_max + 1) for f in components]
+            rows, tower = _linear_rows(jets), itertools.islice(_jet_tower(jets, k_max), 1, None)
         elif not np.all(np.isfinite(np.asarray(p, dtype=complex))):
             raise ValueError(f"point {p} has non-finite entries")
         exact_rows.append(rows)
+        towers.append(float_tower(p) if tower is None else tower)
         measured.append(None if rows is None else
                         {"abs_jdet": float(abs(complex(exact_det(rows)))), "jdet_bound": None})
     floats = [m for m, rows in enumerate(exact_rows) if rows is None]
@@ -527,17 +535,9 @@ def _classify_at(F, points, tols: Sequence[float], k_max: int) -> list[list[Sing
         for m, modulus, bound in zip(floats, np.hypot(dets.real, dets.imag).tolist(),
                                      _hadamard(one.differentials)[1].tolist()):
             measured[m] = {"abs_jdet": modulus, "jdet_bound": bound}
-    towers = {}                             # the jet towers, each at its next level
-
-    def pulled(m: int, r: int):
-        """Level r at point m off its jet tower, built past J(p) and levels 1..r-1."""
-        if m not in towers:
-            jets = [f.translate_truncated(points[m], k_max + 1) for f in components]
-            towers[m] = itertools.islice(_jet_tower(jets, k_max), r, None)
-        return next(towers[m])
 
     def level(r: int, exact: list[int], rows):
-        exact_levels = [pulled(m, r) for m in exact]
+        exact_levels = [next(towers[m]) for m in exact]
         if not len(rows):
             return exact_levels, None, None
         if r == 1:      # ||grad J(p)|| bounds every J_{1,i}(p)
@@ -545,7 +545,7 @@ def _classify_at(F, points, tols: Sequence[float], k_max: int) -> list[list[Sing
         if r == 2:
             return exact_levels, *_level_two(partials, float_points[rows],
                                              _LevelOne(*(a[rows] for a in one)))
-        values, norms = zip(*(pulled(floats[f], r) for f in rows))
+        values, norms = zip(*(next(towers[floats[f]]) for f in rows))
         return exact_levels, np.array(values), np.array(norms)
 
     return _decide(exact_rows, s, measured, tols, k_max, level)
@@ -568,7 +568,7 @@ def classify(F, p, k_max: int = DEFAULT_KMAX, tol: float = DEFAULT_TOL) -> Singu
     gets that far, level 2 come from F's evaluated partials, with no jet and
     no determinant polynomial; every other level is pulled, one per step as
     the decision climbs, off one tower on order-(k_max+1) Taylor jets at p.
-    Exact inputs use exact rank and zero tests throughout.
+    Exact points read dF(p) off those jets and use exact rank and zero tests.
     """
     return _classify_at(F, [p], (validate_tol(tol),), k_max)[0][0]
 

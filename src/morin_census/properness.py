@@ -30,6 +30,7 @@ complex maps a witness or INCONCLUSIVE.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -143,10 +144,10 @@ class _MacaulayLayout:
     def __init__(self, F: HomogeneousMap):
         n = F.n
         nu = sum(d - 1 for d in F.degrees) + 1
+        side = math.comb(nu + n - 1, n - 1)      # the count of degree-nu monomials
+        if side > MACAULAY_SIDE_CAP:
+            raise ValueError(f"Macaulay matrix side {side} exceeds the cap {MACAULAY_SIDE_CAP}")
         self.monomials = _monomials_of_degree(n, nu)
-        if len(self.monomials) > MACAULAY_SIDE_CAP:
-            raise ValueError(
-                f"Macaulay matrix side {len(self.monomials)} exceeds the cap {MACAULAY_SIDE_CAP}")
         # descending lex is descending key order; keys past int64 stay Python ints
         self._weights = _radix_weights(nu + 1, n)
         self._keys = (np.array(self.monomials) @ self._weights)[::-1]

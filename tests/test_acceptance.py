@@ -93,8 +93,9 @@ def test_criterion_02_census_integrality_full_sweep():
         f"every violation has degree parity pattern {sorted(parities)} "
         f"(three even, one odd), and every such tuple fails the gcd "
         f"eligibility gate, so the closed-form counts are integral on their "
-        f"whole domain of validity; the formulas are implemented verbatim "
-        f"and this check reports the mismatch rather than hiding it"
+        f"whole domain of validity; the counts equal the source's forms "
+        f"(tests/test_census.py) and this check reports the mismatch rather "
+        f"than hiding it"
     )
 
 

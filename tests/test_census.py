@@ -20,6 +20,7 @@ from morin_census import (
     s_classes_symbolic,
 )
 from morin_census.census import COUNT_NAMES, _raw_counts
+from morin_census.maps import UsageError
 
 
 def _elementary_symmetric():
@@ -194,6 +195,15 @@ def test_census_requires_four_degrees():
     """Anything but exactly four degrees is rejected."""
     with pytest.raises(ValueError):
         census((2, 2, 2))
+
+
+def test_every_n4_result_refuses_another_n_as_usage_error():
+    """The census, its classes and the gate share one n = 4 rule: another n
+    is a UsageError (the CLI's exit code 1) that names n = 4."""
+    for call, degrees in ((census, (2, 3)), (chern_values, (2, 3, 5)),
+                          (s_classes, (2, 3, 5, 7, 11)), (eligibility_gate, (2, 3, 5))):
+        with pytest.raises(UsageError, match=f"n = 4, got n = {len(degrees)}"):
+            call(degrees)
 
 
 def test_census_report_serialization():

@@ -1,6 +1,8 @@
 """Homogeneous map model: coefficients, Jacobians, gate, rays, serialization."""
 
+import itertools
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -163,6 +165,22 @@ def test_coefficient_indexing_round_trip():
         lead = 3 - sum(rest)
         exps = (lead,) + tuple(rest)
         assert coefficient(F, k, rest) == F.components[k].coefficient(exps)
+
+
+def test_rest_exponents_walk_only_what_they_yield():
+    """rest_exponents gives the tuples of a product-and-filter over
+    range(degree + 1)^(n - 1), in the same order (random_map's term order),
+    and (4, 12), where the product would walk 13^11 tuples to keep 1,365, is fast."""
+    for degree, n in itertools.product(range(5), range(1, 5)):
+        reference = [rest for rest in itertools.product(range(degree + 1), repeat=n - 1)
+                     if sum(rest) <= degree]
+        assert list(rest_exponents(degree, n)) == reference
+    best = math.inf
+    for _ in range(2):
+        start = time.perf_counter()
+        assert len(list(rest_exponents(4, 12))) == 1365
+        best = min(best, time.perf_counter() - start)
+    assert best < 0.5, f"rest_exponents(4, 12) took {best:.2f} s"
 
 
 # ------------------------------------------------------------- jacobians

@@ -429,28 +429,29 @@ def test_k_max_below_one_is_rejected(monkeypatch):
 
 @pytest.mark.parametrize("form, depth", [(fold_form, 1), (cusp_form, 2), (swallowtail_form, 3)])
 def test_one_jet_tower_per_point(monkeypatch, form, depth):
-    """An exact A_r germ at the origin reads dF(p) off its n order-2 jets,
-    builds its n order-(k_max+1) jets once, when level 1 is first asked, and
-    pulls r levels off one tower: 1 + n r determinants (J and n rows per level)."""
+    """An exact A_r germ at the origin translates its n order-(k_max+1) jets
+    once, reads dF(p) off them, and pulls r levels off one tower: 1 + n r
+    determinants (J and n rows per level)."""
     calls = _count_jet_work(monkeypatch)
     assert classify(form(), (0, 0, 0, 0), k_max=4).label == f"A{depth}"
-    assert calls == {"order 2": 4, "order 5": 4, "det": 1 + 4 * depth}
+    assert calls == {"order 5": 4, "det": 1 + 4 * depth}
 
 
 def test_points_off_the_jet_tower_build_no_determinant(monkeypatch):
     """An exact point that is regular or of corank 2, on or off the origin,
-    never asks for a level: it builds its order-2 jets only, and no
-    determinant.  A float A1 or A2 point gets its levels from F's partials."""
+    never asks for a level: it builds its one set of order-(k_max+1) jets
+    and no determinant.  A float A1 or A2 point gets its levels from F's
+    partials and never pulls its tower, so it translates nothing."""
     calls = _count_jet_work(monkeypatch)
     off = (Fraction(1, 3), Fraction(-2, 7), 1, Fraction(5, 2))
     for form, p, label in ((corank2_form(), (0, 0, 0, 0), "corank_ge_2"),
                            (corank2_form(), off[:2] + (0, 0), "corank_ge_2"),
                            (fold_form(), off, "regular"), (swallowtail_form(), off, "regular")):
         assert classify(form, p).label == label
-    assert calls == {"order 2": 16}
+    assert calls == {"order 5": 16}
     for form, label in ((fold_form(), "A1"), (cusp_form(), "A2")):
         assert classify(form, ORIGIN).label == label
-    assert calls == {"order 2": 16}
+    assert calls == {"order 5": 16}
 
 
 @pytest.mark.parametrize("tol", [-1.0, 0.0, 1.0, 2.0, float("nan")])

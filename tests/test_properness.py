@@ -218,6 +218,19 @@ def test_complex_map_past_the_cap_is_rejected():
         properness_verdict(F)
 
 
+def test_oversized_macaulay_matrix_is_refused_before_it_is_enumerated(monkeypatch):
+    """The cap is checked on the side C(nu + n - 1, n - 1), before any
+    degree-nu monomial is listed: (5,)*6 would list 142,506 of them."""
+    def enumerate_monomials(n, degree):
+        raise AssertionError(f"enumerated the degree-{degree} monomials in {n} variables")
+
+    monkeypatch.setattr(properness, "_monomials_of_degree", enumerate_monomials)
+    with pytest.raises(ValueError, match="exceeds the cap"):
+        properness_verdict(random_map((5, 5, 5, 5, 5), seed=0, kind="complex"))
+    with pytest.raises(ValueError, match="side 142506 exceeds the cap"):
+        macaulay_resultant_certificate(random_map((5,) * 6, seed=1))
+
+
 def _seeded_rational_map(seed, degrees):
     """A random map of `degrees`: integer coefficients, Fractions on odd seeds,
     and on every third seed a planted common zero at a small integer point."""
