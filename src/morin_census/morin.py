@@ -12,10 +12,11 @@ d^{r+1} g / d x_n^{r+1}, which the symbolic tower reproduces exactly.  Points
 of corank >= 2 kill every level, so the classifier reports them separately.
 
 J_{k,i} depends only on J_{k-1,i}, so the tower is n chains, one per row i of
-dF; ``_chain`` builds one, a level at a time as it is pulled.  ``morin_tower``
-builds every J_{k,i} symbolically -- exact and cacheable, but level-k degrees
+dF.  ``morin_tower`` builds every J_{k,i} symbolically, one ``PolyMatrix.det``
+per level and row (``_chain``) -- exact and cacheable, but level-k degrees
 grow like k * sum(d_i - 1), which is ruinous for one-point queries on larger
-maps.  The classifier reads values at points instead; both agree (tested).
+maps.  The classifier reads values at points instead, with dF's adjugate in
+place of n determinants per level; both routes agree (tested).
 
 Every verdict comes from one level-by-level loop, ``_decide``: it sets each
 (point, tolerance) corank once, then climbs r = 1, 2, ... asking its level
@@ -34,8 +35,10 @@ the SVD gives the adjugate's derivative, and J_{2,i}(p) = grad J_{1,i}(p) .
 adj dF(p)[:, i].  Exact points read dF(p) off their order-(k_max+1) jets;
 their levels, and float levels r >= 3, are pulled one at a time off a lazy
 ``_jet_tower`` on the jets at p (polynomials mod (x - p)^{m+1} form a ring,
-so J_{r,i}(p) stays exact for r <= k_max), which on exact points runs on
-Python ints and divides its values back exactly into Fractions.
+so J_{r,i}(p) stays exact for r <= k_max).  Its first pull builds J and the
+truncated adjugate of the jets' dF from one set of cofactors, and each level
+costs n^2 series products; on exact points it runs on Python ints and
+divides its values back exactly into Fractions.
 
 One scale-free rule decides a float point (``_corank`` and ``_survives``,
 array rules that the cusp probe calls too): p is regular exactly when no
@@ -59,7 +62,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .linalg import clear_denominators, exact_det, exact_rank
-from .maps import HomogeneousMap, UsageError, jacobian
+from .maps import HomogeneousMap, UsageError, jacobian, rest_exponents
 from .polynomials import RATIONAL, Polynomial, PolyMatrix, _radix_weights, is_exact_point
 
 __all__ = [
@@ -128,11 +131,11 @@ def _components_of(F) -> tuple[Polynomial, ...]:
     return GeneralMap(comps).components  # runs the shape validation
 
 
-def _chain(jac: PolyMatrix, base: Polynomial, i: int, k: int, cap: int | None = None):
-    """Yield J_{1,i}, ..., J_{k,i} from dF and J; with `cap`, cut level r past degree cap - r."""
+def _chain(jac: PolyMatrix, base: Polynomial, i: int, k: int):
+    """Yield J_{1,i}, ..., J_{k,i} from dF and J, one determinant per level."""
     level = base
     for r in range(1, k + 1):
-        level = jac.with_row(i, level.gradient()).det(None if cap is None else cap - r)
+        level = jac.with_row(i, level.gradient()).det()
         yield level
 
 
@@ -164,44 +167,99 @@ def morin_tower(F, k_max: int = DEFAULT_KMAX) -> MorinTower:
 
 
 # ---------------------------------------------------------------- jet evaluation
+@functools.cache
+def _monomial_keys(n: int, top: int) -> tuple[tuple[int, ...], dict[int, int], dict[int, tuple]]:
+    """Integer keys, radix top + 1, for the monomials of degree <= top in n
+    variables: the weights radix^(n-1), ..., 1 (keys are exps @ weights, as in
+    ``_radix_weights``), and each key's degree and exponents, over those
+    monomials alone; shared per (n, top), never written.  A product of degree
+    <= top has every exponent below the radix: its key is the sum of keys."""
+    weights = tuple(_radix_weights(top + 1, n).tolist())
+    exponents = {sum(map(operator.mul, e, weights)): e for e in rest_exponents(top, n + 1)}
+    return weights, {key: sum(e) for key, e in exponents.items()}, exponents
+
+
 def _jet_tower(jets: Sequence[Polynomial], k: int):
     """Yield J(p), then ([J_{r,i}(p)], [||grad J_{r-1,i}(p)||]) for r = 1, ..., k,
     one level per pull, from the order-(k+1) jets at p (J_{0,i} = J).
 
-    Each row's ``_chain`` advances one step per level, cutting level r past
-    total degree k - r: every intermediate polynomial stays tiny and the
-    terms read off it are exact (exact arithmetic in the rational kind, plain
-    floating error otherwise -- no truncation error either way).
+    The jets run as truncated series, dicts from ``_monomial_keys`` keys to
+    coefficients.  Expanding along the replaced row, J_{r,i} = sum_j d_j
+    J_{r-1,i} adj(dF)_{j,i}: J comes from cofactor expansion with its minors
+    kept, the first level pull finishes the adjugate from them, and each
+    level costs n^2 products, level r cut past degree k - r.  The terms read
+    off are exact (exact arithmetic in the rational kind, plain floating
+    error otherwise -- no truncation error either way).
 
     Rational jets are cleared of denominators first: jet i times c_i, the lcm
     of its denominators, is an integer jet, and the whole tower runs on
     Python ints.  Scaling row i of dF by c_i makes J_{r,i} of the scaled jets
     C^{r+1} / c_i^r times J_{r,i} of F (C = prod c_i; J_{0,i} = J), and so
     each value, and each gradient a norm is taken of, is divided back
-    exactly into a Fraction.  The int polynomials never leave this generator.
+    exactly into a Fraction.  The int series never leave this generator.
     """
     n = len(jets)
     exact = jets[0].kind == RATIONAL
-    lcms = [1] * n
+    coefficients, lcms = [list(f.terms.values()) for f in jets], [1] * n
     if exact:
-        ints, lcms = zip(*(clear_denominators(f.terms.values()) for f in jets))
-        jets = [Polynomial._trusted(n, dict(zip(f.terms, c)), f.kind) for f, c in zip(jets, ints)]
-    scale = math.prod(lcms)
+        coefficients, lcms = zip(*(clear_denominators(c) for c in coefficients))
+    scale, zero = math.prod(lcms), 0 if exact else 0j
 
     def unscaled(r: int, i: int, c):
         """A coefficient of J_{r,i} of the scaled jets as that of F's J_{r,i}."""
         return Fraction(c, scale ** (r + 1) // lcms[i] ** r) if exact else c
 
-    jac = jacobian(GeneralMap(jets))
-    origin = (0,) * n
-    base = jac.det(max_degree=k)
-    yield unscaled(0, 0, base.coefficient(origin))
-    below = [base] * n                  # J_{r-1,i} of the scaled jets
-    for r, levels in enumerate(zip(*(_chain(jac, base, i, k, cap=k) for i in range(n))), 1):
-        yield ([unscaled(r, i, L.coefficient(origin)) for i, L in enumerate(levels)],
-               [math.hypot(*(abs(unscaled(r - 1, i, c)) for c in g))
-                for i, g in enumerate(_linear_rows(below))])
-        below = levels
+    weights, degree, exponents = _monomial_keys(n, k + 1)
+
+    def expand(products, cap: int) -> dict:
+        """The sum of sign * a * b over (sign, series a, minor b), cut past degree cap."""
+        out = {}
+        for sign, a, b in products:
+            for key_a, c_a in a.items():
+                room, c_a = cap - degree[key_a], sign * c_a
+                for d, key_b, c_b in b:
+                    if d > room:
+                        break
+                    out[key_a + key_b] = out.get(key_a + key_b, zero) + c_a * c_b
+        return {key: c for key, c in out.items() if c}
+
+    def gradient(f: dict) -> list[dict]:
+        """[d_j f]: the key of x^e drops by weights[j], its coefficient gains e_j."""
+        out = [{} for _ in range(n)]
+        for key, c in f.items():
+            for j, e in enumerate(exponents[key]):
+                if e:
+                    out[j][key - weights[j]] = c * e
+        return out
+
+    dF = [gradient({sum(map(operator.mul, e, weights)): c for e, c in zip(f.terms, cs)})
+          for f, cs in zip(jets, coefficients)]
+    minors: dict[tuple[tuple, tuple], list] = {}
+
+    def minor(rows: tuple, cols: tuple) -> list:
+        """det of dF on rows x cols cut past degree k, expanded along rows[0] and
+        kept, as its (degree, key, coefficient) terms in degree order."""
+        if not rows:
+            return [(0, 0, 1)]
+        if (rows, cols) not in minors:
+            total = expand((((-1) ** s, dF[rows[0]][c], minor(rows[1:], cols[:s] + cols[s + 1:]))
+                            for s, c in enumerate(cols) if dF[rows[0]][c]), k)
+            minors[rows, cols] = sorted((degree[key], key, c) for key, c in total.items())
+        return minors[rows, cols]
+
+    full = tuple(range(n))
+    without = [full[:i] + full[i + 1:] for i in full]
+    base = {key: c for _, key, c in minor(full, full)}
+    yield unscaled(0, 0, base.get(0, zero))
+    grads = [gradient(base)] * n            # grads[i] = grad J_{r-1,i} of the scaled jets
+    for r in range(1, k + 1):
+        levels = [expand((((-1) ** (i + j), g, minor(without[i], without[j]))
+                          for j, g in enumerate(row) if g), k - r)
+                  for i, row in enumerate(grads)]
+        yield ([unscaled(r, i, level.get(0, zero)) for i, level in enumerate(levels)],
+               [math.hypot(*(abs(unscaled(r - 1, i, g.get(0, zero))) for g in row))
+                for i, row in enumerate(grads)])
+        grads = [gradient(level) for level in levels]
 
 
 # ---------------------------------------------------------------- classification
@@ -497,8 +555,9 @@ def _classify_at(F, points, tols: Sequence[float], k_max: int) -> list[list[Sing
     (the diagnostic `jdet_bound`) and level 1, and one ``_level_two`` call
     gives level 2 at the points still open, if any.  An exact point reads
     dF(p) off its order-(k_max+1) jets, and each point's levels (a float
-    point's from r = 3) are pulled one per step off its lazy ``_jet_tower``;
-    a float point translates its jets on the first pull.  A point of the
+    point's from r = 3) are pulled one per step off its lazy ``_jet_tower``,
+    whose first pull builds the truncated adjugate of the jets' dF; a float
+    point translates its jets on the first pull.  A point of the
     wrong length, or a float NaN or inf, is a ValueError.
     """
     k_max = _validate_kmax(k_max)
@@ -567,7 +626,8 @@ def classify(F, p, k_max: int = DEFAULT_KMAX, tol: float = DEFAULT_TOL) -> Singu
     verdict.  At a float point dF(p), J(p), level 1 and, when the decision
     gets that far, level 2 come from F's evaluated partials, with no jet and
     no determinant polynomial; every other level is pulled, one per step as
-    the decision climbs, off one tower on order-(k_max+1) Taylor jets at p.
+    the decision climbs, off one tower on order-(k_max+1) Taylor jets at p,
+    which needs their dF's truncated adjugate once and n^2 products a level.
     Exact points read dF(p) off those jets and use exact rank and zero tests.
     """
     return _classify_at(F, [p], (validate_tol(tol),), k_max)[0][0]

@@ -3,6 +3,7 @@
 import collections
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -430,11 +431,13 @@ def test_k_max_below_one_is_rejected(monkeypatch):
 @pytest.mark.parametrize("form, depth", [(fold_form, 1), (cusp_form, 2), (swallowtail_form, 3)])
 def test_one_jet_tower_per_point(monkeypatch, form, depth):
     """An exact A_r germ at the origin translates its n order-(k_max+1) jets
-    once, reads dF(p) off them, and pulls r levels off one tower: 1 + n r
-    determinants (J and n rows per level)."""
+    once, reads dF(p) off them, and pulls r levels off one tower that builds
+    no determinant polynomial: J and the adjugate of dF come from one set of
+    cofactors on the jets' truncated series, and each level from n^2 products
+    with it, so no level, however deep, calls ``PolyMatrix.det``."""
     calls = _count_jet_work(monkeypatch)
     assert classify(form(), (0, 0, 0, 0), k_max=4).label == f"A{depth}"
-    assert calls == {"order 5": 4, "det": 1 + 4 * depth}
+    assert calls == {"order 5": 4}
 
 
 def test_points_off_the_jet_tower_build_no_determinant(monkeypatch):
@@ -556,6 +559,94 @@ def test_exact_jet_tower_divides_its_scaling_back_exactly(zero_row):
         assert base == 0 and not any(v for row in levels for v in row)
     else:
         assert base != 0 and all(levels[0])
+
+
+def _rational_map(n: int, seed: int) -> GeneralMap:
+    """A non-homogeneous rational map in n variables: four terms of degree 0
+    to 2 with Fraction coefficients per component, and in the first one the
+    term x_n^4 as well, of degree k_max + 1 = 4 at k_max = 3: the largest
+    exponent the jet tower's monomial keys hold."""
+    rng = np.random.default_rng(seed)
+    exponents = [e for e in itertools.product(range(3), repeat=n) if sum(e) <= 2]
+    comps = [{exponents[k]: Fraction(int(rng.integers(1, 7)) * int(rng.choice([-1, 1])),
+                                     int(rng.integers(1, 5)))
+              for k in rng.choice(len(exponents), size=4, replace=False)} for _ in range(n)]
+    comps[0][(0,) * (n - 1) + (4,)] = Fraction(3, 2)
+    return GeneralMap(tuple(Polynomial(n, terms) for terms in comps))
+
+
+def _exact_points(n: int):
+    """Two rational points off the origin, the first with a zero coordinate."""
+    return [(0,) + tuple(Fraction(k + 2, 3) for k in range(n - 1)),
+            tuple(Fraction((-1) ** k * (2 * k + 1), k + 2) for k in range(n))]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_jet_tower_equals_the_symbolic_tower_exactly(n):
+    """At rational points off the origin the jet tower gives exactly what the
+    symbolic tower (``morin_tower``, one ``PolyMatrix.det`` per level and
+    row) gives there: J(p), every J_{r,i}(p) for r <= 3 and every norm
+    ||grad J_{r-1,i}(p)||, on two non-homogeneous rational maps per n."""
+    for seed in (n, n + 10):
+        F = _rational_map(n, seed)
+        tower = morin_tower(F, 3)
+        for p in _exact_points(n):
+            base, *pulled = _jet_tower([f.translate_truncated(p, 4) for f in F.components], 3)
+            assert base == tower.base.evaluate(p) != 0
+            assert [values for values, _ in pulled] == [
+                [tower.level(r, i).evaluate(p) for i in range(n)] for r in (1, 2, 3)]
+            below = [[tower.base] * n] + [list(level) for level in tower.levels[:2]]
+            assert [norms for _, norms in pulled] == [
+                [math.hypot(*(abs(g.evaluate(p)) for g in L.gradient())) for L in row]
+                for row in below]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_jet_tower_on_a_graph_form_is_the_iterated_partial(n):
+    """Criterion 05's identity at exact points, with no ``PolyMatrix`` in the
+    oracle: on F = (x_1, ..., x_{n-1}, g), J(p) = d_n g(p) and J_{r,n}(p) =
+    d_n^{r+1} g(p) for r <= 3, at the two rational points off the origin."""
+    g = _rational_map(n, 7 * n).components[0]
+    F = GeneralMap(tuple(Polynomial.variable(j, n) for j in range(n - 1)) + (g,))
+    for p in _exact_points(n):
+        base, levels = jet_tower_values(F, p, k_max=3)
+        partials = [g.partial(n - 1)]
+        for _ in range(3):
+            partials.append(partials[-1].partial(n - 1))
+        assert [base] + [row[n - 1] for row in levels] == [d.evaluate(p) for d in partials]
+
+
+def test_float_jet_tower_matches_the_exact_one_at_a_dyadic_point():
+    """At a dyadic point, which floats hold exactly, the float jet tower's
+    level-3 values agree with the exact tower's to 1e-12 of the row's largest,
+    on the non-homogeneous maps for n = 2, 3, 4."""
+    for n in (2, 3, 4):
+        F = _rational_map(n, n)
+        p = tuple(Fraction((-1) ** k * (2 * k + 3), 2 ** (k + 1)) for k in range(n))
+        _, exact = jet_tower_values(F, p, k_max=3)
+        _, floats = jet_tower_values(F, np.array([float(v) for v in p]), k_max=3)
+        ref = np.array(exact[2], dtype=complex)
+        assert np.max(np.abs(ref)) > 0
+        assert np.max(np.abs(np.array(floats[2]) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_monomial_key_table_lists_only_the_low_degree_monomials():
+    """The jet tower's key table holds the monomials of degree <= k_max + 1
+    alone, never every key below radix^n: an n = 8 fold at the origin with
+    k_max = 10 (C(19, 8) = 75,582 monomials, where 12^8 keys would be 4.3e8)
+    classifies in under 2 s, best of two calls that each build the table."""
+    n = 8
+    F = GeneralMap(tuple(Polynomial.variable(j, n) for j in range(n - 1))
+                   + (Polynomial(n, {(0,) * (n - 1) + (2,): 1}),))
+    times = []
+    for _ in range(2):
+        morin._monomial_keys.cache_clear()
+        start = time.perf_counter()
+        assert classify(F, (0,) * n, k_max=10).label == "A1"
+        times.append(time.perf_counter() - start)
+    assert min(times) < 2.0, times
+    assert len(morin._monomial_keys(n, 11)[1]) == math.comb(19, 8)
+    morin._monomial_keys.cache_clear()      # the n = 8 table holds about 10 MB
 
 
 @pytest.mark.parametrize("k_max", [1, 2, 4])
