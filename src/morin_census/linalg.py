@@ -4,8 +4,10 @@ Everything here operates on numbers, not on polynomials: resultant matrices,
 differentials at a point, the random integer coordinate changes used by the
 invariance tests, and ``newton_polish``, the loop every float solver ends in.
 Each exact decision is made here once: ``clear_denominators`` turns ints
-and Fractions into integers, and ``det_is_nonzero`` ranks mod one prime
-before Bareiss.  ``sylvester_matrix`` is the one Sylvester layout.
+and Fractions into integers, and ``det_is_nonzero`` proves full column rank
+by an integer left inverse checked exactly in float64 (Rump, Acta Numerica
+19, 2010), then by the rank mod one prime, then by Bareiss.
+``sylvester_matrix`` is the one Sylvester layout.
 """
 
 from __future__ import annotations
@@ -99,6 +101,7 @@ def exact_rank(rows: Sequence[Sequence]) -> int:
 
 
 _CERTIFICATE_PRIME = 33_554_467    # ~2^25: products of residues fit int64
+_EXACT_FLOAT = 2 ** 53              # every integer below it is a float64
 
 
 def _rank_mod_p(matrix: np.ndarray, p: int) -> int:
@@ -121,25 +124,64 @@ def _rank_mod_p(matrix: np.ndarray, p: int) -> int:
     return rank
 
 
+def _left_inverse_proves_rank(m: np.ndarray) -> bool:
+    """True when an integer left inverse X of `m` makes R = X m strictly diagonally dominant.
+
+    X is the float left inverse solve(m^T m, m^T), scaled and rounded to
+    integers.  With c the largest column abs-sum of m and max|X| c < 2^53,
+    every product and partial sum in R is an integer below 2^53, so the
+    float64 product is exact whatever the summation order or FMA.  A float
+    sum of nonnegative integers is exact below 2^53 and at least 2^53 above
+    it, which makes c and the dominance test exact too.  A strictly
+    diagonally dominant R is nonsingular (Levy-Desplanques), so m has full
+    column rank; any other outcome proves nothing.
+    """
+    if m.dtype == object and max(m.max(), -m.min()) >= _EXACT_FLOAT:
+        return False
+    with np.errstate(all="ignore"):
+        a = m.astype(np.float64)
+        reach = np.abs(a).sum(axis=0).max()
+        if not reach < _EXACT_FLOAT:
+            return False
+        try:
+            inverse = np.linalg.solve(a.T @ a, a.T)
+        except np.linalg.LinAlgError:
+            return False
+        x = np.rint(inverse * (_EXACT_FLOAT / 2 / (np.abs(inverse).max() * reach)))
+        top = np.abs(x).max()
+        if not np.isfinite(top) or int(top) * int(reach) >= _EXACT_FLOAT:
+            return False
+        r = np.abs(x @ a)
+    diagonal = r.diagonal().copy()
+    np.fill_diagonal(r, 0)
+    return bool((diagonal > r.sum(axis=1)).all())
+
+
 def det_is_nonzero(rows: Sequence[Sequence[int]] | np.ndarray, exact: bool = True) -> str | None:
     """Exact test that an integer matrix has full column rank, naming what proved it.
 
     For a square or tall matrix that is a nonzero maximal minor, and on a
     square one det != 0.  `rows` is a list of rows or an integer ndarray
-    (``int64``, or ``object`` for entries past it), ranked as it is.  Full
-    rank mod a prime certifies full rank over the integers, so the rank mod
-    one prime (fast, numpy) is tried first and gives "mod p"; a matrix that
-    loses rank there goes to fraction-free elimination, whose full rank
-    gives "exact rank" and deficient rank None.  With `exact` false such a
-    matrix gives None at once, for a caller with a cheaper proof to try first.
+    (``int64``, or ``object`` for entries past it), ranked as it is.  Three
+    proofs are tried in turn.  An integer left inverse X with X m strictly
+    diagonally dominant, formed exactly in float64, gives "left inverse";
+    it needs entries well below 2^53 and a matrix not too near rank loss.
+    Full rank mod one prime gives "mod p"; fraction-free elimination then
+    gives "exact rank", or None on a rank-deficient matrix.  With `exact`
+    false only the left inverse is tried, and any other matrix gives None,
+    for a caller with a cheaper proof of rank loss to try first.
     """
     if len(rows) == 0:
         return "exact rank"
     ints = rows if isinstance(rows, np.ndarray) else \
         np.array([[int(v) for v in r] for r in rows], dtype=object)
+    if ints.size and _left_inverse_proves_rank(ints):
+        return "left inverse"
+    if not exact:
+        return None
     if _rank_mod_p(ints, _CERTIFICATE_PRIME) == ints.shape[1]:
         return f"mod {_CERTIFICATE_PRIME}"
-    return "exact rank" if exact and _eliminate(ints.tolist())[0] == ints.shape[1] else None
+    return "exact rank" if _eliminate(ints.tolist())[0] == ints.shape[1] else None
 
 
 def sylvester_matrix(p_coeffs, q_coeffs) -> np.ndarray:

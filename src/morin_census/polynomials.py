@@ -388,14 +388,16 @@ class Polynomial:
         kind = self.kind
         if kind == RATIONAL and not is_exact_point(point):
             return self.as_complex().translate_truncated(point, max_degree)
-        vals = [Fraction(v) if kind == RATIONAL else complex(v) for v in point]
+        # a zero coordinate keeps only a_i = e_i, so it needs no number and no powers
+        vals = [0 if v == 0 else Fraction(v) if kind == RATIONAL else complex(v) for v in point]
         powers = [[v ** k for k in range(max((e[i] for e in self.terms), default=0) + 1)]
+                  if v else ()
                   for i, v in enumerate(vals)]
         out: dict[Exponents, Scalar] = {}
         for exps, c in self.terms.items():
             heads = [((), 0, c)]         # (a_1..a_i, |a|, weight) over the first i variables
             for e, v, pw in zip(exps, vals, powers):
-                if v == 0:               # only a_i = e_i survives, with the factor 1
+                if not v:                # only a_i = e_i survives, with the factor 1
                     heads = [(head + (e,), d + e, w) for head, d, w in heads
                              if d + e <= max_degree]
                     continue

@@ -13,11 +13,12 @@ question reduces to whether the components share a nonzero common root.
   (``_MacaulayLayout``), scattering coefficients into an ndarray.
 * ``macaulay_resultant_certificate`` -- decides rational maps by the
   cheapest exact proof.  Denominators are cleared once per component into an
-  int64 array, ranked mod a prime first: full rank there is PROPER.  On a
-  rank loss the root read off the null space is rounded to a rational point
-  q, and F(q) = 0 exactly is NOT_PROPER.  Only when that fails (an
-  irrational root, or a full-rank matrix that loses rank mod the prime) does
-  the exact rank of the matrix decide, both ways.
+  int64 array, and an integer left inverse X with X M strictly diagonally
+  dominant, formed exactly in float64, is PROPER.  Without one, the root
+  read off the null space is rounded to a rational point q, and F(q) = 0
+  exactly is NOT_PROPER.  Only when that fails too (an irrational root, or
+  a full-rank matrix too large or too near rank loss for the left inverse)
+  do the rank mod a prime and then the exact rank decide, both ways.
 * ``sphere_falsifier`` -- the same null-space reading in floating point.  A
   root estimate that is already a unit-norm common root is kept; only when
   none is are all of them polished at once by ``newton_polish``.  It gives
@@ -203,10 +204,11 @@ def _integer_matrix(F: HomogeneousMap, layout: _MacaulayLayout) -> np.ndarray:
 def macaulay_resultant_certificate(F: HomogeneousMap) -> PropernessVerdict:
     """PROPER iff the Macaulay matrix has full column rank, else NOT_PROPER.
 
-    The certificate names what decided it: the prime that showed full rank,
-    the rational common root q with F(q) = 0 exactly, or the exact rank.  A
-    NOT_PROPER verdict carries the unit-norm common root read off the null
-    space, or no witness if the polish misses it.
+    The certificate names what decided it: the left inverse or the prime
+    that showed full rank, the rational common root q with F(q) = 0
+    exactly, or the exact rank.  A NOT_PROPER verdict carries the
+    unit-norm common root read off the null space, or no witness if the
+    polish misses it.
     """
     if F.kind != RATIONAL:
         raise ValueError("the Macaulay certificate needs the exact rational kind")

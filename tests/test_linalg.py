@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from morin_census import (HomogeneousMap, Polynomial, critical_points_on_lines, cusp_points,
                           linalg, properness, properness_verdict, random_map, sampler,
@@ -45,18 +47,81 @@ def test_det_is_nonzero_tests_full_column_rank():
 
 
 def test_det_is_nonzero_falls_back_to_exact_rank():
-    """diag(p, 1) loses rank mod the certificate prime p, but not over Q."""
+    """diag(p, 1) loses rank mod the certificate prime p, but not over Q, and
+    the left inverse proves it; entries past 2^53 that are all 0 mod p leave
+    it to the exact rank: p 2^30 [[1, 1], [1, 1 + 2^-30]] has det p^2 2^30."""
     p = _CERTIFICATE_PRIME
-    assert det_is_nonzero([[p, 0], [0, 1]]) == "exact rank"
+    assert det_is_nonzero([[p, 0], [0, 1]]) == "left inverse"
+    assert det_is_nonzero(_EXACT_RANK_ONLY) == "exact rank"
+    assert det_is_nonzero(_EXACT_RANK_ONLY, exact=False) is None
+
+
+# p 2^30 [[1, 1], [1, 1 + 2^-30]]: entries past 2^53, every one 0 mod p
+_EXACT_RANK_ONLY = [[_CERTIFICATE_PRIME * 2 ** 30] * 2,
+                    [_CERTIFICATE_PRIME * 2 ** 30, _CERTIFICATE_PRIME * (2 ** 30 + 1)]]
 
 
 def test_det_is_nonzero_ranks_int64_arrays_and_names_the_prime():
-    """An int64 ndarray is ranked as it is; full rank mod the one prime names
-    it, and a matrix that loses rank there is decided by the exact rank."""
+    """An int64 ndarray is ranked as it is, and each proof has an input that
+    only it decides: a well-conditioned matrix goes to the left inverse,
+    entries past 2^53 to the one prime, a matrix that loses rank there to the
+    exact rank, and a rank-deficient one to None."""
     p = _CERTIFICATE_PRIME
-    assert det_is_nonzero(np.array([[1, 2], [2, 4], [0, 1]], dtype=np.int64)) == f"mod {p}"
-    assert det_is_nonzero(np.array([[p, 0], [0, 1]], dtype=np.int64)) == "exact rank"
+    assert det_is_nonzero(np.array([[1, 2], [2, 4], [0, 1]], dtype=np.int64)) == "left inverse"
+    assert det_is_nonzero(np.array([[p, 0], [0, 1]], dtype=np.int64)) == "left inverse"
+    past = np.array([[2 ** 60, 2 ** 60], [2 ** 60, 2 ** 60 + 1]], dtype=np.int64)
+    assert det_is_nonzero(past) == f"mod {p}"
+    assert det_is_nonzero(past, exact=False) is None
+    assert det_is_nonzero(np.array(_EXACT_RANK_ONLY, dtype=np.int64)) == "exact rank"
     assert det_is_nonzero(np.array([[1, 2], [2, 4], [3, 6]], dtype=np.int64)) is None
+
+
+@st.composite
+def _integer_matrices(draw):
+    """Rows of a tall integer matrix of one of four kinds: random,
+    with a planted integer column dependency, near a rank-deficient one
+    (t S + P with S deficient, t up to 2^45, P in {-1, 0, 1}), or with
+    entries near 2^53 (a random matrix times 2^k, k in 44..54, plus a small one)."""
+    kind = draw(st.sampled_from(["random", "dependent", "near singular", "near 2^53"]))
+    cols = draw(st.integers(1, 6))
+    rows = cols + draw(st.integers(0, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    m = rng.integers(-50, 51, size=(rows, cols)).astype(object)
+    small = rng.integers(-1, 2, size=(rows, cols)).astype(object)
+    if kind in ("dependent", "near singular") and cols > 1:
+        j = draw(st.integers(0, cols - 1))
+        weights = rng.integers(-3, 4, size=cols).astype(object)
+        weights[j] = 0
+        m[:, j] = m @ weights
+    if kind == "near singular":
+        m = m * 2 ** draw(st.integers(0, 45)) + small
+    elif kind == "near 2^53":
+        m = m * 2 ** draw(st.integers(44, 54)) + small
+    return [[int(v) for v in r] for r in m]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_integer_matrices())
+def test_left_inverse_never_proves_a_rank_deficient_matrix(rows):
+    """Every proof agrees with the exact rank, as a list and as an int64
+    array, and "left inverse" never names a rank-deficient matrix."""
+    full = exact_rank(rows) == len(rows[0])
+    for m in (rows, np.array(rows, dtype=np.int64)):
+        assert bool(det_is_nonzero(m)) == full
+        assert det_is_nonzero(m, exact=False) in (("left inverse", None) if full else (None,))
+
+
+def test_left_inverse_is_exact_at_the_2_53_boundary():
+    """Entries at 2^53 + 1 round in float64: columns that depend over Z can
+    look independent in floats, and the proof then refuses them."""
+    big = 2 ** 53
+    # column 3 = column 1 + column 2 over Z; in float64 the first row reads
+    # (2^53, 1, 2^53 + 2), a nonsingular matrix
+    deficient = [[big + 1, 1, big + 2], [0, 1, 1], [1, 0, 1]]
+    assert exact_rank(deficient) == 2
+    assert det_is_nonzero(deficient) is None
+    assert det_is_nonzero(np.array(deficient, dtype=np.int64)) is None
+    assert det_is_nonzero([[big + 1, big], [big, big - 1]]) == f"mod {_CERTIFICATE_PRIME}"
 
 
 def test_sylvester_matrix_batches_over_leading_axes():

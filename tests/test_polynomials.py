@@ -161,6 +161,24 @@ def test_translate_truncated_is_taylor_jet():
         assert max(abs(jet.coefficient(e) - c) for e, c in want.items()) <= 1e-12 * scale
 
 
+@settings(max_examples=60, deadline=None)
+@given(f=polys, point=st.tuples(st.sampled_from([0, 0, 1, -2, Fraction(1, 3)]),
+                                st.sampled_from([0, 0, 3, Fraction(-1, 2)])),
+       m=st.integers(0, 6))
+def test_translate_truncated_at_zero_coordinates_is_the_substituted_shift(f, point, m):
+    """A zero coordinate takes no power table, and the jet is still the shift
+    f(point + x) cut past degree m; at the origin, in either kind, it is
+    f's own terms of degree <= m, coefficient for coefficient."""
+    shift = [P(2, {tuple(int(i == j) for i in range(2)): 1, (0, 0): v}) for j, v in
+             enumerate(point)]
+    full = f.substitute(shift)
+    assert f.translate_truncated(point, m) == Polynomial(
+        2, {e: c for e, c in full.terms.items() if sum(e) <= m})
+    g = f.as_complex()
+    assert g.translate_truncated((0, 0.0), m).terms == {
+        e: c for e, c in g.terms.items() if sum(e) <= m}
+
+
 def test_evaluate_complex_matches_horner():
     """Float evaluation agrees with direct monomial summation."""
     f = P(2, {(2, 1): 1 + 1j, (0, 0): -3}, kind="complex")

@@ -320,15 +320,57 @@ def _exponents(n, degree):
 
 
 def test_certificate_names_the_prime_or_the_exact_rank():
-    """A generic map is full rank mod the certificate prime; a component that
-    is a multiple of the prime leaves the decision to the exact rank."""
-    v = macaulay_resultant_certificate(random_map((2, 2, 2), seed=0))
-    assert v.certificate.endswith(f"has full rank 15 (mod {_CERTIFICATE_PRIME})")
-    scaled = _CERTIFICATE_PRIME
-    comps = tuple(Polynomial(3, {tuple(2 * int(i == k) for i in range(3)): scaled if k else 1})
-                  for k in range(3))
-    v = macaulay_resultant_certificate(HomogeneousMap((2, 2, 2), comps))
+    """Each proof of full rank has a map that only it decides.  A generic map
+    is proved by the left inverse, and so is a component that is a multiple
+    of the prime.  Coefficients past 2^53 leave a generic map to the prime;
+    past 2^53 and 0 mod the prime, they leave it to the exact rank."""
+    p = _CERTIFICATE_PRIME
+    F = random_map((2, 2, 2), seed=0)
+    v = macaulay_resultant_certificate(F)
+    assert v.certificate.endswith("has full rank 15 (left inverse)")
+    past = HomogeneousMap(F.degrees, tuple(f * 2 ** 55 for f in F.components))
+    v = macaulay_resultant_certificate(past)
+    assert v.verdict == PROPER and v.certificate.endswith(f"has full rank 15 (mod {p})")
+
+    def diagonal(scale):
+        return HomogeneousMap((2, 2, 2), tuple(
+            Polynomial(3, {tuple(2 * int(i == k) for i in range(3)): scale if k else 1})
+            for k in range(3)))
+
+    v = macaulay_resultant_certificate(diagonal(p))
+    assert v.verdict == PROPER and v.certificate.endswith("(left inverse)")
+    v = macaulay_resultant_certificate(diagonal(p * 2 ** 30))
     assert v.verdict == PROPER and v.certificate.endswith("(exact rank)")
+
+
+def test_rank_deficient_map_pays_no_modular_rank(monkeypatch):
+    """The left inverse fails on a planted-zero map, and its rational root
+    decides it before any rank mod p is taken."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return rank_mod_p(*args)
+
+    rank_mod_p = linalg._rank_mod_p
+    monkeypatch.setattr(linalg, "_rank_mod_p", counted)
+    v = macaulay_resultant_certificate(_planted_zero_map(97))
+    assert v.verdict == NOT_PROPER and v.certificate.startswith("F(q) = 0 exactly")
+    assert calls == []
+
+
+@pytest.mark.parametrize("degrees", [(3, 3, 3, 3), (2, 2, 2, 2, 2)])
+def test_large_certificates_finish_in_a_few_milliseconds(degrees):
+    """336 x 220 and 350 x 210 Macaulay matrices are proved by the left
+    inverse in under 25 ms, the best of two calls (a first call can stall)."""
+    F = random_map(degrees, seed=3)
+    times = []
+    for _ in range(2):
+        start = time.perf_counter()
+        v = macaulay_resultant_certificate(F)
+        times.append(time.perf_counter() - start)
+    assert v.certificate.endswith("(left inverse)")
+    assert min(times) < 0.025
 
 
 def test_coefficients_past_int64_are_decided_exactly():
