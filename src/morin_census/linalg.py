@@ -13,6 +13,7 @@ by an integer left inverse checked exactly in float64 (Rump, Acta Numerica
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Collection, Sequence
 
@@ -61,9 +62,17 @@ def _eliminate(m: list[list[int]]) -> tuple[int, int]:
     return rank, sign * prev
 
 
+def _as_int(v) -> int:
+    """An integer entry as an int; a Fraction or a float, even 2.0, is a ValueError."""
+    try:
+        return operator.index(v)
+    except TypeError:
+        raise ValueError(f"integer matrix has the non-integer entry {v!r}") from None
+
+
 def bareiss_det(rows: Sequence[Sequence[int]]) -> int:
     """Exact determinant of an integer matrix by fraction-free elimination."""
-    m = [list(map(int, r)) for r in rows]
+    m = [[_as_int(v) for v in r] for r in rows]
     if any(len(r) != len(m) for r in m):
         raise ValueError("determinant of a non-square matrix")
     rank, pivot = _eliminate(m)
@@ -157,31 +166,30 @@ def _left_inverse_proves_rank(m: np.ndarray) -> bool:
     return bool((diagonal > r.sum(axis=1)).all())
 
 
-def det_is_nonzero(rows: Sequence[Sequence[int]] | np.ndarray, exact: bool = True) -> str | None:
+def det_is_nonzero(rows: Sequence[Sequence[int]] | np.ndarray) -> str | None:
     """Exact test that an integer matrix has full column rank, naming what proved it.
 
     For a square or tall matrix that is a nonzero maximal minor, and on a
-    square one det != 0.  `rows` is a list of rows or an integer ndarray
-    (``int64``, or ``object`` for entries past it), ranked as it is.  Three
-    proofs are tried in turn.  An integer left inverse X with X m strictly
-    diagonally dominant, formed exactly in float64, gives "left inverse";
-    it needs entries well below 2^53 and a matrix not too near rank loss.
-    Full rank mod one prime gives "mod p"; fraction-free elimination then
-    gives "exact rank", or None on a rank-deficient matrix.  With `exact`
-    false only the left inverse is tried, and any other matrix gives None,
-    for a caller with a cheaper proof of rank loss to try first.
+    square one det != 0.  `rows` is a list of rows of integers or an integer
+    ndarray (``int64``, or ``object`` holding ints past it), ranked as it is;
+    a non-integer entry or dtype is a ValueError.  Three proofs are tried in
+    turn.  An integer left inverse X with X m strictly diagonally dominant,
+    formed exactly in float64, gives "left inverse"; it needs entries well
+    below 2^53 and a matrix not too near rank loss.  Full rank mod one prime
+    gives "mod p"; fraction-free elimination then gives "exact rank", or
+    None on a rank-deficient matrix.
     """
+    if not isinstance(rows, np.ndarray):
+        rows = np.array([[_as_int(v) for v in r] for r in rows], dtype=object)
+    elif rows.dtype != object and not np.issubdtype(rows.dtype, np.integer):
+        raise ValueError(f"integer matrix has dtype {rows.dtype}")
     if len(rows) == 0:
         return "exact rank"
-    ints = rows if isinstance(rows, np.ndarray) else \
-        np.array([[int(v) for v in r] for r in rows], dtype=object)
-    if ints.size and _left_inverse_proves_rank(ints):
+    if rows.size and _left_inverse_proves_rank(rows):
         return "left inverse"
-    if not exact:
-        return None
-    if _rank_mod_p(ints, _CERTIFICATE_PRIME) == ints.shape[1]:
+    if _rank_mod_p(rows, _CERTIFICATE_PRIME) == rows.shape[1]:
         return f"mod {_CERTIFICATE_PRIME}"
-    return "exact rank" if _eliminate(ints.tolist())[0] == ints.shape[1] else None
+    return "exact rank" if _eliminate(rows.tolist())[0] == rows.shape[1] else None
 
 
 def sylvester_matrix(p_coeffs, q_coeffs) -> np.ndarray:

@@ -23,13 +23,14 @@ Every verdict comes from one level-by-level loop, ``_decide``: it sets each
 source, ``_classify_at``, for [J_{r,i}(p)] only at the points still open.
 It decides the float cells as arrays, all tolerances at once: one
 comparison of the stacked singular values gives the coranks, and each level
-one vanish mask.  At the float points dF(p), J(p), the Hadamard bound on
-|J(p)| and level 1 come from F's first and second partials (``Partials``,
-kept on the map by ``_partials_of``), evaluated once on all of them by
-``_level_one``: Jacobi's formula gives grad J(p)_k = tr(adj dF(p) .
-d_k dF(p)), expanding the replaced row gives J_{1,.}(p) = grad J(p) @
-adj dF(p), and the adjugate comes from the SVD, which stays accurate at
-J(p) ~ 0 and gives every tolerance's corank.  ``_level_two`` differentiates that once more, in one
+one vanish mask.  At the float points dF(p), J(p) and its Hadamard bound
+(``_jacobian_dets``, the one float J rule, the slicers' too) and level 1
+come from F's first and second partials (``Partials``, kept on the map by
+``_partials_of``), evaluated once on all of them by ``_level_one``:
+Jacobi's formula gives grad J(p)_k = tr(adj dF(p) . d_k dF(p)), expanding
+the replaced row gives J_{1,.}(p) = grad J(p) @ adj dF(p), and the
+adjugate comes from the SVD, which stays accurate at J(p) ~ 0 and gives
+every tolerance's corank.  ``_level_two`` differentiates that once more, in one
 batch over the points open at level 2: F's third partials give d_m grad J,
 the SVD gives the adjugate's derivative, and J_{2,i}(p) = grad J_{1,i}(p) .
 adj dF(p)[:, i].  Exact points read dF(p) off their order-(k_max+1) jets;
@@ -378,12 +379,14 @@ def _partials_of(F) -> Partials:
     return F._partials
 
 
-def _hadamard(differentials: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The row norms of each evaluated dF, a zero row's taken as 1 (J = 0 all
-    the same), and their product prod_i ||row i||, the Hadamard bound on |J|."""
+def _jacobian_dets(differentials: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The one float J rule: J = det dF of (N, n, n) evaluated dF, its rows scaled to unit
+    norm first (row i grows like ||x||^(d_i - 1)), and the Hadamard bound prod_i ||row i||
+    on |J|, a zero row's norm counted as 1 (J = 0 all the same)."""
     norms = np.linalg.norm(differentials, axis=-1)
     norms = np.where(norms > 0.0, norms, 1.0)
-    return norms, np.prod(norms, axis=-1)
+    hadamard = np.prod(norms, axis=-1)
+    return np.linalg.det(differentials / norms[..., None]) * hadamard, hadamard
 
 
 class _LevelOne(NamedTuple):
@@ -551,8 +554,8 @@ def _classify_at(F, points, tols: Sequence[float], k_max: int) -> list[list[Sing
     """The verdicts at each point for each tolerance in `tols`: ``_decide`` with
     this level source.  The float points are evaluated in one batch on F's
     kept ``Partials`` (``_partials_of``): one ``_level_one`` call gives dF(p),
-    its SVD, J(p), the Hadamard bound prod_i ||row i of dF(p)|| on |J(p)|
-    (the diagnostic `jdet_bound`) and level 1, and one ``_level_two`` call
+    its SVD and level 1, ``_jacobian_dets`` J(p) and its Hadamard bound (the
+    diagnostics `abs_jdet` and `jdet_bound`), and one ``_level_two`` call
     gives level 2 at the points still open, if any.  An exact point reads
     dF(p) off its order-(k_max+1) jets, and each point's levels (a float
     point's from r = 3) are pulled one per step off its lazy ``_jet_tower``,
@@ -589,10 +592,10 @@ def _classify_at(F, points, tols: Sequence[float], k_max: int) -> list[list[Sing
         partials = _partials_of(F)
         float_points = np.asarray([points[m] for m in floats], dtype=complex)
         one = _level_one(partials, float_points)
-        s, dets = one.s, np.linalg.det(one.differentials)
+        s, (dets, bounds) = one.s, _jacobian_dets(one.differentials)
         grad_norms = np.linalg.norm(one.grad, axis=-1)
         for m, modulus, bound in zip(floats, np.hypot(dets.real, dets.imag).tolist(),
-                                     _hadamard(one.differentials)[1].tolist()):
+                                     bounds.tolist()):
             measured[m] = {"abs_jdet": modulus, "jdet_bound": bound}
 
     def level(r: int, exact: list[int], rows):
@@ -656,7 +659,7 @@ def classify_from_values(F, p, base_value, level_values,
                        lambda r, *_: ([(level_values[r - 1], next(tower)[1])], None, None)
                        )[0][0]
     differentials = np.array([rows], dtype=complex)
-    measured["jdet_bound"] = float(_hadamard(differentials)[1][0])
+    measured["jdet_bound"] = float(_jacobian_dets(differentials)[1][0])
     return _decide([None], np.linalg.svd(differentials, compute_uv=False), [measured], (tol,), k,
                    lambda r, *_: ([], np.array([level_values[r - 1]], dtype=complex),
                                   np.array([next(tower)[1]])))[0][0]

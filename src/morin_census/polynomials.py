@@ -224,6 +224,7 @@ class Polynomial:
         return (-self) + other
 
     def __mul__(self, other):
+        """The one product loop: every pair of terms, or a scalar times each term."""
         if isinstance(other, (int, Fraction, float, complex)):
             c = _coerce(other, self.kind)
             if c == 0:
@@ -231,26 +232,11 @@ class Polynomial:
             # a complex product can underflow to zero; an exact one cannot
             return Polynomial._trusted(self.n_vars, {e: w for e, v in self.terms.items()
                                                      if (w := v * c) != 0}, self.kind)
-        return self._product(other, None)
-
-    __rmul__ = __mul__
-
-    def _product(self, other: "Polynomial", max_degree: int | None) -> "Polynomial":
-        """The one product loop: every pair of terms, or with `max_degree` set only
-        the pairs whose total degree stays at or below it."""
         self._check_compatible(other)
         right = list(other.terms.items())
-        if max_degree is not None:
-            degrees = [sum(e) for e in other.terms]
         out: dict[Exponents, Scalar] = {}
         for e1, c1 in self.terms.items():
-            partners = right
-            if max_degree is not None:
-                room = max_degree - sum(e1)
-                if room < 0:
-                    continue
-                partners = [term for term, d in zip(right, degrees) if d <= room]
-            for e2, c2 in partners:
+            for e2, c2 in right:
                 e = tuple(map(add, e1, e2))
                 s = out.get(e, 0) + c1 * c2
                 if s == 0:
@@ -258,6 +244,8 @@ class Polynomial:
                 else:
                     out[e] = s
         return Polynomial._trusted(self.n_vars, out, self.kind)
+
+    __rmul__ = __mul__
 
     def __pow__(self, k: int):
         if k < 0:
@@ -271,9 +259,11 @@ class Polynomial:
             k >>= 1
         return result
 
-    def mul_truncated(self, other: "Polynomial", max_degree: int | None) -> "Polynomial":
-        """Product with every term of total degree > max_degree discarded (none if None)."""
-        return self._product(other, max_degree)
+    def mul_truncated(self, other: "Polynomial", max_degree: int) -> "Polynomial":
+        """The product ``self * other`` with every term of total degree >
+        max_degree discarded; the kept terms are the full product's, bit for bit."""
+        return Polynomial._trusted(self.n_vars, {e: c for e, c in (self * other).terms.items()
+                                                 if sum(e) <= max_degree}, self.kind)
 
     # ---------------------------------------------------------------- calculus
     def partial(self, i: int) -> "Polynomial":
@@ -520,25 +510,14 @@ class PolyMatrix:
         rows[i] = list(new_row)
         return PolyMatrix.from_rows(rows)
 
-    def det(self, max_degree: int | None = None) -> Polynomial:
-        """Symbolic determinant (cofactor expansion, minors memoized by column set).
-
-        With `max_degree` set, every intermediate product is truncated past that
-        total degree -- the determinant of the full matrix mod (x)^{max_degree+1}.
-        """
+    def det(self) -> Polynomial:
+        """Symbolic determinant (cofactor expansion, minors memoized by column set)."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
         n = self.rows
-        first = self.entries[0]
-        if n == 1:
-            if max_degree is None:
-                return first
-            return Polynomial._trusted(first.n_vars, {e: c for e, c in first.terms.items()
-                                                      if sum(e) <= max_degree}, first.kind)
-        zero = first.zero_like()
+        zero = self.entries[0].zero_like()
 
-        # minor(r, cols) = det of submatrix on rows r..n-1 and the given columns;
-        # the last row's minor is its entry, which the product above it truncates
+        # minor(r, cols) = det of submatrix on rows r..n-1 and the given columns
         cache: dict[tuple[int, frozenset], Polynomial] = {}
 
         def minor(r: int, cols: frozenset) -> Polynomial:
@@ -555,7 +534,7 @@ class PolyMatrix:
                 if not a.is_zero():
                     sub = minor(r + 1, cols - {j})
                     if not sub.is_zero():
-                        prod = a.mul_truncated(sub, max_degree)
+                        prod = a * sub
                         total = total + (prod if sign > 0 else -prod)
                 sign = -sign
             cache[key] = total

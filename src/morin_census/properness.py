@@ -18,7 +18,8 @@ question reduces to whether the components share a nonzero common root.
   read off the null space is rounded to a rational point q, and F(q) = 0
   exactly is NOT_PROPER.  Only when that fails too (an irrational root, or
   a full-rank matrix too large or too near rank loss for the left inverse)
-  do the rank mod a prime and then the exact rank decide, both ways.
+  does ``det_is_nonzero`` decide, both ways: it tries the left inverse once
+  more, then the rank mod a prime and the exact rank.
 * ``sphere_falsifier`` -- the same null-space reading in floating point.  A
   root estimate that is already a unit-norm common root is kept; only when
   none is are all of them polished at once by ``newton_polish``.  It gives
@@ -34,13 +35,12 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .linalg import (POLISH_STEPS, clear_denominators, det_is_nonzero, exact_det,
-                     newton_polish, sylvester_matrix)
-from .maps import HomogeneousMap, validate_degrees
+from .linalg import (POLISH_STEPS, _left_inverse_proves_rank, clear_denominators,
+                     det_is_nonzero, exact_det, newton_polish, sylvester_matrix)
+from .maps import HomogeneousMap, _layout, validate_degrees
 from .morin import _partials_of
 from .polynomials import COMPLEX, RATIONAL, ROOT_TOL, Polynomial, _radix_weights
 
@@ -122,13 +122,7 @@ def sylvester_resultant(p: Polynomial, q: Polynomial):
 @functools.cache
 def _monomials_of_degree(n: int, degree: int) -> tuple[tuple[int, ...], ...]:
     """All exponent tuples of the given total degree, descending lex order (one shared table)."""
-    out = []
-    for combo in combinations_with_replacement(range(n), degree):
-        e = [0] * n
-        for i in combo:
-            e[i] += 1
-        out.append(tuple(e))
-    return tuple(sorted(out, reverse=True))
+    return tuple(sorted(_layout(degree, n), reverse=True))
 
 
 class _MacaulayLayout:
@@ -206,8 +200,9 @@ def macaulay_resultant_certificate(F: HomogeneousMap) -> PropernessVerdict:
 
     The certificate names what decided it: the left inverse or the prime
     that showed full rank, the rational common root q with F(q) = 0
-    exactly, or the exact rank.  A NOT_PROPER verdict carries the
-    unit-norm common root read off the null space, or no witness if the
+    exactly, or the exact rank.  The left inverse is tried first, then the
+    rational root, then ``det_is_nonzero``.  A NOT_PROPER verdict carries
+    the unit-norm common root read off the null space, or no witness if the
     polish misses it.
     """
     if F.kind != RATIONAL:
@@ -215,7 +210,7 @@ def macaulay_resultant_certificate(F: HomogeneousMap) -> PropernessVerdict:
     layout = _MacaulayLayout(F)
     where = f"Macaulay matrix in degree {sum(layout.monomials[0])}"
     ints = _integer_matrix(F, layout)
-    proof = det_is_nonzero(ints, exact=False)
+    proof = "left inverse" if _left_inverse_proves_rank(ints) else None
     if not proof:
         witness = _null_space_witness(F, layout, at_least=1)
         root = _rational_root(F, witness)

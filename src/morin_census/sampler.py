@@ -13,7 +13,7 @@ generic map is that every off-origin singular point is A_1, A_2 or A_3, with
 random line samples almost surely landing on the A_1 stratum.  No path here
 builds a determinant polynomial: J, the first tower level and the cusp
 candidates' second are read off F's evaluated partials (the one
-``morin.Partials`` each map keeps), as the classifier reads them.
+``morin.Partials`` each map keeps) by the classifier's rules, J(p) included.
 
 All numerics are deterministic for a fixed seed: restriction to a line or a
 plane is roots-of-unity interpolation of values (an FFT, 2-D on planes), root
@@ -38,7 +38,7 @@ import numpy as np
 
 from .linalg import POLISH_STEPS, newton_polish, sylvester_matrix
 from .maps import HomogeneousMap, random_map, ray_multiplicity, validate_count, validate_degrees
-from .morin import (DEFAULT_KMAX, DEFAULT_TOL, _adjugate_norms, _classify_at, _hadamard,
+from .morin import (DEFAULT_KMAX, DEFAULT_TOL, _adjugate_norms, _classify_at, _jacobian_dets,
                     _level_one, _partials_of, _survives, validate_tol)
 from .polynomials import COMPLEX, ROOT_TOL, Polynomial
 
@@ -145,16 +145,6 @@ def _interpolate(values: np.ndarray) -> np.ndarray:
     """Ascending coefficients in t from the values at ``_line_nodes``."""
     # sampling at exp(+2*pi*i*j/N) makes the forward DFT the interpolator
     return np.fft.fft(values) / len(values)
-
-
-def _jacobian_dets(differentials: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """J = det dF from (N, n, n) evaluated dF, and the Hadamard bound prod_i ||row i|| on |J|.
-
-    The rows are scaled to unit norm before the elimination, so their very
-    different scales (row i grows like ||x||^(d_i - 1)) cost no accuracy.
-    """
-    norms, hadamard = _hadamard(differentials)
-    return np.linalg.det(differentials / norms[..., None]) * hadamard, hadamard
 
 
 def _phase_normalized(p: np.ndarray) -> tuple:

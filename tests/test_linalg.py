@@ -13,6 +13,7 @@ from morin_census import (HomogeneousMap, Polynomial, critical_points_on_lines, 
                           univariate_roots)
 from morin_census.linalg import (
     _CERTIFICATE_PRIME,
+    _left_inverse_proves_rank,
     bareiss_det,
     det_is_nonzero,
     exact_det,
@@ -53,7 +54,8 @@ def test_det_is_nonzero_falls_back_to_exact_rank():
     p = _CERTIFICATE_PRIME
     assert det_is_nonzero([[p, 0], [0, 1]]) == "left inverse"
     assert det_is_nonzero(_EXACT_RANK_ONLY) == "exact rank"
-    assert det_is_nonzero(_EXACT_RANK_ONLY, exact=False) is None
+    for dtype in (object, np.int64):
+        assert not _left_inverse_proves_rank(np.array(_EXACT_RANK_ONLY, dtype=dtype))
 
 
 # p 2^30 [[1, 1], [1, 1 + 2^-30]]: entries past 2^53, every one 0 mod p
@@ -71,7 +73,8 @@ def test_det_is_nonzero_ranks_int64_arrays_and_names_the_prime():
     assert det_is_nonzero(np.array([[p, 0], [0, 1]], dtype=np.int64)) == "left inverse"
     past = np.array([[2 ** 60, 2 ** 60], [2 ** 60, 2 ** 60 + 1]], dtype=np.int64)
     assert det_is_nonzero(past) == f"mod {p}"
-    assert det_is_nonzero(past, exact=False) is None
+    assert not _left_inverse_proves_rank(past)
+    assert not _left_inverse_proves_rank(past.astype(object))
     assert det_is_nonzero(np.array(_EXACT_RANK_ONLY, dtype=np.int64)) == "exact rank"
     assert det_is_nonzero(np.array([[1, 2], [2, 4], [3, 6]], dtype=np.int64)) is None
 
@@ -108,7 +111,9 @@ def test_left_inverse_never_proves_a_rank_deficient_matrix(rows):
     full = exact_rank(rows) == len(rows[0])
     for m in (rows, np.array(rows, dtype=np.int64)):
         assert bool(det_is_nonzero(m)) == full
-        assert det_is_nonzero(m, exact=False) in (("left inverse", None) if full else (None,))
+    for dtype in (object, np.int64):
+        assert _left_inverse_proves_rank(np.array(rows, dtype=dtype)) in ((True, False) if full
+                                                                           else (False,))
 
 
 def test_left_inverse_is_exact_at_the_2_53_boundary():
@@ -122,6 +127,22 @@ def test_left_inverse_is_exact_at_the_2_53_boundary():
     assert det_is_nonzero(deficient) is None
     assert det_is_nonzero(np.array(deficient, dtype=np.int64)) is None
     assert det_is_nonzero([[big + 1, big], [big, big - 1]]) == f"mod {_CERTIFICATE_PRIME}"
+
+
+def test_exact_integer_routines_refuse_non_integer_entries():
+    """A Fraction, a float or a float ndarray is refused by name, not cut to
+    an integer: int(1/2) = 0 would make diag(1/2, 1) look rank-deficient."""
+    for rows in ([[Fraction(1, 2), 0], [0, 1]], [[0.5, 0], [0, 1]], [[2.0, 0], [0, 1]]):
+        with pytest.raises(ValueError, match="non-integer entry"):
+            det_is_nonzero(rows)
+    with pytest.raises(ValueError, match="non-integer entry 2.7"):
+        bareiss_det([[2.7]])
+    with pytest.raises(ValueError, match="non-integer entry"):
+        bareiss_det([[1, Fraction(1, 3)], [0, 1]])
+    with pytest.raises(ValueError, match="dtype float64"):
+        det_is_nonzero(np.array([[0.5, 0.0], [0.0, 1.0]]))
+    assert det_is_nonzero([[np.int64(2), 0], [0, True]]) == "left inverse"
+    assert bareiss_det([[np.int64(2), 1], [1, 1]]) == 1
 
 
 def test_sylvester_matrix_batches_over_leading_axes():

@@ -296,17 +296,6 @@ def test_det_matches_numpy_on_constants():
     assert got == round(float(np.linalg.det(vals.astype(float))))
 
 
-def test_det_max_degree_truncates():
-    """det(max_degree=k) equals the full determinant chopped at degree k."""
-    x = P(2, {(1, 0): 1})
-    y = P(2, {(0, 1): 1})
-    one = P(2, {(0, 0): 1})
-    m = PolyMatrix.from_rows([[x * x + one, y], [y * y, x + one]])
-    full = m.det()
-    cut = m.det(max_degree=2)
-    assert cut == Polynomial(2, {e: c for e, c in full.terms.items() if sum(e) <= 2})
-
-
 def test_with_row_replaces_single_row():
     """with_row swaps one row and leaves the rest alone."""
     x = P(1, {(1,): 1})
@@ -350,7 +339,7 @@ def test_arithmetic_results_keep_the_class_invariant(kind):
         one = PolyMatrix.from_rows([[a]])
         three = PolyMatrix.from_rows([[_random_poly(rng, n, kind, 3) for _ in range(3)]
                                       for _ in range(3)])
-        results += [one.det(), one.det(max_degree=2), three.det(), three.det(max_degree=4)]
+        results += [one.det(), three.det()]
     if kind == "complex":       # a product that underflows is dropped, not stored as 0
         results.append(P(1, {(1,): 1e-200, (0,): 1.0}, kind) * 1e-200)
         assert results[-1].terms == {(0,): 1e-200}
@@ -361,11 +350,10 @@ def test_arithmetic_results_keep_the_class_invariant(kind):
             assert all(type(c) is Fraction for c in r.terms.values())
 
 
-def test_one_by_one_det_is_truncated():
-    """A 1x1 determinant with max_degree set is its entry cut past that degree."""
+def test_one_by_one_det_is_its_entry():
+    """A 1x1 determinant is its entry."""
     x = P(1, {(1,): 1})
     m = PolyMatrix.from_rows([[x * x * x + x]])
-    assert m.det(max_degree=1) == x
     assert m.det() == x * x * x + x
 
 

@@ -386,9 +386,9 @@ def test_cusp_points_builds_level_one_lazily(monkeypatch):
     calls = []
     det, translate = PolyMatrix.det, Polynomial.translate_truncated
 
-    def counted_det(self, max_degree=None):
+    def counted_det(self):
         calls.append("det")
-        return det(self, max_degree)
+        return det(self)
 
     def counted_translate(self, point, max_degree):
         calls.append("translate_truncated")
@@ -599,9 +599,9 @@ def test_survey_of_folds_builds_no_determinant_polynomial(monkeypatch):
     calls = []
     original = PolyMatrix.det
 
-    def counted(self, max_degree=None):
-        calls.append(max_degree)
-        return original(self, max_degree)
+    def counted(self):
+        calls.append("det")
+        return original(self)
 
     monkeypatch.setattr(PolyMatrix, "det", counted)
     rep = survey((2, 3, 5, 7), maps=1, lines=1, seed=1)
@@ -673,11 +673,17 @@ def test_survey_evaluates_df_once_at_its_points(monkeypatch):
 def test_survey_thresholds_are_the_hadamard_bound_of_partials():
     """Every threshold is ROOT_TOL times prod_i ||row i of dF(p)||, recomputed
     here from ``Partials.at`` on the map's points; the bound itself is the
-    verdict's `jdet_bound`."""
+    verdict's `jdet_bound`.  |J(p)| is the line slicer's J, ``_jacobian_dets``
+    of the same dF(p), in `residuals.jdet` and `abs_jdet` alike."""
     rep = survey((2, 3, 5, 7), maps=1, lines=1, seed=3)
     state = np.random.SeedSequence(3).generate_state(2, dtype=np.uint64)
     F = random_map((2, 3, 5, 7), seed=int(state[0]), kind="complex")
     points = _survey_points(rep)
-    bounds = np.prod(np.linalg.norm(Partials(F.components).at(points, 1), axis=-1), axis=-1)
+    differentials = Partials(F.components).at(points, 1)
+    bounds = np.prod(np.linalg.norm(differentials, axis=-1), axis=-1)
     assert [rec["residuals"]["threshold"] for rec in rep.points] == (ROOT_TOL * bounds).tolist()
     assert [rec["class"]["diagnostics"]["jdet_bound"] for rec in rep.points] == bounds.tolist()
+    dets = morin._jacobian_dets(differentials)[0]
+    moduli = np.hypot(dets.real, dets.imag).tolist()
+    assert [rec["residuals"]["jdet"] for rec in rep.points] == moduli
+    assert [rec["class"]["diagnostics"]["abs_jdet"] for rec in rep.points] == moduli
