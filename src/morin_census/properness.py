@@ -9,17 +9,17 @@ question reduces to whether the components share a nonzero common root.
   nu - d_i.  It has full column rank exactly when F^{-1}(0) = {0} (Macaulay,
   1902): a regular sequence's ideal contains every monomial of degree nu,
   and a nonzero common root z puts its monomial vector (z^m) in the null
-  space.  Every caller builds it from one index layout per map
-  (``_MacaulayLayout``), scattering coefficients into an ndarray.
+  space.  Every caller scatters coefficients into an ndarray through one
+  index layout per degree tuple (``_MacaulayLayout``), shared by every map.
 * ``macaulay_resultant_certificate`` -- decides rational maps by the
   cheapest exact proof.  Denominators are cleared once per component into an
   int64 array, and an integer left inverse X with X M strictly diagonally
   dominant, formed exactly in float64, is PROPER.  Without one, the root
-  read off the null space is rounded to a rational point q, and F(q) = 0
-  exactly is NOT_PROPER.  Only when that fails too (an irrational root, or
-  a full-rank matrix too large or too near rank loss for the left inverse)
-  does ``det_is_nonzero`` decide, both ways: it tries the left inverse once
-  more, then the rank mod a prime and the exact rank.
+  read off the null space is rounded to a rational point q, and F(q) = 0,
+  checked on the cleared integers, is NOT_PROPER.  Only when that fails too
+  (an irrational root, or a full-rank matrix too large or too near rank loss
+  for the left inverse) does ``det_is_nonzero`` decide, both ways: it tries
+  the left inverse once more, then the rank mod a prime and the exact rank.
 * ``sphere_falsifier`` -- the same null-space reading in floating point.  A
   root estimate that is already a unit-norm common root is kept; only when
   none is are all of them polished at once by ``newton_polish``.  It gives
@@ -126,46 +126,59 @@ def _monomials_of_degree(n: int, degree: int) -> tuple[tuple[int, ...], ...]:
 
 
 class _MacaulayLayout:
-    """Where every coefficient of every f_i sits in F's Macaulay matrix.
+    """Where every coefficient of every f_i sits in the Macaulay matrix of `degrees`.
 
-    Built once per call from exponents alone.  blocks[i] = (rows, cols):
-    rows[r, 0] is the row of s_r * f_i and cols[r, t] the column of s_r + e_t,
-    e_t being the t-th exponent of f_i.terms (the order of ``_kernel`` too).
-    A degree-nu monomial has every exponent at most nu, so its mixed-radix
-    key in base nu + 1 orders the columns, and one ``searchsorted`` over the
-    keys finds every column.
+    Built once per degree tuple (``_macaulay_layout``) and shared by every
+    map; its arrays are read-only.  blocks[i] = (rows, cols): rows[r, 0] is
+    the row of s_r * f_i and cols[r, t] the column of s_r + terms[i][t], in
+    the dense term order terms[i] = ``_layout(d_i, n)``.  A degree-nu monomial
+    has every exponent at most nu, so its mixed-radix key in base nu + 1
+    orders the columns, and one ``searchsorted`` over the keys finds every
+    column.  shifted[j] and pure[j] are the columns of x_j * m (deg m = nu - 1)
+    and of x_j^nu, which ``_null_space_witness`` reads.
     """
 
-    def __init__(self, F: HomogeneousMap):
-        n = F.n
-        nu = sum(d - 1 for d in F.degrees) + 1
+    def __init__(self, degrees: tuple[int, ...]):
+        n = len(degrees)
+        nu = sum(d - 1 for d in degrees) + 1
         side = math.comb(nu + n - 1, n - 1)      # the count of degree-nu monomials
         if side > MACAULAY_SIDE_CAP:
             raise ValueError(f"Macaulay matrix side {side} exceeds the cap {MACAULAY_SIDE_CAP}")
         self.monomials = _monomials_of_degree(n, nu)
         # descending lex is descending key order; keys past int64 stay Python ints
-        self._weights = _radix_weights(nu + 1, n)
-        self._keys = (np.array(self.monomials) @ self._weights)[::-1]
-        self.blocks = []
-        top = 0
-        for d, f in zip(F.degrees, F.components):
-            shifts = np.array(_monomials_of_degree(n, nu - d))
-            exps = np.array(list(f.terms), dtype=np.int64).reshape(-1, n)
-            self.blocks.append((top + np.arange(len(shifts))[:, None],
-                                self.columns(shifts[:, None, :] + exps[None, :, :])))
-            top += len(shifts)
-        self.n_rows = top
+        weights = _radix_weights(nu + 1, n)
+        keys = (np.array(self.monomials) @ weights)[::-1]
 
-    def columns(self, exps: np.ndarray) -> np.ndarray:
-        """The column of each degree-nu exponent vector along the last axis of `exps`."""
-        return len(self.monomials) - 1 - np.searchsorted(self._keys, exps @ self._weights)
+        def columns(exps: np.ndarray) -> np.ndarray:
+            return side - 1 - np.searchsorted(keys, exps @ weights)
+
+        self.terms = tuple(_layout(d, n) for d in degrees)
+        shifts = [np.array(_monomials_of_degree(n, nu - d)) for d in degrees]
+        tops = np.cumsum([0] + [len(s) for s in shifts])
+        self.blocks = tuple((top + np.arange(len(s))[:, None], columns(s[:, None] + np.array(t)))
+                            for top, s, t in zip(tops, shifts, self.terms))
+        self.n_rows = int(tops[-1])
+        unit = np.eye(n, dtype=np.int64)
+        lower = np.array(_monomials_of_degree(n, nu - 1))
+        self.shifted = tuple(columns(lower + e) for e in unit)
+        self.pure = columns(nu * unit)
+        for a in (*(a for block in self.blocks for a in block), *self.shifted, self.pure):
+            a.flags.writeable = False
+
+    def gather(self, F: HomogeneousMap, zero) -> list[list]:
+        """Each f_i's coefficients in the dense term order, `zero` at every absent term."""
+        return [[f.terms.get(e, zero) for e in terms]
+                for f, terms in zip(F.components, self.terms)]
 
     def scatter(self, values, fill, dtype) -> np.ndarray:
-        """The matrix with values[i] (f_i's coefficients in term order) in every row of f_i."""
+        """The matrix with values[i] (f_i's coefficients in terms[i] order) in every row of f_i."""
         m = np.full((self.n_rows, len(self.monomials)), fill, dtype=dtype)
         for (rows, cols), v in zip(self.blocks, values):
             m[rows, cols] = v
         return m
+
+
+_macaulay_layout = functools.cache(_MacaulayLayout)   # one layout per degree tuple
 
 
 def macaulay_matrix(F: HomogeneousMap):
@@ -176,9 +189,9 @@ def macaulay_matrix(F: HomogeneousMap):
     the degree-nu monomial basis `monomials`; assignment[r] = i.  For n = 2
     this is the Sylvester matrix.
     """
-    layout = _MacaulayLayout(F)
+    layout = _macaulay_layout(F.degrees)
     zero = Fraction(0) if F.kind == RATIONAL else complex(0)
-    coeffs = [np.array(list(f.terms.values()), dtype=object) for f in F.components]
+    coeffs = [np.array(row, dtype=object) for row in layout.gather(F, zero)]
     assignment = [i for i, (rows, _) in enumerate(layout.blocks) for _ in rows]
     return layout.scatter(coeffs, zero, object).tolist(), list(layout.monomials), assignment
 
@@ -186,11 +199,12 @@ def macaulay_matrix(F: HomogeneousMap):
 def _integer_matrix(F: HomogeneousMap, layout: _MacaulayLayout) -> np.ndarray:
     """F's Macaulay matrix with each f_i's denominators cleared, as an integer ndarray.
 
-    Every row of f_i carries all of f_i's coefficients, so one lcm per
-    component is the per-row lcm; row scaling keeps the rank.  The array is
-    ``int64``, or ``object`` when a cleared coefficient does not fit.
+    Every row of f_i carries all of f_i's coefficients in dense term order,
+    so one lcm per component is the per-row lcm; row scaling keeps the rank,
+    and ``_rational_root`` reads the cleared coefficients back.  The array
+    is ``int64``, or ``object`` when a cleared coefficient does not fit.
     """
-    ints = [clear_denominators(f.terms.values())[0] for f in F.components]
+    ints = [clear_denominators(row)[0] for row in layout.gather(F, 0)]
     dtype = np.int64 if all(abs(v) < 2 ** 63 for row in ints for v in row) else object
     return layout.scatter([np.array(row, dtype=dtype) for row in ints], 0, dtype)
 
@@ -207,13 +221,13 @@ def macaulay_resultant_certificate(F: HomogeneousMap) -> PropernessVerdict:
     """
     if F.kind != RATIONAL:
         raise ValueError("the Macaulay certificate needs the exact rational kind")
-    layout = _MacaulayLayout(F)
+    layout = _macaulay_layout(F.degrees)
     where = f"Macaulay matrix in degree {sum(layout.monomials[0])}"
     ints = _integer_matrix(F, layout)
     proof = "left inverse" if _left_inverse_proves_rank(ints) else None
     if not proof:
         witness = _null_space_witness(F, layout, at_least=1)
-        root = _rational_root(F, witness)
+        root = _rational_root(layout, ints, witness)
         if root is not None:
             return PropernessVerdict(NOT_PROPER, f"F(q) = 0 exactly at q = {root}, "
                                      f"read off the null space of the {where}", witness)
@@ -225,15 +239,20 @@ def macaulay_resultant_certificate(F: HomogeneousMap) -> PropernessVerdict:
         NOT_PROPER, f"{where} is rank-deficient: {_witness_note(F, witness)}", witness)
 
 
-def _rational_root(F: HomogeneousMap, witness: tuple | None) -> str | None:
+def _rational_root(layout: _MacaulayLayout, ints: np.ndarray, witness) -> str | None:
     """The witness divided by its largest coordinate and rounded to a rational
-    point q, written out, when F(q) = 0 exactly; else None."""
+    point q, written out, when F(q) = 0 exactly; else None.  The test is on
+    integers: f_i(D q) = D^{d_i} f_i(q) for D the lcm of q's denominators,
+    with f_i's cleared coefficients read off its first row in `ints`."""
     if witness is None:
         return None
     top = max(witness, key=abs)
     q = tuple(Fraction((v / top).real).limit_denominator(ROOT_DENOMINATOR) for v in witness)
-    if any(F.evaluate(q)):
-        return None
+    point = clear_denominators(q)[0]
+    for (rows, cols), terms in zip(layout.blocks, layout.terms):
+        coeffs = ints[rows[0, 0], cols[0]].tolist()
+        if sum(c * math.prod(map(pow, point, e)) for c, e in zip(coeffs, terms) if c):
+            return None
     return f"({', '.join(map(str, q))})"
 
 
@@ -295,20 +314,16 @@ def _null_space_witness(F: HomogeneousMap, layout: _MacaulayLayout, at_least: in
     rank is known to be deficient.  The estimates are tried as they are
     first; ``_polished`` runs only when none of them is a witness yet.
     """
-    matrix = layout.scatter([f._kernel()[1] for f in F.components], 0, complex)
+    matrix = layout.scatter(layout.gather(F, 0), 0, complex)
     _, sigma, vh = np.linalg.svd(matrix, full_matrices=False)
     nullity = max(at_least, int(np.count_nonzero(sigma <= NULL_TOL * sigma[0])))
     if nullity == 0:
         return None
     null = vh[len(sigma) - nullity:].conj().T
-    n, nu = F.n, sum(layout.monomials[0])
-    lower = np.array(_monomials_of_degree(n, nu - 1))
-    unit = np.eye(n, dtype=np.int64)
-    shifted = [null[layout.columns(lower + unit[j])] for j in range(n)]
-    pure = layout.columns(nu * unit)
-    k = max(range(n), key=lambda j: np.linalg.norm(null[pure[j]]))
+    shifted = [null[cols] for cols in layout.shifted]
+    k = max(range(F.n), key=lambda j: np.linalg.norm(null[layout.pure[j]]))
     mults = [np.linalg.lstsq(shifted[k], s, rcond=None)[0] for s in shifted]
-    _, vecs = np.linalg.eig(sum(w * a for w, a in zip(np.sqrt(np.arange(2, n + 2)), mults)))
+    _, vecs = np.linalg.eig(sum(w * a for w, a in zip(np.sqrt(np.arange(2, F.n + 2)), mults)))
     inv = np.linalg.pinv(vecs)
     estimates = np.array([np.diag(inv @ a @ vecs) for a in mults]).T
     # a root of multiplicity r is a defective cluster of r eigenvalues whose
@@ -324,7 +339,7 @@ def sphere_falsifier(F: HomogeneousMap) -> tuple | None:
     None is NOT a certificate: it only reports that the float null space,
     cut at NULL_TOL, gave no root that the Newton polish could confirm.
     """
-    return _null_space_witness(F, _MacaulayLayout(F))
+    return _null_space_witness(F, _macaulay_layout(F.degrees))
 
 
 # ---------------------------------------------------------------- combined driver

@@ -7,6 +7,8 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from morin_census import (
     INCONCLUSIVE,
@@ -319,6 +321,121 @@ def _exponents(n, degree):
     return [(a,) + rest for a in range(degree + 1) for rest in _exponents(n - 1, degree - a)]
 
 
+@st.composite
+def _sparse_maps(draw):
+    """Rational maps with few terms per component (zero components too),
+    or their complex copies."""
+    degrees = draw(st.sampled_from([(2, 2), (1, 3), (2, 2, 2), (1, 2, 3), (3, 2, 2)]))
+    n = len(degrees)
+    comps = tuple(Polynomial(n, draw(st.dictionaries(
+        st.sampled_from(_exponents(n, d)),
+        st.fractions(min_value=-5, max_value=5, max_denominator=7), max_size=4)))
+        for d in degrees)
+    F = HomogeneousMap(degrees, comps)
+    return F.as_complex() if draw(st.booleans()) else F
+
+
+@settings(max_examples=80, deadline=None)
+@given(F=_sparse_maps())
+def test_macaulay_matrix_equals_the_products_read_at_each_monomial(F):
+    """Row (i, s) is s * f_i from ``Polynomial.__mul__``, read at every
+    degree-nu monomial: the same value and type (Fraction, or complex for the
+    complex kind) in every cell, absent terms included."""
+    rows, monomials, assignment = macaulay_matrix(F)
+    nu = sum(d - 1 for d in F.degrees) + 1
+    assert monomials == sorted(_exponents(F.n, nu), reverse=True)
+    cell = Fraction if F.kind == "rational" else complex
+    expected = []
+    for i, (d, f) in enumerate(zip(F.degrees, F.components)):
+        for s in sorted(_exponents(F.n, nu - d), reverse=True):
+            product = Polynomial(F.n, {s: 1}, kind=F.kind) * f
+            expected.append((i, [product.coefficient(m) for m in monomials]))
+    assert assignment == [i for i, _ in expected]
+    for row, (_, want) in zip(rows, expected):
+        assert row == want
+        assert all(type(value) is cell for value in row)
+
+
+def test_one_degree_tuple_builds_one_layout(monkeypatch):
+    """20 certificates of one degree tuple build one layout, another tuple a
+    second; the layout's arrays refuse writes, and the side cap still raises
+    before any monomial is listed (a refused layout is not kept)."""
+    built = []
+    init = properness._MacaulayLayout.__init__
+
+    def counted(self, degrees):
+        built.append(degrees)
+        init(self, degrees)
+
+    properness._macaulay_layout.cache_clear()
+    monkeypatch.setattr(properness._MacaulayLayout, "__init__", counted)
+    for seed in range(20):
+        assert macaulay_resultant_certificate(random_map((2, 2, 2), seed=seed)).is_proper
+    assert built == [(2, 2, 2)]
+    assert macaulay_resultant_certificate(_planted_zero_map(97)).verdict == NOT_PROPER
+    assert sphere_falsifier(random_map((2, 2, 2), seed=0, kind="complex")) is None
+    macaulay_matrix(random_map((2, 3, 4), seed=0))
+    assert built == [(2, 2, 2), (2, 3, 4)]
+    layout = properness._macaulay_layout((2, 2, 2))
+    for array in (*layout.blocks[0], *layout.shifted, layout.pure):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+
+    def enumerate_monomials(n, degree):
+        raise AssertionError(f"enumerated the degree-{degree} monomials in {n} variables")
+
+    monkeypatch.setattr(properness, "_monomials_of_degree", enumerate_monomials)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="side 142506 exceeds the cap"):
+            properness._macaulay_layout((5,) * 6)
+    assert built[2:] == [(5,) * 6] * 2
+    properness._macaulay_layout.cache_clear()
+
+
+def _planted_at(F, zero):
+    """F with x_k^{d_i} terms shifted so that every component vanishes at the
+    rational point `zero`, k being its largest coordinate."""
+    n = F.n
+    k = max(range(n), key=lambda i: abs(zero[i]))
+    return HomogeneousMap(F.degrees, tuple(
+        f - Polynomial(n, {tuple(d * int(j == k) for j in range(n)):
+                           Fraction(f.evaluate(zero)) / zero[k] ** d})
+        for d, f in zip(F.degrees, F.components)))
+
+
+@pytest.mark.parametrize("degrees", [(2, 2, 2), (2, 3, 2), (3, 2, 2, 2)])
+def test_integer_root_check_agrees_with_exact_evaluation(degrees):
+    """``_rational_root`` returns q exactly when every f_i(q) == 0 in Fraction
+    arithmetic: at planted roots with denominators, at points that miss the
+    root by 1/ROOT_DENOMINATOR, and with coefficients past int64."""
+    n = len(degrees)
+    miss = Fraction(1, properness.ROOT_DENOMINATOR)
+    found = missed = 0
+    for seed, zero in enumerate([(1, 1, Fraction(1, 3)), (Fraction(-2, 3), 1, Fraction(1, 2)),
+                                 (Fraction(5, 7), Fraction(-3, 7), 1), (0, 1, Fraction(2, 9))]):
+        zero = (zero + (Fraction(1, 5),))[:n]
+        F = _planted_at(_seeded_rational_map(seed + 1, degrees), zero)
+        for G in (F, HomogeneousMap(degrees, tuple(f * Fraction(2 ** 70 + 1, 3)
+                                                   for f in F.components))):
+            layout = properness._macaulay_layout(degrees)
+            ints = properness._integer_matrix(G, layout)
+            top = max(zero, key=abs)
+            for point in (zero, zero[:-1] + (zero[-1] + miss * top,)):
+                witness = tuple(complex(v) for v in np.array(point, dtype=float)
+                                / np.linalg.norm(np.array(point, dtype=float)))
+                q = tuple(Fraction((v / max(witness, key=abs)).real)
+                          .limit_denominator(properness.ROOT_DENOMINATOR) for v in witness)
+                root = properness._rational_root(layout, ints, witness)
+                if all(value == 0 for value in G.evaluate(q)):
+                    assert root == f"({', '.join(map(str, q))})"
+                    found += 1
+                else:
+                    assert root is None
+                    missed += 1
+    assert found >= 8 and missed >= 8
+    assert properness._rational_root(layout, ints, None) is None
+
+
 def test_certificate_names_the_prime_or_the_exact_rank():
     """Each proof of full rank has a map that only it decides.  A generic map
     is proved by the left inverse, and so is a component that is a multiple
@@ -380,7 +497,7 @@ def test_coefficients_past_int64_are_decided_exactly():
     F = _seeded_rational_map(2, (2, 2, 2))
     huge = HomogeneousMap(F.degrees, tuple(f * Fraction(big, 3) + f * Fraction(1, 7)
                                            for f in F.components))
-    layout = properness._MacaulayLayout(huge)
+    layout = properness._macaulay_layout(huge.degrees)
     assert properness._integer_matrix(huge, layout).dtype == object
     assert macaulay_resultant_certificate(huge).verdict == PROPER
     planted = _seeded_rational_map(3, (2, 2, 2))
