@@ -213,7 +213,7 @@ def random_map(degrees: Sequence[int], seed: int, kind: str = RATIONAL,
 
 
 def jacobian(F) -> PolyMatrix:
-    """dF, the n x n matrix with entry (i, j) = d f_i / d x_j; every dF is built here.
+    """dF, the n x n matrix with entry (i, j) = d f_i / d x_j; every symbolic dF is built here.
 
     F is any square map: a HomogeneousMap, or a GeneralMap such as the jets of
     a map at a point.

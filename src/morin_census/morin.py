@@ -63,8 +63,9 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .linalg import clear_denominators, exact_det, exact_rank
-from .maps import HomogeneousMap, UsageError, jacobian, rest_exponents
-from .polynomials import RATIONAL, Polynomial, PolyMatrix, _radix_weights, is_exact_point
+from .maps import HomogeneousMap, UsageError, jacobian, rest_exponents, validate_count
+from .polynomials import (RATIONAL, Polynomial, PolyMatrix, _monomials, _radix_weights,
+                          is_exact_point)
 
 __all__ = [
     "GeneralMap",
@@ -114,17 +115,6 @@ def validate_tol(tol: float) -> float:
     return tol
 
 
-def _validate_kmax(k_max) -> int:
-    """The tower depth as an int >= 1; a non-integer or a depth below 1 is a ValueError."""
-    try:
-        k_max = operator.index(k_max)
-    except TypeError:
-        raise ValueError(f"k_max must be an integer, got {k_max!r}") from None
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
-    return k_max
-
-
 def _components_of(F) -> tuple[Polynomial, ...]:
     if isinstance(F, (HomogeneousMap, GeneralMap)):
         return tuple(F.components)
@@ -157,7 +147,7 @@ class MorinTower:
 
 def morin_tower(F, k_max: int = DEFAULT_KMAX) -> MorinTower:
     """Symbolic J_{k,i} for k <= k_max; exact in the rational kind."""
-    k_max = _validate_kmax(k_max)
+    k_max = validate_count(k_max, "k_max", 1)
     if k_max > _KMAX_GUARD:
         raise ValueError(f"k_max {k_max} exceeds the symbolic-growth guard {_KMAX_GUARD}")
     components = _components_of(F)
@@ -363,7 +353,7 @@ class Partials:
         monomials and one product with its table."""
         x = np.asarray(points, dtype=complex)
         monomials, table, gather = self._order(r)
-        values = np.prod(x[:, None, :] ** monomials, axis=-1) @ table
+        values = _monomials(x, monomials) @ table
         return values[:, gather].reshape(len(x), *(len(self.components),) * (r + 1))
 
 
@@ -563,7 +553,7 @@ def _classify_at(F, points, tols: Sequence[float], k_max: int) -> list[list[Sing
     point translates its jets on the first pull.  A point of the
     wrong length, or a float NaN or inf, is a ValueError.
     """
-    k_max = _validate_kmax(k_max)
+    k_max = validate_count(k_max, "k_max", 1)
     components = _components_of(F)
     n = len(components)
 
@@ -647,8 +637,7 @@ def classify_from_values(F, p, base_value, level_values,
                          tol: float = DEFAULT_TOL) -> SingularityClass:
     """The ``classify`` decision on precomputed tower values (k_max = their
     depth); dF(p) and the norms ||grad J_{r-1,i}(p)|| come from the jets at p."""
-    if not level_values:
-        raise ValueError("k_max must be >= 1")
+    validate_count(len(level_values), "k_max", 1)
     components, tol, k = _components_of(F), validate_tol(tol), len(level_values)
     jets = [f.translate_truncated(p, k + 1) for f in components]
     tower = itertools.islice(_jet_tower(jets, k), 1, None)

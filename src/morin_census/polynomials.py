@@ -17,11 +17,12 @@ term; arithmetic, whose terms are clean by construction, returns through the
 unchecked ``Polynomial._trusted``.
 
 ``Polynomial.evaluate`` is the one evaluator.  Exact points on a rational
-polynomial give exact values; any other point, or an ``(..., n_vars)`` array
-of points, goes through a numpy kernel over the polynomial's exponent matrix
-and complex coefficient vector, compiled on the first float evaluation and
-kept on the instance.  ``is_exact_point`` is the one rule for which points
-are exact, for the evaluator, the jets, the classifier and the ray counts.
+polynomial give exact values, summed on Python ints with every denominator
+cleared.  Any other point, or an ``(..., n_vars)`` array of points, goes
+through ``_monomials``, the one float monomial kernel (the partials' too), on
+the exponent matrix and complex coefficient vector compiled on the first
+float evaluation and kept.  ``is_exact_point`` is the one rule for which
+points are exact, for the evaluator, the jets, the classifier and the ray counts.
 """
 
 from __future__ import annotations
@@ -30,9 +31,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 import numpy as np
+
+from .linalg import clear_denominators
 
 Exponents = tuple[int, ...]
 
@@ -53,6 +56,11 @@ def is_exact_point(point) -> bool:
     if isinstance(point, np.ndarray) and (point.dtype != object or point.ndim != 1):
         return False
     return all(isinstance(v, (int, Fraction)) for v in point)
+
+
+def _monomials(x: np.ndarray, exps: np.ndarray) -> np.ndarray:
+    """x^e at the (..., n) complex points x for each row e of `exps`: shape (..., T)."""
+    return np.prod(x[..., None, :] ** exps, axis=-1)
 
 
 def _radix_weights(base: int, n: int) -> np.ndarray:
@@ -290,30 +298,25 @@ class Polynomial:
         """Value at one point, or values at an ``(..., n_vars)`` array of points.
 
         A rational polynomial at an exact point (``is_exact_point``: ints and
-        Fractions, also in an ``object`` ndarray) returns the exact Fraction.
-        Every other input goes through one numpy kernel over the exponent
-        matrix and the complex coefficient vector, built on first use and
-        kept: a single point gives a complex, an array of points an array of
-        complex values in its leading shape.
+        Fractions, also in an ``object`` ndarray) returns the exact Fraction
+        sum_e c_e P^e D^(top - |e|) / (L D^top), summed on ints: P = D p is the
+        point cleared of its denominators and L the coefficients' lcm.  Every
+        other input goes through one numpy kernel over the exponent matrix and
+        the complex coefficient vector, built on first use and kept: a single
+        point gives a complex, an array of points an array of complex values
+        in its leading shape.
         """
         if self.kind == RATIONAL and is_exact_point(point):
             if len(point) != self.n_vars:
                 raise ValueError(f"point length {len(point)} != n_vars {self.n_vars}")
-            powers = [[Fraction(1), Fraction(v)] for v in point]
-            total = Fraction(0)
-            for exps, c in self.terms.items():
-                for row, e in zip(powers, exps):
-                    if e:
-                        while len(row) <= e:
-                            row.append(row[-1] * row[1])
-                        c = c * row[e]
-                total += c
-            return total
-        x = np.asarray(point, dtype=complex)
-        if x.ndim == 0 or x.shape[-1] != self.n_vars:
-            raise ValueError(f"point shape {x.shape} does not end in n_vars {self.n_vars}")
-        exps, coeffs = self._kernel()
-        values = np.prod(x[..., None, :] ** exps, axis=-1) @ coeffs
+            ints, scale = clear_denominators(point)
+            coeffs, lcm = clear_denominators(self.terms.values())
+            top = self.total_degree() or 0
+            total = sum(c * math.prod(map(pow, ints, e)) * scale ** (top - sum(e))
+                        for c, e in zip(coeffs, self.terms))
+            return Fraction(total, lcm * scale ** top)
+        x, monomials, coeffs = self._float_monomials(point)
+        values = monomials @ coeffs
         return complex(values) if x.ndim == 1 else values
 
     def value_and_envelope(self, point):
@@ -323,15 +326,19 @@ class Polynomial:
         One point gives a (complex, float) pair; an ``(..., n_vars)`` array of
         points gives a pair of arrays in its leading shape.
         """
-        exps, coeffs = self._kernel()
-        x = np.asarray(point, dtype=complex)
-        if x.ndim == 0 or x.shape[-1] != self.n_vars:
-            raise ValueError(f"point shape {x.shape} does not end in n_vars {self.n_vars}")
-        monomials = np.prod(x[..., None, :] ** exps, axis=-1)
+        x, monomials, coeffs = self._float_monomials(point)
         values, envelopes = monomials @ coeffs, np.abs(monomials) @ np.abs(coeffs)
         if x.ndim == 1:
             return complex(values), float(envelopes)
         return values, envelopes
+
+    def _float_monomials(self, point) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The point(s) as complex, checked against n_vars, their monomials, the coefficients."""
+        x = np.asarray(point, dtype=complex)
+        if x.ndim == 0 or x.shape[-1] != self.n_vars:
+            raise ValueError(f"point shape {x.shape} does not end in n_vars {self.n_vars}")
+        exps, coeffs = self._kernel()
+        return x, _monomials(x, exps), coeffs
 
     def _kernel(self) -> tuple[np.ndarray, np.ndarray]:
         """The exponent matrix and complex coefficient vector of the float kernel, kept."""

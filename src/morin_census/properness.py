@@ -16,7 +16,7 @@ question reduces to whether the components share a nonzero common root.
   int64 array, and an integer left inverse X with X M strictly diagonally
   dominant, formed exactly in float64, is PROPER.  Without one, the root
   read off the null space is rounded to a rational point q, and F(q) = 0,
-  checked on the cleared integers, is NOT_PROPER.  Only when that fails too
+  checked by ``Polynomial.evaluate``, is NOT_PROPER.  Only when that fails too
   (an irrational root, or a full-rank matrix too large or too near rank loss
   for the left inverse) does ``det_is_nonzero`` decide, both ways: it tries
   the left inverse once more, then the rank mod a prime and the exact rank.
@@ -40,9 +40,9 @@ import numpy as np
 
 from .linalg import (POLISH_STEPS, _left_inverse_proves_rank, clear_denominators,
                      det_is_nonzero, exact_det, newton_polish, sylvester_matrix)
-from .maps import HomogeneousMap, _layout, validate_degrees
+from .maps import HomogeneousMap, _layout
 from .morin import _partials_of
-from .polynomials import COMPLEX, RATIONAL, ROOT_TOL, Polynomial, _radix_weights
+from .polynomials import RATIONAL, ROOT_TOL, Polynomial, _radix_weights
 
 __all__ = [
     "PROPER",
@@ -200,9 +200,8 @@ def _integer_matrix(F: HomogeneousMap, layout: _MacaulayLayout) -> np.ndarray:
     """F's Macaulay matrix with each f_i's denominators cleared, as an integer ndarray.
 
     Every row of f_i carries all of f_i's coefficients in dense term order,
-    so one lcm per component is the per-row lcm; row scaling keeps the rank,
-    and ``_rational_root`` reads the cleared coefficients back.  The array
-    is ``int64``, or ``object`` when a cleared coefficient does not fit.
+    so one lcm per component is the per-row lcm; row scaling keeps the rank.
+    The array is ``int64``, or ``object`` when a cleared coefficient does not fit.
     """
     ints = [clear_denominators(row)[0] for row in layout.gather(F, 0)]
     dtype = np.int64 if all(abs(v) < 2 ** 63 for row in ints for v in row) else object
@@ -227,7 +226,7 @@ def macaulay_resultant_certificate(F: HomogeneousMap) -> PropernessVerdict:
     proof = "left inverse" if _left_inverse_proves_rank(ints) else None
     if not proof:
         witness = _null_space_witness(F, layout, at_least=1)
-        root = _rational_root(layout, ints, witness)
+        root = _rational_root(F, witness)
         if root is not None:
             return PropernessVerdict(NOT_PROPER, f"F(q) = 0 exactly at q = {root}, "
                                      f"read off the null space of the {where}", witness)
@@ -239,21 +238,14 @@ def macaulay_resultant_certificate(F: HomogeneousMap) -> PropernessVerdict:
         NOT_PROPER, f"{where} is rank-deficient: {_witness_note(F, witness)}", witness)
 
 
-def _rational_root(layout: _MacaulayLayout, ints: np.ndarray, witness) -> str | None:
+def _rational_root(F: HomogeneousMap, witness) -> str | None:
     """The witness divided by its largest coordinate and rounded to a rational
-    point q, written out, when F(q) = 0 exactly; else None.  The test is on
-    integers: f_i(D q) = D^{d_i} f_i(q) for D the lcm of q's denominators,
-    with f_i's cleared coefficients read off its first row in `ints`."""
+    point q, written out, when F(q) = 0 exactly; else None."""
     if witness is None:
         return None
     top = max(witness, key=abs)
     q = tuple(Fraction((v / top).real).limit_denominator(ROOT_DENOMINATOR) for v in witness)
-    point = clear_denominators(q)[0]
-    for (rows, cols), terms in zip(layout.blocks, layout.terms):
-        coeffs = ints[rows[0, 0], cols[0]].tolist()
-        if sum(c * math.prod(map(pow, point, e)) for c, e in zip(coeffs, terms) if c):
-            return None
-    return f"({', '.join(map(str, q))})"
+    return None if any(F.evaluate(q)) else f"({', '.join(map(str, q))})"
 
 
 # ---------------------------------------------------------------- falsifier

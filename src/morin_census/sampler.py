@@ -4,10 +4,10 @@ The critical set of a homogeneous map is a cone of (projective) dimension
 n - 2, so random affine lines hit it in deg J = sum(d_i - 1) isolated points.
 This module locates those points (interpolate J on a line from det dF at
 deg J + 1 nodes, solve one univariate polynomial), hunts the codimension-2
-cusp stratum on random affine 2-planes with orthonormal frames (J and
-J_{1,i*} evaluated on one grid per plane, v eliminated into the resultant
-R(u), v read off the kernel of the Sylvester matrix at each root u, one
-classification pass per hunt), classifies everything with the Morin
+cusp stratum of maps with n >= 3 on random affine 2-planes with orthonormal
+frames (J and J_{1,i*} evaluated on one grid per plane, v eliminated into
+the resultant R(u), v read off the kernel of the Sylvester matrix at each
+root u, one classification pass per hunt), classifies everything with the Morin
 classifier, and aggregates survey statistics: the expected picture for a
 generic map is that every off-origin singular point is A_1, A_2 or A_3, with
 random line samples almost surely landing on the A_1 stratum.  No path here
@@ -37,7 +37,8 @@ from typing import Sequence
 import numpy as np
 
 from .linalg import POLISH_STEPS, newton_polish, sylvester_matrix
-from .maps import HomogeneousMap, random_map, ray_multiplicity, validate_count, validate_degrees
+from .maps import (HomogeneousMap, UsageError, random_map, ray_multiplicity, validate_count,
+                   validate_degrees)
 from .morin import (DEFAULT_KMAX, DEFAULT_TOL, _adjugate_norms, _classify_at, _jacobian_dets,
                     _level_one, _partials_of, _survives, validate_tol)
 from .polynomials import COMPLEX, ROOT_TOL, Polynomial
@@ -310,8 +311,7 @@ def plane_section_solutions(values, degrees: Sequence[int], n: int, planes: int,
                               POLISH_STEPS)
         x = q0 + uv @ plane
         envelope = np.polynomial.polynomial.polyval2d(*np.abs(uv).T, np.abs(coeffs)).T
-        kept = (np.all(np.abs(f) <= ROOT_TOL * envelope, axis=1)
-                & (np.linalg.norm(x, axis=1) >= 1e-8))
+        kept = np.all(np.abs(f) <= ROOT_TOL * envelope, axis=1)
         points = np.array([_phase_normalized(p) for p in x[kept]], dtype=complex).reshape(-1, n)
         for p, res in zip(points, np.abs(values(points))):
             if np.any(np.abs(1.0 - np.abs(rays.conj() @ p)) < 1e-8):
@@ -328,26 +328,25 @@ def cusp_points(F: HomogeneousMap, planes: int, seed: int) -> list[SectionSoluti
     one ``morin.Partials`` the map keeps serves the probe, the planes and the
     classifier), and i* is the first i whose J_{1,i} does not vanish, by the
     classifier's rule, at one seeded random point; deg J_{1,i} = 2 deg J -
-    d_i.  A generic plane meets the cusp curve in Tp(A_2) = c1^2 + c2 points
-    (Ronga), and the plane system has d1 * d2 solutions in all: the rest are
-    fold points where the left-kernel covector of dF has vanishing i*-th
-    coordinate (there J_{1,i} vanishes for the wrong reason).  Every pair the
-    slicer reads off its Sylvester kernels is polished, and the polished
-    candidates are classified, all in one pass over F's partials (level 2
-    too: the hunt builds no jet and no determinant polynomial); only genuine
-    A_2 points (at DEFAULT_TOL) are returned.  A plane can give fewer than
-    Tp(A_2) of them, where Newton does not reach a solution from its start;
-    rejects are discarded, and an all-rejected plane budget simply yields an
-    empty list.  The slicer's envelope test keeps no scale
-    of F in the residual cut; the step test of ``newton_polish``, max_k
+    d_i.  A generic plane meets the cusp locus (at n = 3, all its rays) in
+    Tp(A_2) = c1^2 + c2 points (Ronga), and the plane system has d1 * d2
+    solutions in all: the rest are fold points where the left-kernel
+    covector of dF has vanishing i*-th coordinate (there J_{1,i} vanishes for
+    the wrong reason).  Every pair the slicer reads off its Sylvester kernels
+    is polished, and the polished candidates are classified, all in one pass
+    over F's partials (level 2 too: the hunt builds no jet and no determinant
+    polynomial); only genuine A_2 points (at DEFAULT_TOL) are returned.  A
+    plane can give fewer than Tp(A_2) of them, where Newton does not reach a
+    solution from its start; rejects are discarded, and an all-rejected plane
+    budget simply yields an empty list.  The slicer's envelope test keeps no
+    scale of F in the residual cut; the step test of ``newton_polish``, max_k
     |f_k|, still mixes the scales of J and J_{1,i*}.  `planes` < 0 is a
-    ValueError.
+    ValueError, and n < 3 a UsageError: a generic map of C^2 has no cusp ray.
     """
-    if F.n != 4:
-        raise ValueError("cusp hunting is implemented for n = 4")
+    if F.n < 3:
+        raise UsageError(f"a generic map of C^{F.n} has no cusp ray: cusp hunting needs n >= 3")
     validate_count(planes, "planes")
-    Fc = F.as_complex()
-    partials = _partials_of(Fc)
+    partials = _partials_of(F)
     rng = np.random.default_rng(seed)
     point = rng.standard_normal((1, F.n)) + 1j * rng.standard_normal((1, F.n))
     probe = _level_one(partials, point)
@@ -365,7 +364,7 @@ def cusp_points(F: HomogeneousMap, planes: int, seed: int) -> list[SectionSoluti
     deg = sum(d - 1 for d in F.degrees)
     solutions = plane_section_solutions(values, (deg, 2 * deg - F.degrees[i]), F.n, planes,
                                         seed)
-    verdicts = _classify_at(Fc, [s.point for s in solutions], (DEFAULT_TOL,), DEFAULT_KMAX)
+    verdicts = _classify_at(F, [s.point for s in solutions], (DEFAULT_TOL,), DEFAULT_KMAX)
     return [s for s, (verdict,) in zip(solutions, verdicts) if verdict.is_morin(2)]
 
 

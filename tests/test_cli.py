@@ -199,14 +199,14 @@ def test_out_of_range_arguments_are_usage_errors(tmp_path, capsys):
         assert code == 1 and err and not out, argv
 
 
-def test_classify_kmax_below_one_is_computation_error(tmp_path, capsys):
-    """--kmax 0 leaves no tower level to decide with: exit 2."""
+def test_classify_kmax_below_one_is_usage_error(tmp_path, capsys):
+    """--kmax 0 is a count outside its range, like --lines -1: exit 1."""
     path = tmp_path / "m.json"
     run(capsys, "gen", "--degrees", "2,2,2,2", "--kind", "complex",
         "--seed", "1", "--out", str(path))
     code, out, err = run(capsys, "classify", "--map", str(path),
                          "--point", "1,0,0,0", "--kmax", "0")
-    assert code == 2 and out == ""
+    assert code == 1 and out == ""
     assert "k_max must be >= 1" in err
 
 

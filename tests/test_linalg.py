@@ -45,6 +45,7 @@ def test_det_is_nonzero_tests_full_column_rank():
     assert not det_is_nonzero([[1, 2], [2, 4], [3, 6]])
     assert det_is_nonzero([[2, 1], [1, 1]])
     assert not det_is_nonzero([[1, 2], [2, 4]])
+    assert det_is_nonzero([]) == "exact rank"       # no rows: the empty matrix
 
 
 def test_det_is_nonzero_falls_back_to_exact_rank():

@@ -243,6 +243,30 @@ def test_evaluate_exact_point_stays_exact():
     assert value == Fraction(1, 4) - 2
 
 
+exact_entries = st.one_of(st.integers(-7, 7), st.fractions(min_value=-4, max_value=4,
+                                                           max_denominator=12))
+sparse_polys = st.dictionaries(st.tuples(*[st.integers(0, 4)] * 3),
+                               st.one_of(st.integers(-50, 50), st.fractions(max_denominator=30)),
+                               max_size=6).map(lambda t: P(3, t))
+
+
+@settings(max_examples=100, deadline=None)
+@given(f=sparse_polys, point=st.tuples(*[exact_entries] * 3), as_array=st.booleans())
+def test_exact_evaluate_equals_a_plain_fraction_sum(f, point, as_array):
+    """At an exact point -- a tuple or an ``object`` array of ints and
+    Fractions, zero and negative entries among them -- a sparse rational
+    polynomial, zero or not homogeneous included, evaluates to exactly the
+    Fraction sum of c * prod p_i^e_i, and a point of the wrong length is
+    still the same ValueError."""
+    direct = sum((c * math.prod(Fraction(v) ** e for v, e in zip(point, exps))
+                  for exps, c in f.terms.items()), Fraction(0))
+    given_point = np.array(point, dtype=object) if as_array else point
+    value = f.evaluate(given_point)
+    assert isinstance(value, Fraction) and value == direct
+    with pytest.raises(ValueError, match="point length 2 != n_vars 3"):
+        f.evaluate(given_point[:2])
+
+
 # ------------------------------------------------------------- text form
 def test_text_round_trip_rational():
     """to_text/from_text is the identity on rational polynomials."""

@@ -205,6 +205,24 @@ def test_zero_component_is_not_proper():
     assert properness_verdict(Z).verdict == NOT_PROPER
 
 
+def test_rank_loss_without_a_witness_is_not_proper_and_says_so():
+    """(-x1^3 + x1 x2 x3 - x2^2 x3, 0, -2 x3^3) has nullity 9 and its one root
+    ray, (0, 1, 0), has high multiplicity: no null-space estimate polishes
+    onto it (a CHANGES.md FOUND).  The exact rank still decides NOT_PROPER,
+    with no witness and a certificate that says the null space gave none;
+    the complex copy, which has no exact certificate, is INCONCLUSIVE."""
+    F = HomogeneousMap((3, 3, 3), (
+        Polynomial(3, {(3, 0, 0): -1, (1, 1, 1): 1, (0, 2, 1): -1}),
+        Polynomial(3, {}),
+        Polynomial(3, {(0, 0, 3): -2}),
+    ))
+    v = properness_verdict(F)
+    assert v.verdict == NOT_PROPER and v.witness is None
+    assert v.certificate.endswith("rank-deficient: a nonzero common root exists; "
+                                  "the null space gave no witness")
+    assert properness_verdict(F.as_complex()).verdict == INCONCLUSIVE
+
+
 def test_complex_copy_of_planted_map_gets_witness():
     """The float null space finds the planted zero without the exact certificate."""
     F = _planted_zero_map(97).as_complex()
@@ -417,15 +435,13 @@ def test_integer_root_check_agrees_with_exact_evaluation(degrees):
         F = _planted_at(_seeded_rational_map(seed + 1, degrees), zero)
         for G in (F, HomogeneousMap(degrees, tuple(f * Fraction(2 ** 70 + 1, 3)
                                                    for f in F.components))):
-            layout = properness._macaulay_layout(degrees)
-            ints = properness._integer_matrix(G, layout)
             top = max(zero, key=abs)
             for point in (zero, zero[:-1] + (zero[-1] + miss * top,)):
                 witness = tuple(complex(v) for v in np.array(point, dtype=float)
                                 / np.linalg.norm(np.array(point, dtype=float)))
                 q = tuple(Fraction((v / max(witness, key=abs)).real)
                           .limit_denominator(properness.ROOT_DENOMINATOR) for v in witness)
-                root = properness._rational_root(layout, ints, witness)
+                root = properness._rational_root(G, witness)
                 if all(value == 0 for value in G.evaluate(q)):
                     assert root == f"({', '.join(map(str, q))})"
                     found += 1
@@ -433,7 +449,7 @@ def test_integer_root_check_agrees_with_exact_evaluation(degrees):
                     assert root is None
                     missed += 1
     assert found >= 8 and missed >= 8
-    assert properness._rational_root(layout, ints, None) is None
+    assert properness._rational_root(G, None) is None
 
 
 def test_certificate_names_the_prime_or_the_exact_rank():

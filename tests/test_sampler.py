@@ -1,5 +1,6 @@
 """Root finding, line/plane slicing, cusp hunting, and the Monte-Carlo survey."""
 
+import itertools
 import json
 import math
 import sys
@@ -20,7 +21,7 @@ from morin_census import (
     survey,
     univariate_roots,
 )
-from morin_census.maps import jdet
+from morin_census.maps import UsageError, jdet
 from morin_census import morin, properness, sampler
 from morin_census.morin import DEFAULT_TOL, Partials
 from morin_census.polynomials import ROOT_TOL, PolyMatrix
@@ -299,6 +300,12 @@ def test_plane_sections_need_three_variables():
         plane_section_solutions(_pair_values, (2, 2), 2, 1, 0)
 
 
+def test_plane_sections_need_two_nonconstant_functions():
+    """A constant function (degree 0) has no curve to meet: a ValueError."""
+    with pytest.raises(ValueError, match="two nonconstant polynomials"):
+        plane_section_solutions(_pair_values, (0, 2), 3, 1, 0)
+
+
 def test_plane_sections_recover_known_projective_zeros():
     """{x1^2 - x2 x3, x2^2 - x1 x3} has four rays; slicing finds them all."""
     sols = plane_section_solutions(_pair_values, (2, 2), 3, planes=3, seed=1)
@@ -527,10 +534,66 @@ def test_negative_sampling_counts_are_rejected(call):
 
 
 def test_cusp_points_requires_n4():
-    """Cusp hunting is defined for four source dimensions."""
+    """Cusp hunting needs n >= 3: a generic map of C^2 has no cusp ray, so
+    n = 2 is a UsageError (a ValueError, the CLI's exit code 1) that says so."""
     F = random_map((2, 2), seed=0, kind="complex")
     with pytest.raises(ValueError):
         cusp_points(F, planes=1, seed=0)
+    for kind in ("complex", "rational"):
+        with pytest.raises(UsageError, match="C\\^2 has no cusp ray"):
+            cusp_points(random_map((2, 3), seed=1, kind=kind), planes=1, seed=0)
+
+
+def test_cusp_points_of_a_map_with_vanishing_jacobian_are_none():
+    """(x1^2, x1^2, x3^2, x4^2) has J = 0 everywhere, so level 1 vanishes at
+    the probe point and the hunt returns no point."""
+    F = HomogeneousMap((2, 2, 2, 2), tuple(
+        Polynomial(4, {e: 1}) for e in ((2, 0, 0, 0), (2, 0, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2))))
+    assert cusp_points(F, planes=1, seed=0) == []
+
+
+def _tp_a2(degrees) -> int:
+    """Tp(A2) = c1^2 + c2 for c = prod(1 + d_i a) / (1 + a)^n, whose classes are
+    c_k = sum_j (-1)^(k-j) C(k-j+n-1, n-1) e_j, e_j the elementary symmetric
+    sums of the degrees (Ronga)."""
+    n = len(degrees)
+    e = [sum(math.prod(s) for s in itertools.combinations(degrees, j)) for j in range(3)]
+    c1, c2 = (sum((-1) ** (k - j) * math.comb(k - j + n - 1, n - 1) * e[j]
+                  for j in range(k + 1)) for k in (1, 2))
+    return c1 ** 2 + c2
+
+
+def test_tp_a2_oracle_matches_the_census_classes():
+    """The n-general oracle gives the tabulated 9, 42 and 30 at n = 3 and 5,
+    and c1^2 + c2 from ``chern_values`` at n = 4."""
+    assert [_tp_a2(d) for d in ((2, 2, 2), (3, 3, 3), (2, 2, 2, 2, 2))] == [9, 42, 30]
+    for degrees in ((2, 2, 2, 2), (2, 2, 2, 3), (3, 3, 3, 3), (2, 3, 5, 7)):
+        c1, c2 = chern_values(degrees)[:2]
+        assert _tp_a2(degrees) == c1 ** 2 + c2
+
+
+@pytest.mark.parametrize("degrees", [(2, 2, 2), (2, 2, 3)])
+def test_cusp_hunt_at_n3_finds_every_cusp_ray(degrees):
+    """At n = 3 a plane is an affine chart of all of P^2, so it meets every
+    cusp ray: map seeds 1-3 give exactly Tp(A2) distinct rays (9 on (2,2,2),
+    17 on (2,2,3)) on each of plane seeds 1-4."""
+    expected = _tp_a2(degrees)
+    for map_seed, seed in itertools.product((1, 2, 3), (1, 2, 3, 4)):
+        sols = cusp_points(random_map(degrees, seed=map_seed, kind="complex"), planes=1,
+                           seed=seed)
+        assert len(sols) == expected, (map_seed, seed)
+        rays = np.array([s.point for s in sols])
+        assert np.all(np.abs(np.abs(rays.conj() @ rays.T) - np.eye(len(rays))) < 1 - 1e-8)
+
+
+@pytest.mark.parametrize("degrees", [(3, 3, 3), (2, 2, 2, 2, 2)])
+def test_no_plane_finds_more_cusps_than_tp_a2_off_n4(degrees):
+    """At n = 3 and n = 5 no plane finds more than Tp(A2) cusp rays (42 on
+    (3,3,3), 30 on (2,2,2,2,2)), on map seeds 1-3 and plane seeds 1-4."""
+    counts = [len(cusp_points(random_map(degrees, seed=map_seed, kind="complex"), planes=1,
+                              seed=seed))
+              for map_seed, seed in itertools.product((1, 2, 3), (1, 2, 3, 4))]
+    assert 0 < min(counts) and max(counts) <= _tp_a2(degrees)
 
 
 # ------------------------------------------------------------- survey
